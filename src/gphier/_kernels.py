@@ -10,11 +10,16 @@ primed slots to x_j turns, on the mode side, into a mode-sum convolution
 with sigma the componentwise sum of all pinned modes (indices mod M, which
 is exact on the grid).  The sigma-grouped intermediate is independent of
 the slot j and of the +/- branch, so one pass over the input serves the
-whole j-sum.  Cross-checked elementwise against the real-space operators
-in the test suite.
+whole j-sum.  It is built by folding the p pinned variables into sigma one
+variable at a time, each fold a cyclic shift-add per mode of the folded
+variable: (p - 1) * M^d shift-adds, with one code path for every p and
+d.  Cross-checked elementwise against the real-space operators in the
+test suite.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -47,45 +52,69 @@ def ifftn_level(hat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(hat, norm="ortho")
 
 
+def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtract: bool = False) -> None:
+    """In place: dst[.., r + shift, ..] += src[.., r, ..] (or -=), indices mod M.
+
+    The shift acts on the len(shift) axes starting at `first_axis`; `dst`
+    and `src` have the same shape.  Each shifted axis splits into its
+    unwrapped and its wrapped piece, so this is at most 2^len(shift) slice
+    adds and allocates nothing.
+    """
+    # (dst piece, src piece) per axis: the unwrapped part, then the wrapped one
+    per_axis = [
+        [(slice(None), slice(None))]
+        if s == 0
+        else [(slice(s, None), slice(None, -s)), (slice(None, s), slice(-s, None))]
+        for s in shift
+    ]
+    lead = (slice(None),) * first_axis
+    for pieces in itertools.product(*per_axis):
+        view = dst[lead + tuple(dst_piece for dst_piece, _ in pieces)]
+        part = src[lead + tuple(src_piece for _, src_piece in pieces)]
+        if subtract:
+            view -= part
+        else:
+            view += part
+
+
 def fourier_collapse(hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
     """Mode-space B_{k+p/2}: collapse a level-kappa mode tensor to level kappa-half.
 
     `half` is p/2.  Output axes follow the standard (unprimed block, primed
-    block) order of the retained k = kappa - half variables.
+    block) order of the retained k = kappa - half variables; `hat` is not
+    modified.
+
+    The p pinned variables are folded one at a time into the first pinned
+    unprimed variable, which thereby comes to hold sigma:
+    new[.., s, ..] = sum_q acc[.., s - q, .., q, ..], one cyclic shift-add
+    per mode q of the folded variable.  The unprimed pinned variables go
+    first, while the tensor is largest and their slabs are contiguous.  The
+    j-sum then shift-adds each sigma slab into `out` along the j-th
+    unprimed (+) and primed (-) variable.  In all: (p - 1) * M^d fold
+    shift-adds and 2k * M^d output shift-adds, each at most 2^d slice adds.
     """
     d, M = grid.d, grid.M
     k = kappa - half
     if k < 1:
         raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
-    # move pinned axes (extra variables, both blocks) to the end
-    free_axes = []
-    for primed in (False, True):
-        base = kappa * d if primed else 0
-        free_axes.extend(range(base, base + k * d))
-    pinned_axes = []
-    for primed in (False, True):
-        base = kappa * d if primed else 0
-        pinned_axes.extend(range(base + k * d, base + kappa * d))
-    work = hat.transpose(free_axes + pinned_axes)
+    modes = list(np.ndindex(*(M,) * d))
+    # acc variables, d axes each: k retained unprimed, sigma, the unprimed
+    # pinned ones not yet folded, k retained primed, the primed pinned ones
+    acc = hat
+    for n in range(2 * half - 1):
+        var = k + 1 if n < half - 1 else 2 * k + 1
+        new = np.zeros(acc.shape[: var * d] + acc.shape[(var + 1) * d :], dtype=np.complex128)
+        lead = (slice(None),) * (var * d)
+        for q in modes:
+            _shift_add(new, acc[lead + q], k * d, q)
+        acc = new
 
-    # group pinned-mode combinations by their componentwise index sum sigma
-    n_pinned = len(pinned_axes)
-    free_shape = (M,) * (2 * k * d)
-    grouped = np.zeros(free_shape + (M,) * d, dtype=np.complex128)
-    for combo in np.ndindex(*(M,) * n_pinned):
-        sigma = tuple(
-            sum(combo[a] for a in range(n_pinned) if a % d == c) % M for c in range(d)
-        )
-        grouped[(Ellipsis,) + sigma] += work[(Ellipsis,) + combo]
-
-    # roll-accumulate: out[.., r_j, ..] = sum_sigma grouped[.., r_j - sigma, .., sigma]
-    out = np.zeros(free_shape, dtype=np.complex128)
-    for sigma in np.ndindex(*(M,) * d):
-        slab = grouped[(Ellipsis,) + sigma]
+    out = np.zeros((M,) * (2 * k * d), dtype=np.complex128)
+    lead = (slice(None),) * (k * d)
+    for sigma in modes:
+        slab = acc[lead + sigma]
         for j in range(k):
-            plus_axes = tuple(range(j * d, (j + 1) * d))
-            minus_axes = tuple(range((k + j) * d, (k + j + 1) * d))
-            out += np.roll(slab, sigma, axis=plus_axes)
-            out -= np.roll(slab, sigma, axis=minus_axes)
+            _shift_add(out, slab, j * d, sigma)
+            _shift_add(out, slab, (k + j) * d, sigma, subtract=True)
     out *= float(M) ** (-half * d)
     return out

@@ -187,11 +187,11 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
     out_dir = out_dir or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
-    grid = make_grid(config.d, config.M, config.L)
-    spec = InteractionSpec(config.p, config.mu)
-    params = NormParams(config.alpha, config.xi, config.xi2, config.xi_prime, config.eta)
-    status = 0
+    status, error = 0, None
     try:
+        grid = make_grid(config.d, config.M, config.L)
+        spec = InteractionSpec(config.p, config.mu)
+        params = NormParams(config.alpha, config.xi, config.xi2, config.xi_prime, config.eta)
         if command == "evolve":
             phi0 = _resolve_phi0(config, grid)
             gamma0 = HierarchyState.factorized(phi0.values, config.N, grid, config.p, config.mu)
@@ -266,15 +266,24 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             _structural_invariants(traj, spec, config.alpha)
     except InvariantFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
-        status = 2
-    wall = time.perf_counter() - t_start
+        status, error = 2, exc
+    except Exception as exc:
+        # no run ends without saying why: record the failure, then let it propagate
+        _write_manifest(config, command, out_dir, t_start, 1, exc)
+        raise
+    _write_manifest(config, command, out_dir, t_start, status, error)
+    return status
+
+
+def _write_manifest(config, command: str, out_dir: str, t_start: float, status: int, error) -> None:
     manifest = {
         "command": command,
         "config": config.to_dict(),
         "config_warnings": config.warnings,
         "versions": {"gphier": __version__, "numpy": np.__version__},
-        "wall_time_s": wall,
+        "wall_time_s": time.perf_counter() - t_start,
         "status": status,
     }
+    if error is not None:
+        manifest["error"] = f"{type(error).__name__}: {error}"
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
-    return status

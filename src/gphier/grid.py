@@ -36,15 +36,15 @@ class TorusGrid:
 
 
 def make_grid(d: int, M: int, L: float) -> TorusGrid:
-    """Build a torus grid; rejects odd M, M < 4, and nonpositive L."""
+    """Build a torus grid; rejects odd M, M < 4, and nonpositive or infinite L."""
     if d < 1:
         raise ValueError(f"spatial dimension must be >= 1, got d={d}")
     if M < 4:
         raise ValueError(f"grid needs M >= 4 points per axis, got M={M}")
     if M % 2 != 0:
         raise ValueError(f"grid size M must be even, got M={M}")
-    if not L > 0:
-        raise ValueError(f"period length must be positive, got L={L}")
+    if not (L > 0 and np.isfinite(L)):
+        raise ValueError(f"period length must be positive and finite, got L={L}")
     # symmetric alias in (-M/2, M/2]; fftfreq puts the Nyquist mode at -M/2
     alias = np.fft.fftfreq(M, d=1.0 / M)
     alias[M // 2] = M // 2

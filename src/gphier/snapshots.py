@@ -10,6 +10,8 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -68,10 +70,31 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _payload_bytes(d: int, M: int, levels, cap: int) -> int:
+    """Bytes of the level payloads, or cap + 1 as soon as they exceed `cap`.
+
+    Header fields are 32-bit, so each power M^(2 d n) is bounded through its
+    logarithm before it is formed.
+    """
+    total = 0
+    for n in levels:
+        if 2 * d * n * math.log2(M) > math.log2(cap + 1):
+            return cap + 1
+        total += 16 * M ** (2 * d * n)
+        if total > cap:
+            return cap + 1
+    return total
+
+
 def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchyState:
     """Read a snapshot; full states need the interaction order and coupling
-    supplied (the format does not store them)."""
+    supplied (the format does not store them).
+
+    The header is validated against the grid rules and the file size before
+    anything is allocated; every malformed file raises a SnapshotError.
+    """
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -80,6 +103,23 @@ def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchySta
             raise VersionMismatchError(f"format version {version}, expected {VERSION}")
         (L,) = struct.unpack("<d", _read_exact(fh, 8, "header"))
         (k,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
+        if d < 1 or M < 4 or M % 2 != 0 or not (math.isfinite(L) and L > 0):
+            raise SnapshotError(
+                f"invalid grid in header: d={d}, M={M}, L={L}; need d >= 1, even M >= 4, finite L > 0"
+            )
+        if k > 0:
+            levels = [k]
+        else:
+            (count,) = struct.unpack("<I", _read_exact(fh, 4, "level count"))
+            if count < 1:
+                raise TruncatedPayloadError("state snapshot with zero levels")
+            levels = range(1, count + 1)
+        present = file_size - fh.tell()
+        expected = _payload_bytes(d, M, levels, present)
+        if expected > present:
+            raise TruncatedPayloadError(f"truncated payload: header needs more than the {present} bytes present")
+        if expected < present:
+            raise TruncatedPayloadError(f"{present - expected} trailing bytes after the payload")
         grid = make_grid(d, M, L)
 
         def read_level(level_k: int) -> Marginal:
@@ -89,14 +129,5 @@ def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchySta
             return Marginal(grid, level_k, data)
 
         if k > 0:
-            gamma = read_level(k)
-            if fh.read(1):
-                raise TruncatedPayloadError("trailing bytes after marginal payload")
-            return gamma
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "level count"))
-        if count < 1:
-            raise TruncatedPayloadError("state snapshot with zero levels")
-        levels = [read_level(n) for n in range(1, count + 1)]
-        if fh.read(1):
-            raise TruncatedPayloadError("trailing bytes after state payload")
-        return HierarchyState(grid, levels, p, mu)
+            return read_level(k)
+        return HierarchyState(grid, [read_level(n) for n in levels], p, mu)

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ from gphier import (
     ConfigError,
     HierarchyState,
     Marginal,
+    SnapshotError,
     TruncatedPayloadError,
     VersionMismatchError,
     cosine_field,
@@ -127,6 +130,42 @@ def test_snapshot_truncated(tmp_path):
         snapshot_read(path)
 
 
+def _write_crafted(path, d, M, L, k, payload=b""):
+    with open(path, "wb") as fh:
+        fh.write(b"GPH1" + struct.pack("<IIIdI", 1, d, M, L, k) + payload)
+
+
+def test_snapshot_oversized_header(tmp_path):
+    # d=1, M=4096, k=3 would need 16 * 4096^6 bytes; rejected before allocating
+    path = str(tmp_path / "huge.gph")
+    _write_crafted(path, 1, 4096, 1.0, 3, b"\0" * 64)
+    with pytest.raises(SnapshotError):
+        snapshot_read(path)
+
+
+@pytest.mark.parametrize("d,M,L", [(0, 4, 1.0), (1, 4, float("nan")), (1, 4, float("inf")), (1, 6, -1.0), (1, 5, 1.0)])
+def test_snapshot_invalid_grid_header(tmp_path, d, M, L):
+    path = str(tmp_path / "grid.gph")
+    _write_crafted(path, d, M, L, 1, b"\0" * (16 * M ** (2 * d)))
+    with pytest.raises(SnapshotError):
+        snapshot_read(path)
+
+
+def test_snapshot_payload_size_mismatch(tmp_path):
+    gam = _random_m(2)
+    path = str(tmp_path / "long.gph")
+    snapshot_write(gam, path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(SnapshotError):
+        snapshot_read(path)
+    # a state header claiming 2^32 - 1 levels over a one-level payload
+    state_path = str(tmp_path / "count.gph")
+    _write_crafted(state_path, 1, 4, 1.0, 0, struct.pack("<I", 2**32 - 1) + b"\0" * (16 * 4**2))
+    with pytest.raises(SnapshotError):
+        snapshot_read(state_path)
+
+
 FAST_CONFIG = "M = 4\nN = 3\nT = 0.02\ndt = 0.001\nstore_every = 5\n"
 
 
@@ -199,6 +238,17 @@ def test_phi0_snapshot_roundtrip(tmp_path):
     header = levels[0].split(",")
     first = levels[1].split(",")
     assert float(first[header.index("trace_re")]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_manifest_written_on_error(tmp_path):
+    missing = tmp_path / "missing.gph"
+    cfg = parse_config(f"M = 4\nN = 2\nT = 0.02\ndt = 0.001\nphi0 = {missing}\nsolver = volterra\n")
+    out = tmp_path / "run"
+    with pytest.raises(FileNotFoundError):
+        run_experiment(cfg, "evolve", out_dir=str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 1
+    assert manifest["error"].startswith("FileNotFoundError:")
 
 
 def test_cli_main_end_to_end(tmp_path):

@@ -23,7 +23,10 @@ def test_exactly_one_zero_mode_and_nyquist():
         assert g.h * g.M == pytest.approx(2.5)
 
 
-@pytest.mark.parametrize("d,M,L", [(1, 7, 1.0), (1, 2, 1.0), (1, 8, 0.0), (1, 8, -1.0), (0, 8, 1.0)])
+@pytest.mark.parametrize(
+    "d,M,L",
+    [(1, 7, 1.0), (1, 2, 1.0), (1, 8, 0.0), (1, 8, -1.0), (0, 8, 1.0), (1, 8, np.inf), (1, 8, np.nan)],
+)
 def test_make_grid_rejects(d, M, L):
     with pytest.raises(ValueError):
         make_grid(d, M, L)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gphier import (
     HierarchyState,
@@ -171,14 +173,48 @@ def test_b_collapse_symmetrize_pass():
     np.testing.assert_allclose(plain.data, symd.data, atol=1e-12)
 
 
+def _check_fourier_collapse(d, M, kappa, p, seed):
+    grid = make_grid(d, M, 2 * np.pi)
+    gam = _random_marginal(grid, kappa, seed=seed)
+    ref = b_collapse(gam, InteractionSpec(p, 1)).data
+    hat = fftn_level(gam.data)
+    hat_before = hat.copy()
+    fast = ifftn_level(fourier_collapse(hat, grid, kappa, p // 2))
+    assert np.array_equal(hat, hat_before)
+    np.testing.assert_allclose(fast, ref, atol=1e-12)
+
+
 def test_fourier_collapse_matches_real_space():
-    for M, kappa, p in [(4, 3, 2), (6, 2, 2), (8, 3, 2), (4, 3, 4)]:
-        grid = make_grid(1, M, 2 * np.pi)
-        spec = InteractionSpec(p, 1)
-        gam = _random_marginal(grid, kappa, seed=M * kappa * p)
-        ref = b_collapse(gam, spec).data
-        fast = ifftn_level(fourier_collapse(fftn_level(gam.data), grid, kappa, p // 2))
-        np.testing.assert_allclose(fast, ref, atol=1e-12)
+    shapes = [
+        (1, 4, 3, 2),
+        (1, 6, 2, 2),
+        (1, 8, 3, 2),
+        (1, 12, 3, 2),  # the Strichartz shape
+        (1, 4, 3, 4),
+        (1, 4, 4, 4),  # two pinned variables in each block
+        (2, 4, 2, 2),
+        (2, 4, 3, 2),
+        (2, 4, 3, 4),
+    ]
+    for d, M, kappa, p in shapes:
+        _check_fourier_collapse(d, M, kappa, p, seed=d * M * kappa * p)
+
+
+# every (d, M, kappa, p) with at most 4^8 level-kappa entries
+SMALL_COLLAPSE_SHAPES = [
+    (d, M, kappa, p)
+    for d in (1, 2)
+    for M in (4, 6, 8)
+    for p in (2, 4)
+    for kappa in range(p // 2 + 1, 5)
+    if M ** (2 * kappa * d) <= 4**8
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(SMALL_COLLAPSE_SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_fourier_collapse_property(shape, seed):
+    _check_fourier_collapse(*shape, seed=seed)
 
 
 def test_b_hat_levels_and_cancellation():
