@@ -1,4 +1,8 @@
-"""Command-line entry point: gphier <command> [--config FILE] [--set k=v ...]."""
+"""Command-line entry point: gphier <command> [--config FILE] [--set k=v ...].
+
+Exit status: 0 success, 1 bad arguments or config, 2 a failed invariant,
+3 a dense tensor over the memory guard.  Any other error propagates.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ import sys
 
 from .config import ConfigError, parse_config
 from .experiment import COMMANDS, run_experiment
+from .marginal import MemoryGuardError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +53,12 @@ def main(argv=None) -> int:
         return 1
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return run_experiment(config, args.command, args.out_dir)
+    try:
+        return run_experiment(config, args.command, args.out_dir)
+    except MemoryGuardError as exc:
+        # the manifest already records the failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

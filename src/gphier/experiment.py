@@ -5,6 +5,14 @@ written with shortest-roundtrip repr, key order is fixed, no timestamps).
 The manifest additionally records versions and wall time and is therefore
 excluded from the byte-identity contract.
 
+evolve and km-report stream the solver's stored nodes ({level: mode
+tensor} dicts) into their consumers and keep no list of nodes.  Norms and
+traces come from the mode tensors: the H^alpha norm of each level once per
+node (norm_Hxi_alpha is the xi-weighted sum of those numbers), the trace
+as h^(dk) * sum_r hat[r; -r], and Theta = B Gamma by the mode-space
+collapse, once per node.  Only the structural invariants are checked in
+real space: each node's state is built, checked and dropped.
+
 Column dictionary (CSV headers follow the estimate symbols):
   norm_Halpha      per-level H^alpha norm of gamma^(k)
   norm_Hxi_alpha   xi-weighted sequence norm of the state
@@ -26,19 +34,12 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .grid import make_grid
-from .marginal import (
-    HierarchyState,
-    NormParams,
-    h_alpha_norm,
-    hxi_norm,
-    trace,
-    validate_marginal,
-)
+from .marginal import HierarchyState, NormParams, _h_alpha_norm_hat, _trace_hat, validate_marginal
 from .nls import BUILTIN_FIELDS, WaveFunction, compare_hierarchy_vs_nls, nls_solve
-from .operators import InteractionSpec, b_hat
+from .operators import InteractionSpec
 from .snapshots import snapshot_read, snapshot_write
-from .solver import Trajectory, solve_oracle, solve_truncated
-from .studies import StudyReport, boardgame_probe, cauchy_study, km_report, strichartz_study
+from .solver import QuadratureRule, _materialize, _oracle_nodes, _volterra_nodes, solve_truncated
+from .studies import StudyReport, _km_report, boardgame_probe, cauchy_study, strichartz_study
 
 COMMANDS = ("evolve", "nls-compare", "cauchy", "strichartz", "boardgame", "km-report")
 
@@ -116,59 +117,89 @@ def _resolve_phi0(config: ExperimentConfig, grid) -> WaveFunction:
     return WaveFunction(grid, phi)
 
 
-def _structural_invariants(traj: Trajectory, spec: InteractionSpec, alpha: float) -> list[dict]:
-    """Trace-drift and defect table; raises InvariantFailure on violation."""
-    rows = []
-    init = traj.states[0]
-    init_traces = {k: trace(init.level(k)) for k in range(1, init.N + 1)}
-    for t, state in zip(traj.times, traj.states):
-        for k in range(1, state.N + 1):
-            rep = validate_marginal(state.level(k), check_positivity=False)
-            drift = abs(trace(state.level(k)) - init_traces[k])
-            free = k + spec.half > state.N
-            rows.append(
-                {
-                    "t": float(t),
-                    "level": k,
-                    "free": free,
-                    "trace_drift": drift,
-                    "herm_defect": rep.hermiticity_defect,
-                    "sym_defect": rep.symmetry_defect,
-                }
-            )
-            limit = 1e-12 if free else 1e-8
-            if drift > limit:
-                raise InvariantFailure(
-                    f"invariant 'trace conservation' failed: level {k} at t={t}: drift {drift:.3e} > {limit}"
-                )
-            if rep.hermiticity_defect > 1e-9:
-                raise InvariantFailure(
-                    f"invariant 'hermiticity preservation' failed: level {k} at t={t}: defect {rep.hermiticity_defect:.3e}"
-                )
-            if rep.symmetry_defect > 1e-9:
-                raise InvariantFailure(
-                    f"invariant 'permutation symmetry preservation' failed: level {k} at t={t}: defect {rep.symmetry_defect:.3e}"
-                )
-    return rows
+def _structural_invariants(
+    t: float,
+    hats: dict[int, np.ndarray],
+    grid,
+    spec: InteractionSpec,
+    init_traces: dict[int, complex] | None,
+) -> tuple[list[dict], dict[int, complex], str | None]:
+    """Trace-drift and defect rows of one node, its traces, and its first violation.
+
+    Builds the node's real-space state, checks every level there and drops
+    the state.  Drift is measured against init_traces, the traces at t=0
+    (None for the first node, which is its own reference).
+    """
+    state = _materialize(grid, hats, spec)
+    rows, traces, failure = [], {}, None
+    for k in range(1, state.N + 1):
+        rep = validate_marginal(state.level(k), check_positivity=False)
+        traces[k] = rep.trace
+        drift = abs(rep.trace - (init_traces or traces)[k])
+        free = k + spec.half > state.N
+        rows.append(
+            {
+                "t": float(t),
+                "level": k,
+                "free": free,
+                "trace_drift": drift,
+                "herm_defect": rep.hermiticity_defect,
+                "sym_defect": rep.symmetry_defect,
+            }
+        )
+        limit = 1e-12 if free else 1e-8
+        checks = (
+            ("trace conservation", drift > limit, f"drift {drift:.3e} > {limit}"),
+            ("hermiticity preservation", rep.hermiticity_defect > 1e-9, f"defect {rep.hermiticity_defect:.3e}"),
+            ("permutation symmetry preservation", rep.symmetry_defect > 1e-9, f"defect {rep.symmetry_defect:.3e}"),
+        )
+        for name, violated, detail in checks:
+            if failure is None and violated:
+                failure = f"invariant '{name}' failed: level {k} at t={t}: {detail}"
+    return rows, traces, failure
 
 
-def _norm_tables(traj: Trajectory, alpha: float, xi: float) -> tuple[list[dict], list[dict]]:
-    per_level, per_state = [], []
-    for t, state in zip(traj.times, traj.states):
-        for k in range(1, state.N + 1):
-            g = state.level(k)
-            tr = trace(g)
-            per_level.append(
-                {
-                    "t": float(t),
-                    "level": k,
-                    "norm_Halpha": h_alpha_norm(g, alpha),
-                    "trace_re": tr.real,
-                    "trace_im": tr.imag,
-                }
-            )
-        per_state.append({"t": float(t), "norm_Hxi_alpha": hxi_norm(state, xi, alpha)})
-    return per_level, per_state
+class _InvariantCheck:
+    """Runs _structural_invariants on streamed nodes as they pass through.
+
+    Keeps the invariant rows and the first violation; once one is found the
+    remaining nodes pass unchecked.  rows() raises InvariantFailure for it,
+    so a caller can write its other tables first, as a run without
+    streaming would.
+    """
+
+    def __init__(self, grid, spec: InteractionSpec):
+        self.grid, self.spec = grid, spec
+        self._rows: list[dict] = []
+        self._failure: str | None = None
+
+    def watch(self, nodes):
+        init_traces = None
+        for t, hats in nodes:
+            if self._failure is None:
+                rows, traces, self._failure = _structural_invariants(t, hats, self.grid, self.spec, init_traces)
+                init_traces = init_traces or traces
+                self._rows += rows
+            yield t, hats
+
+    def rows(self) -> list[dict]:
+        if self._failure is not None:
+            raise InvariantFailure(self._failure)
+        return self._rows
+
+
+def _norm_tables(t: float, hats: dict[int, np.ndarray], grid, alpha: float, xi: float) -> tuple[list[dict], dict]:
+    """One node's rows of the levels table and of the norms table, from its mode tensors.
+
+    Each level's H^alpha norm is computed once; norm_Hxi_alpha is their
+    xi-weighted sum.
+    """
+    norms = {k: _h_alpha_norm_hat(hats[k], grid, k, alpha) for k in sorted(hats)}
+    level_rows = []
+    for k, norm in norms.items():
+        tr = _trace_hat(hats[k], grid, k)
+        level_rows.append({"t": float(t), "level": k, "norm_Halpha": norm, "trace_re": tr.real, "trace_im": tr.imag})
+    return level_rows, {"t": float(t), "norm_Hxi_alpha": sum(xi**k * norm for k, norm in norms.items())}
 
 
 def _report_to_files(report: StudyReport, out_dir: str, stem: str) -> None:
@@ -199,21 +230,27 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             terminal = {}
             for solver_name in solvers:
                 if solver_name == "volterra":
-                    traj = solve_truncated(gamma0, spec, config.T, config.dt, config.quadrature, config.store_every)
+                    rule = QuadratureRule(config.quadrature)
+                    nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
                 else:
-                    traj = solve_oracle(gamma0, spec, config.T, config.dt, config.store_every)
-                per_level, per_state = _norm_tables(traj, config.alpha, config.xi)
+                    nodes = _oracle_nodes(gamma0, spec, config.T, config.dt, config.store_every)
+                check = _InvariantCheck(grid, spec)
+                per_level, per_state = [], []
+                for t, hats in check.watch(nodes):
+                    level_rows, state_row = _norm_tables(t, hats, grid, config.alpha, config.xi)
+                    per_level += level_rows
+                    per_state.append(state_row)
+                    terminal[solver_name] = hats
                 write_csv(per_level, os.path.join(out_dir, f"evolve_{solver_name}_levels.csv"))
                 write_csv(per_state, os.path.join(out_dir, f"evolve_{solver_name}_norms.csv"))
-                inv_rows = _structural_invariants(traj, spec, config.alpha)
-                write_csv(inv_rows, os.path.join(out_dir, f"evolve_{solver_name}_invariants.csv"))
-                terminal[solver_name] = traj.states[-1]
+                write_csv(check.rows(), os.path.join(out_dir, f"evolve_{solver_name}_invariants.csv"))
                 if config.save_state:
-                    snapshot_write(traj.states[-1], os.path.join(out_dir, f"evolve_{solver_name}_final.gph"))
+                    final = _materialize(grid, terminal[solver_name], spec)
+                    snapshot_write(final, os.path.join(out_dir, f"evolve_{solver_name}_final.gph"))
             if len(terminal) == 2:
                 dist = sum(
                     config.xi**k
-                    * h_alpha_norm(terminal["volterra"].level(k) - terminal["oracle"].level(k), config.alpha)
+                    * _h_alpha_norm_hat(terminal["volterra"][k] - terminal["oracle"][k], grid, k, config.alpha)
                     for k in range(1, config.N + 1)
                 )
                 write_csv(
@@ -227,7 +264,10 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             wave = nls_solve(phi0, spec, config.T, config.dt, config.store_every)
             rows = compare_hierarchy_vs_nls(traj, wave, config.alpha, config.xi)
             write_csv(rows, os.path.join(out_dir, "nls_compare.csv"))
-            _structural_invariants(traj, spec, config.alpha)
+            check = _InvariantCheck(grid, spec)
+            for _ in check.watch(zip(traj.times, traj.hats)):
+                pass
+            check.rows()
         elif command == "cauchy":
             n_list = config.N_list or [3, 4]
             phi0 = _resolve_phi0(config, grid)
@@ -260,10 +300,12 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         elif command == "km-report":
             phi0 = _resolve_phi0(config, grid)
             gamma0 = HierarchyState.factorized(phi0.values, config.N, grid, config.p, config.mu)
-            traj = solve_truncated(gamma0, spec, config.T, config.dt, config.quadrature, config.store_every)
-            report = km_report(traj, params, config.quadrature)
+            rule = QuadratureRule(config.quadrature)
+            nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
+            check = _InvariantCheck(grid, spec)
+            report = _km_report(check.watch(nodes), grid, spec, params, rule)
             _report_to_files(report, out_dir, "km")
-            _structural_invariants(traj, spec, config.alpha)
+            check.rows()
     except InvariantFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         status, error = 2, exc

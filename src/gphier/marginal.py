@@ -240,6 +240,26 @@ def _h_alpha_norm_hat(hat: np.ndarray, grid: TorusGrid, k: int, alpha: float) ->
     return float(np.sqrt(acc.sum()) * grid.h ** (grid.d * k))
 
 
+def _trace_hat(hat: np.ndarray, grid: TorusGrid, k: int) -> complex:
+    """Trace from the Fourier representation: h^(dk) * sum_r hat[r; -r].
+
+    The unitary DFT turns the diagonal sum over x = x' into a sum over
+    antidiagonal mode pairs r' = -r (mod M).
+    """
+    shape = (grid.M,) * (grid.d * k)
+    n = grid.M ** (grid.d * k)
+    modes = np.indices(shape).reshape(len(shape), n)
+    neg = np.ravel_multi_index(tuple(-modes % grid.M), shape)  # flat index of -r for each flat r
+    return complex(hat.reshape(n, n)[np.arange(n), neg].sum() * grid.h ** (grid.d * k))
+
+
+def _hxi_norm_hat(hats: dict[int, np.ndarray], grid: TorusGrid, xi: float, alpha: float) -> float:
+    """hxi_norm of the state whose level-k mode tensor is hats[k], k = 1..N."""
+    if not 0 < xi < 1:
+        raise ValueError(f"weight xi must lie in (0, 1), got {xi}")
+    return sum(xi**k * _h_alpha_norm_hat(hats[k], grid, k, alpha) for k in sorted(hats))
+
+
 @dataclass
 class HierarchyState:
     """Finite sequence (gamma^(1), ..., gamma^(N)); levels above N are zero."""

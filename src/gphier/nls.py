@@ -125,7 +125,8 @@ def compare_hierarchy_vs_nls(
     ):
         raise ValueError("hierarchy and NLS trajectories have different time samples")
     rows = []
-    for t, state, wf in zip(trajectory.times, trajectory.states, wave_trajectory.fields):
+    for i, (t, wf) in enumerate(zip(trajectory.times, wave_trajectory.fields)):
+        state = trajectory.state(i)
         row = {"t": float(t)}
         agg = 0.0
         for k in range(1, state.N + 1):

@@ -10,6 +10,9 @@ solve_truncated marches this top-down with exact phase multipliers for
 the free part (quadrature error lives only in the coupling term);
 solve_oracle integrates the same linear system with a classical 4-stage
 integrating-factor Runge-Kutta step and serves as the cross-check route.
+Both collect the stored nodes of a generator (_volterra_nodes,
+_oracle_nodes) that yields each node as a {level: mode tensor} dict; a
+Trajectory keeps those dicts and builds real space one node at a time.
 
 Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
@@ -27,7 +30,7 @@ import numpy as np
 from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
 from .grid import TorusGrid
 from .marginal import HierarchyState, Marginal, _h_alpha_norm_hat, zero_marginal
-from .operators import InteractionSpec, b_collapse, free_evolve
+from .operators import InteractionSpec
 
 
 @dataclass(frozen=True)
@@ -197,34 +200,52 @@ def _march(
         for n in hat0:
             for key in [s for s in node_states[n] if s < i - 1]:
                 del node_states[n][key]
+        if i == S:
+            # consumers of the last nodes run while this generator is
+            # suspended; no later step needs the phases or source states
+            del P, P_prev, step, node_states
         yield from flush()
 
     if pending:
         raise RuntimeError("march ended with unfinalized nodes")
 
 
+def l2_in_time(w: np.ndarray, values) -> float:
+    """(sum_i w_i * values_i^2)^(1/2): the L2-in-time norm of node samples
+    under the quadrature weights w of QuadratureRule.weights."""
+    return float(np.sqrt(np.dot(w, np.asarray(values, dtype=float) ** 2)))
+
+
 @dataclass
 class Trajectory:
-    """Time-sampled hierarchy states on a uniform grid over [0, T]."""
+    """Time-sampled hierarchy states on a uniform grid over [0, T].
+
+    Each stored node is kept as the solver produced it: a dict mapping
+    level n = 1..N to its mode tensor (unitary DFT of the level-n kernel).
+    Norms and collapses read these directly; state(i) builds the
+    real-space HierarchyState of one node on request.
+    """
 
     times: np.ndarray
-    states: list[HierarchyState]
+    hats: list[dict[int, np.ndarray]]
+    grid: TorusGrid
     spec: InteractionSpec
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
+        if len(self.times) != len(self.hats):
+            raise ValueError("times and node tensors must have equal length")
         if len(self.times) < 2:
             raise ValueError("a trajectory needs at least two samples")
         steps = np.diff(self.times)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("trajectory time grid must be uniform")
-        N = self.states[0].N
-        grid = self.states[0].grid
-        for st in self.states:
-            if st.N != N or st.grid != grid:
-                raise ValueError("trajectory states must share grid and truncation level")
+        levels = list(range(1, len(self.hats[0]) + 1))
+        for hats in self.hats:
+            if sorted(hats) != levels or any(
+                hats[n].shape != (self.grid.M,) * self.grid.axis_count(n) for n in levels
+            ):
+                raise ValueError("trajectory nodes must hold levels 1..N on the trajectory grid")
 
     @property
     def dt(self) -> float:
@@ -232,11 +253,16 @@ class Trajectory:
 
     @property
     def N(self) -> int:
-        return self.states[0].N
+        return len(self.hats[0])
+
+    def state(self, i: int) -> HierarchyState:
+        """Real-space hierarchy state at node i (built on each call)."""
+        return _materialize(self.grid, self.hats[i], self.spec)
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.states[0].grid
+    def states(self) -> list[HierarchyState]:
+        """Every node in real space; for small trajectories such as tests."""
+        return [self.state(i) for i in range(len(self.times))]
 
 
 def _initial_hats(state: HierarchyState) -> dict[int, np.ndarray]:
@@ -253,68 +279,48 @@ def _check_spec(state: HierarchyState, spec: InteractionSpec) -> None:
         raise ValueError("interaction spec does not match the hierarchy state")
 
 
-def solve_truncated(
-    gamma0: HierarchyState,
-    spec: InteractionSpec,
-    T: float,
-    dt: float,
-    quadrature: QuadratureRule | str = "trapezoid",
-    store_every: int | None = 1,
-) -> Trajectory:
-    """Solve the truncated hierarchy by the top-down Volterra march.
-
-    Levels n > N - p/2 are exact free evolutions; coupled levels evaluate
-    their Volterra integral with the composite rule on the dt grid.  The
-    free part uses exact phase multipliers, so all quadrature error sits
-    in the coupling term.  store_every controls the stored sampling stride
-    (None stores only the endpoints); it must divide S = T/dt.
-    """
-    _check_spec(gamma0, spec)
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+def _sampling(T: float, dt: float, store_every: int | None) -> tuple[int, int]:
+    """Step count S and the stored stride (None stores only the endpoints)."""
     S = _resolve_steps(T, dt)
     if store_every is None:
         store_every = S
     if S % store_every != 0:
         raise ValueError(f"store_every={store_every} must divide the step count S={S}")
-    grid = gamma0.grid
-    hat0 = _initial_hats(gamma0)
-    times, states = [], []
-    for i, hats in _march(grid, hat0, spec, S, dt, rule):
+    return S, store_every
+
+
+def _volterra_nodes(
+    gamma0: HierarchyState,
+    spec: InteractionSpec,
+    T: float,
+    dt: float,
+    rule: QuadratureRule,
+    store_every: int | None = 1,
+):
+    """Stored nodes (t, {level: mode tensor}) of the Volterra march, in order."""
+    _check_spec(gamma0, spec)
+    S, store_every = _sampling(T, dt, store_every)
+    for i, hats in _march(gamma0.grid, _initial_hats(gamma0), spec, S, dt, rule):
         if i % store_every == 0:
-            times.append(i * dt)
-            states.append(_materialize(grid, hats, spec))
-    return Trajectory(
-        np.array(times),
-        states,
-        spec,
-        meta={
-            "solver": "volterra",
-            "quadrature": rule.kind,
-            "dt_integration": dt,
-            "store_every": store_every,
-        },
-    )
+            yield i * dt, hats
 
 
-def solve_oracle(
+def _oracle_nodes(
     gamma0: HierarchyState,
     spec: InteractionSpec,
     T: float,
     dt: float,
     store_every: int | None = 1,
-) -> Trajectory:
-    """Independent reference integrator for the same truncated linear system.
+):
+    """Stored nodes (t, {level: mode tensor}) of the integrating-factor RK4
+    oracle, in order.
 
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
     Runge-Kutta step to this coupling (4th order in dt).
     """
     _check_spec(gamma0, spec)
-    S = _resolve_steps(T, dt)
-    if store_every is None:
-        store_every = S
-    if S % store_every != 0:
-        raise ValueError(f"store_every={store_every} must divide the step count S={S}")
+    S, store_every = _sampling(T, dt, store_every)
     grid = gamma0.grid
     N, half = gamma0.N, spec.half
     coupled = [n for n in range(1, N + 1) if n + half <= N]
@@ -335,7 +341,8 @@ def solve_oracle(
     def axpy(base: dict[int, np.ndarray], coeff: float, delta: dict[int, np.ndarray]):
         return {n: base[n] + coeff * delta[n] if n in delta else base[n] for n in base}
 
-    times, states = [0.0], [_materialize(grid, w, spec)]
+    # levels of w are rebound, never written in place, so a yielded dict stays valid
+    yield 0.0, dict(w)
     for i in range(1, S + 1):
         E_mid = {n: E[n] * E_half[n] for n in w}
         E_end = {n: E_mid[n] * E_half[n] for n in w}
@@ -347,14 +354,45 @@ def solve_oracle(
             w[n] = w[n] + (dt / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
         E = E_end
         if i % store_every == 0:
-            times.append(i * dt)
-            states.append(_materialize(grid, {n: E[n] * w[n] for n in w}, spec))
-    return Trajectory(
-        np.array(times),
-        states,
-        spec,
-        meta={"solver": "oracle-ifrk4", "quadrature": "rk4", "dt_integration": dt, "store_every": store_every},
-    )
+            yield i * dt, {n: E[n] * w[n] for n in w}
+
+
+def solve_truncated(
+    gamma0: HierarchyState,
+    spec: InteractionSpec,
+    T: float,
+    dt: float,
+    quadrature: QuadratureRule | str = "trapezoid",
+    store_every: int | None = 1,
+) -> Trajectory:
+    """Solve the truncated hierarchy by the top-down Volterra march.
+
+    Levels n > N - p/2 are exact free evolutions; coupled levels evaluate
+    their Volterra integral with the composite rule on the dt grid.  The
+    free part uses exact phase multipliers, so all quadrature error sits
+    in the coupling term.  store_every controls the stored sampling stride
+    (None stores only the endpoints); it must divide S = T/dt.
+    """
+    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    _, stride = _sampling(T, dt, store_every)
+    times, hats = zip(*_volterra_nodes(gamma0, spec, T, dt, rule, store_every))
+    meta = {"solver": "volterra", "quadrature": rule.kind, "dt_integration": dt, "store_every": stride}
+    return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
+
+
+def solve_oracle(
+    gamma0: HierarchyState,
+    spec: InteractionSpec,
+    T: float,
+    dt: float,
+    store_every: int | None = 1,
+) -> Trajectory:
+    """Independent reference integrator for the same truncated linear system
+    (the integrating-factor RK4 of _oracle_nodes)."""
+    _, stride = _sampling(T, dt, store_every)
+    times, hats = zip(*_oracle_nodes(gamma0, spec, T, dt, store_every))
+    meta = {"solver": "oracle-ifrk4", "quadrature": "rk4", "dt_integration": dt, "store_every": stride}
+    return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
 
 
 def _volterra_from_samples(
@@ -415,19 +453,24 @@ def duhamel_term(
     if n < 1:
         raise ValueError(f"level index must be >= 1, got n={n}")
     _check_spec(gamma0, spec)
+    grid = gamma0.grid
+    if n + j * spec.half > gamma0.N or (j > 1 and t <= 0):
+        return zero_marginal(grid, n + spec.half)
+    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    return Marginal(grid, n + spec.half, ifftn_level(_duhamel_hat(j, n, gamma0, spec, t, dt, rule)))
+
+
+def _duhamel_hat(
+    j: int, n: int, gamma0: HierarchyState, spec: InteractionSpec, t: float, dt: float, rule: QuadratureRule
+) -> np.ndarray:
+    """Mode tensor of duhamel_term for n + j*p/2 <= N (and t > 0 when j > 1)."""
     half = spec.half
     grid = gamma0.grid
-    if n + j * half > gamma0.N:
-        return zero_marginal(grid, n + half)
-    if j == 1:
-        return free_evolve(gamma0.level(n + half), t)
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    S = _resolve_steps(t, dt) if t > 0 else 0
-    if S == 0:
-        return zero_marginal(grid, n + half)
-
     deepest = n + j * half
     hat_deep = fftn_level(gamma0.level(deepest).data)
+    if j == 1:
+        return phase_tensor(grid, deepest, t) * hat_deep
+    S = _resolve_steps(t, dt)
     step_deep = phase_tensor(grid, deepest, dt)
 
     # rung 2 sources stream the free evolution of the deepest level
@@ -443,16 +486,10 @@ def duhamel_term(
         return free_phase["P"] * hat_deep
 
     source = free_source
-    for m in range(2, j + 1):
-        out_level = n + (j - m + 1) * half
-        keep_all = m < j
-        result = _volterra_from_samples(source, out_level, grid, spec, S, dt, rule, keep_all)
-        if keep_all:
-            samples = result
-            source = lambda i, _s=samples: _s[i]
-        else:
-            return Marginal(grid, out_level, ifftn_level(result))
-    raise AssertionError("unreachable")
+    for m in range(2, j):
+        samples = _volterra_from_samples(source, n + (j - m + 1) * half, grid, spec, S, dt, rule, keep_all=True)
+        source = lambda i, _s=samples: _s[i]
+    return _volterra_from_samples(source, n + half, grid, spec, S, dt, rule, keep_all=False)
 
 
 def reconstruct_bhat(
@@ -468,13 +505,14 @@ def reconstruct_bhat(
     half = spec.half
     if n < 1 or n > gamma0.N - half:
         raise ValueError(f"level n={n} out of coupled range 1..{gamma0.N - half}")
-    out = zero_marginal(gamma0.grid, n)
+    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    grid = gamma0.grid
+    out = np.zeros((grid.M,) * grid.axis_count(n), dtype=np.complex128)
     j = 1
-    while n + j * half <= gamma0.N:
-        term = duhamel_term(j, n, gamma0, spec, t, quadrature, dt)
-        out = out + b_collapse(term, spec)
+    while n + j * half <= gamma0.N and (j == 1 or t > 0):
+        out += fourier_collapse(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + half, half)
         j += 1
-    return out
+    return Marginal(grid, n, ifftn_level(out))
 
 
 def theta_residual(
@@ -495,43 +533,62 @@ def theta_residual(
     the truncation tail instead.
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    spec = trajectory.spec
-    grid = trajectory.grid
-    half = spec.half
-    N = trajectory.N
-    if N < 1 + half:
+    spec, grid = trajectory.spec, trajectory.grid
+    if trajectory.N < 1 + spec.half:
         raise ValueError("trajectory has no coupled levels")
-    ref = reference_data if reference_data is not None else trajectory.states[0]
-    _check_spec(ref, spec)
-    S = len(trajectory.times) - 1
-    dt = trajectory.dt
+    ref_hat = trajectory.hats[0] if reference_data is None else _reference_hats(reference_data, spec)
+    thetas = [_theta_hats(hats, grid, spec) for hats in trajectory.hats]
+    norms = _theta_defect_norms(thetas, ref_hat, grid, spec, trajectory.dt, rule, xi, alpha)
+    return l2_in_time(rule.weights(len(thetas) - 1, trajectory.dt), norms)
 
-    theta_levels = list(range(1, N - half + 1))
-    res_levels = list(range(1, max(N - half, ref.N - half) + 1))
+
+def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray]:
+    """Mode tensors of the reference levels that the Theta residual collapses."""
+    _check_spec(reference_data, spec)
+    return {m: fftn_level(reference_data.level(m).data) for m in range(1 + spec.half, reference_data.N + 1)}
+
+
+def _theta_hats(hats: dict[int, np.ndarray], grid: TorusGrid, spec: InteractionSpec) -> dict[int, np.ndarray]:
+    """Theta = B Gamma at one node, in mode space: level n collapses level n + p/2."""
+    half = spec.half
+    return {n: fourier_collapse(hats[n + half], grid, n + half, half) for n in range(1, max(hats) - half + 1)}
+
+
+def _theta_defect_norms(
+    thetas: list[dict[int, np.ndarray]],
+    ref_hat: dict[int, np.ndarray],
+    grid: TorusGrid,
+    spec: InteractionSpec,
+    dt: float,
+    rule: QuadratureRule,
+    xi: float,
+    alpha: float,
+) -> list[float]:
+    """Per-node H^alpha_xi norms of the Theta fixed-point defect (see theta_residual).
+
+    thetas[i] maps level n to the mode tensor of Theta^(n) at node i;
+    ref_hat maps level m to the mode tensor of Gamma_ref^(m).
+    """
+    half = spec.half
+    S = len(thetas) - 1
+    theta_levels = sorted(thetas[0])
+    res_levels = list(range(1, max(len(theta_levels), max(ref_hat, default=0) - half) + 1))
     need = sorted({lv + half for lv in res_levels})
-    ref_hat = {m: fftn_level(ref.level(m).data) for m in need if m <= ref.N}
-
-    # Theta samples in mode space
-    theta_hats = []
-    for st in trajectory.states:
-        theta_hats.append(
-            {lv: fftn_level(b_collapse(st.level(lv + half), spec).data) for lv in theta_levels}
-        )
 
     step = {lv: phase_tensor(grid, lv, dt) for lv in theta_levels}
     P = {lv: np.ones_like(step[lv]) for lv in theta_levels}
     cum = {lv: _Cumulative(rule, dt) for lv in theta_levels}
     W: dict[int, dict[int, np.ndarray]] = {lv: {0: np.zeros_like(step[lv])} for lv in theta_levels}
     for lv in theta_levels:
-        cum[lv].push(theta_hats[0][lv])
+        cum[lv].push(thetas[0][lv])
     for i in range(1, S + 1):
         for lv in theta_levels:
             P[lv] = P[lv] * step[lv]
-            for s, Q in cum[lv].push(np.conj(P[lv]) * theta_hats[i][lv]):
+            for s, Q in cum[lv].push(np.conj(P[lv]) * thetas[i][lv]):
                 W[lv][s] = Q
 
     mu_coef = -1j * spec.mu
-    norms_sq = np.zeros(S + 1)
+    norms = []
     P_out = {m: np.ones((grid.M,) * grid.axis_count(m), dtype=np.complex128) for m in need}
     step_out = {m: phase_tensor(grid, m, dt) for m in need}
     for i in range(0, S + 1):
@@ -541,15 +598,12 @@ def theta_residual(
         total = 0.0
         for lv in res_levels:
             m = lv + half
-            x = np.zeros((grid.M,) * grid.axis_count(m), dtype=np.complex128)
-            if m in ref_hat:
-                x = x + ref_hat[m]
+            x = ref_hat[m] if m in ref_hat else np.zeros((grid.M,) * grid.axis_count(m), dtype=np.complex128)
             if i > 0 and m in W:
                 x = x + mu_coef * W[m][i]
             r = -fourier_collapse(P_out[m] * x, grid, m, half)
-            if lv in theta_levels:
-                r = r + theta_hats[i][lv]
+            if lv in thetas[i]:
+                r = r + thetas[i][lv]
             total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
-        norms_sq[i] = total**2
-    w = QuadratureRule(rule.kind).weights(S, dt)
-    return float(np.sqrt(np.dot(w, norms_sq)))
+        norms.append(total)
+    return norms

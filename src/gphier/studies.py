@@ -22,13 +22,23 @@ from .marginal import (
     Marginal,
     NormParams,
     _h_alpha_norm_hat,
+    _hxi_norm_hat,
     hermitize,
     hxi_norm,
     symmetrize,
     tail_norm,
 )
-from .operators import InteractionSpec, b_collapse, b_hat
-from .solver import QuadratureRule, Trajectory, _march, _resolve_steps, theta_residual
+from .operators import InteractionSpec
+from .solver import (
+    QuadratureRule,
+    Trajectory,
+    _march,
+    _reference_hats,
+    _resolve_steps,
+    _theta_defect_norms,
+    _theta_hats,
+    l2_in_time,
+)
 
 
 @dataclass
@@ -50,8 +60,7 @@ def spacetime_norm(times, states, xi: float, alpha: float, quadrature="trapezoid
     if S < 1:
         raise ValueError("need at least two time samples")
     dt = times[1] - times[0]
-    norms_sq = np.array([hxi_norm(st, xi, alpha) ** 2 for st in states])
-    return float(np.sqrt(np.dot(rule.weights(S, dt), norms_sq)))
+    return l2_in_time(rule.weights(S, dt), [hxi_norm(st, xi, alpha) for st in states])
 
 
 def random_marginal(
@@ -147,15 +156,15 @@ def strichartz_study(
         series = np.zeros(S + 1)
         for n, r in rows.items():
             series += xi**n * r
-        lhs = float(np.sqrt(np.dot(w, series**2)))
+        lhs = l2_in_time(w, series)
         row = {"draw": idx, "lhs": lhs, "rhs": rhs_norm, "ratio": lhs / rhs_norm}
         for n, r in sorted(rows.items()):
-            per_level = float(np.sqrt(np.dot(w, r**2)))  # source level norm is 1
+            per_level = l2_in_time(w, r)  # source level norm is 1
             row[f"level_{n}_ratio"] = per_level
             row[f"level_{n}_ratio_over_k"] = per_level / n
         if probe_alpha_bound:
-            bh = b_hat(state, spec)
-            row["bhat_ratio"] = hxi_norm(bh, xi, alpha) / hxi_norm(state, xi, alpha)
+            bh = _hxi_norm_hat(_theta_hats(hats0, grid, spec), grid, xi, alpha)
+            row["bhat_ratio"] = bh / _hxi_norm_hat(hats0, grid, xi, alpha)
         per_draw.append(row)
     ratios = np.array([r["ratio"] for r in per_draw])
     report = StudyReport(
@@ -280,7 +289,7 @@ def cauchy_study(
             series = np.zeros(S + 1)
             for n in bdiff_levels:
                 series += xi**n * bnorms[n]
-            l2_bdiff = float(np.sqrt(np.dot(w, series**2)))
+            l2_bdiff = l2_in_time(w, series)
             tail = tail_norm(gamma0, N1, xi_p, alpha)
             pair_rows.append(
                 {
@@ -311,7 +320,7 @@ def cauchy_study(
                 for n, r in bnorms.items():
                     series += xi_test**n * r
                 if tail > 0:
-                    vals.append(np.sqrt(np.dot(w, series**2)) / tail)
+                    vals.append(l2_in_time(w, series) / tail)
             return max(vals) if vals else np.nan
 
         base = max_ratio_at(xi)
@@ -423,7 +432,7 @@ def boardgame_probe(
                     for h in series
                 ]
             )
-            lhs = float(np.sqrt(np.dot(w, lhs_nodes**2)))
+            lhs = l2_in_time(w, lhs_nodes)
             deepest = nv + j * half
             deep_hat = fftn_level(gamma_test.level(deepest).data)
             deep_norm = _h_alpha_norm_hat(deep_hat, grid, deepest, alpha)
@@ -435,7 +444,7 @@ def boardgame_probe(
                     P = P * step
                 g = fourier_collapse(P * deep_hat, grid, deepest, half)
                 rhs_nodes[i] = _h_alpha_norm_hat(g, grid, deepest - half, alpha)
-            rhs = float(np.sqrt(np.dot(w, rhs_nodes**2)))
+            rhs = l2_in_time(w, rhs_nodes)
             # normalizers at the rounding floor mean a vanishing collapse
             # (constant-modulus data); the ratio is then 0/0
             degenerate = rhs <= 1e-11 * max(deep_norm, 1.0) * np.sqrt(T)
@@ -502,40 +511,65 @@ def km_report(
 ) -> StudyReport:
     """A posteriori spacetime bound: sup-in-time state norm, L2-in-time
     norm of B Gamma, and the Theta fixed-point residual."""
+    nodes = zip(trajectory.times, trajectory.hats)
+    return _km_report(nodes, trajectory.grid, trajectory.spec, params, quadrature, reference_data)
+
+
+def _km_report(
+    nodes,
+    grid: TorusGrid,
+    spec: InteractionSpec,
+    params: NormParams,
+    quadrature="trapezoid",
+    reference_data: HierarchyState | None = None,
+) -> StudyReport:
+    """km_report over streamed nodes (t, {level: mode tensor}).
+
+    Each node's state norm and Theta = B Gamma are computed once; only the
+    Theta samples (levels 1..N - p/2) and the initial node are kept, for the
+    residual.
+    """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    spec = trajectory.spec
     alpha, xi = params.alpha, params.xi
-    sup_norm = max(hxi_norm(st, xi, alpha) for st in trajectory.states)
-    theta_states = [b_hat(st, spec) for st in trajectory.states]
-    st_norm = spacetime_norm(trajectory.times, theta_states, xi, alpha, rule)
-    resid = theta_residual(trajectory, xi, alpha, rule)
+    rows, thetas, hat0 = [], [], None
+    for t, hats in nodes:
+        hat0 = hats if hat0 is None else hat0
+        theta = _theta_hats(hats, grid, spec)
+        thetas.append(theta)
+        rows.append(
+            {
+                "t": float(t),
+                "hxi_norm": _hxi_norm_hat(hats, grid, xi, alpha),
+                "bhat_hxi_norm": _hxi_norm_hat(theta, grid, xi, alpha),
+            }
+        )
+    N = len(hat0)
+    if N < 1 + spec.half:
+        raise ValueError("trajectory has no coupled levels")
+    S = len(rows) - 1
+    dt = rows[1]["t"] - rows[0]["t"]
+    w = rule.weights(S, dt)
+
+    def residual(ref_hat: dict[int, np.ndarray]) -> float:
+        return l2_in_time(w, _theta_defect_norms(thetas, ref_hat, grid, spec, dt, rule, xi, alpha))
+
     fitted = {
-        "sup_t_hxi_norm": float(sup_norm),
-        "l2_t_bhat_norm": float(st_norm),
-        "theta_residual": float(resid),
-        "samples": float(len(trajectory.times)),
+        "sup_t_hxi_norm": max(r["hxi_norm"] for r in rows),
+        "l2_t_bhat_norm": l2_in_time(w, [r["bhat_hxi_norm"] for r in rows]),
+        "theta_residual": residual(hat0),
+        "samples": float(len(rows)),
     }
     if reference_data is not None:
-        fitted["theta_residual_vs_reference"] = float(
-            theta_residual(trajectory, xi, alpha, rule, reference_data=reference_data)
-        )
-    rows = [
-        {
-            "t": float(t),
-            "hxi_norm": hxi_norm(st, xi, alpha),
-            "bhat_hxi_norm": hxi_norm(th, xi, alpha),
-        }
-        for t, st, th in zip(trajectory.times, trajectory.states, theta_states)
-    ]
+        fitted["theta_residual_vs_reference"] = residual(_reference_hats(reference_data, spec))
     return StudyReport(
         study="km-report",
         inputs={
             "alpha": alpha,
             "xi": xi,
-            "N": trajectory.N,
-            "M": trajectory.grid.M,
-            "T": float(trajectory.times[-1]),
-            "dt": trajectory.dt,
+            "N": N,
+            "M": grid.M,
+            "T": rows[-1]["t"],
+            "dt": dt,
             "p": spec.p,
             "mu": spec.mu,
             "quadrature": rule.kind,

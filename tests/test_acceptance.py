@@ -59,11 +59,12 @@ def test_criterion_1_stationary_pipeline():
     g0 = HierarchyState.factorized(wf.values, 4, grid)
     t0 = time.perf_counter()
     traj = solve_truncated(g0, CUBIC, T=1.0, dt=1e-3, store_every=100)
+    states = traj.states
     level_dev = max(
-        h_alpha_norm(st.level(k) - g0.level(k), ALPHA) for st in traj.states for k in range(1, 5)
+        h_alpha_norm(st.level(k) - g0.level(k), ALPHA) for st in states for k in range(1, 5)
     )
     bhat_norm = max(
-        h_alpha_norm(b_hat(st, CUBIC).level(k), ALPHA) for st in traj.states for k in (1, 2, 3)
+        h_alpha_norm(b_hat(st, CUBIC).level(k), ALPHA) for st in states for k in (1, 2, 3)
     )
     wall = time.perf_counter() - t0
     ok = level_dev <= 1e-9 and bhat_norm <= 1e-10 and wall < 60
@@ -80,7 +81,7 @@ def test_criterion_2_oracle_equivalence():
     for dt in dts:
         tv = solve_truncated(g0, CUBIC, T=0.1, dt=dt, store_every=None)
         to = solve_oracle(g0, CUBIC, T=0.1, dt=dt, store_every=None)
-        dists.append(_hxi_distance(tv.states[-1], to.states[-1]))
+        dists.append(_hxi_distance(tv.state(-1), to.state(-1)))
     rel = dists[0] / (XI * h_alpha_norm(g0.level(1), ALPHA))
     slope = np.polyfit(np.log(dts), np.log(dists), 1)[0]
     wall = time.perf_counter() - t0
@@ -98,7 +99,7 @@ def test_criterion_3_duhamel_reconstruction():
     traj = solve_truncated(g0, CUBIC, T=T, dt=dt, store_every=50)
     for idx, t in ((1, T / 2), (2, T)):
         for n in (1,):
-            ref = b_collapse(traj.states[idx].level(n + 1), CUBIC)
+            ref = b_collapse(traj.state(idx).level(n + 1), CUBIC)
             rec = reconstruct_bhat(n, t, g0, CUBIC, dt=dt)
             worst_a = max(worst_a, h_alpha_norm(rec - ref, ALPHA))
     grid4 = make_grid(1, 4, 2 * np.pi)
@@ -107,7 +108,7 @@ def test_criterion_3_duhamel_reconstruction():
     worst_b = 0.0
     for idx, t in ((1, T / 2), (2, T)):
         for n in range(1, 5):
-            ref = b_collapse(traj5.states[idx].level(n + 1), CUBIC)
+            ref = b_collapse(traj5.state(idx).level(n + 1), CUBIC)
             rec = reconstruct_bhat(n, t, g5, CUBIC, dt=dt)
             worst_b = max(worst_b, h_alpha_norm(rec - ref, ALPHA))
     ok = worst_a <= 1e-5 and worst_b <= 1e-4

@@ -6,22 +6,33 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gphier import (
     BadMagicError,
     ConfigError,
     HierarchyState,
+    InteractionSpec,
     Marginal,
     SnapshotError,
     TruncatedPayloadError,
     VersionMismatchError,
+    b_hat,
     cosine_field,
+    h_alpha_norm,
+    hxi_norm,
     make_grid,
     parse_config,
     run_experiment,
     snapshot_read,
     snapshot_write,
+    solve_truncated,
+    spacetime_norm,
+    trace,
+    validate_marginal,
 )
+from gphier.cli import main
 
 GRID = make_grid(1, 4, 2 * np.pi)
 
@@ -166,6 +177,38 @@ def test_snapshot_payload_size_mismatch(tmp_path):
         snapshot_read(state_path)
 
 
+VALID_MARGINAL_HEADER = struct.pack("<IIIdI", 1, 1, 4, 2 * np.pi, 1)
+VALID_STATE_HEADER = struct.pack("<IIIdI", 1, 1, 4, 2 * np.pi, 0)
+HEADER_FIELDS = st.builds(
+    lambda version, d, M, L, k: struct.pack("<IIIdI", version, d, M, L, k),
+    st.sampled_from([1, 0, 2**32 - 1]),
+    st.integers(0, 3) | st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 2, 4, 5, 6, 2**32 - 2]) | st.integers(0, 2**32 - 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 3) | st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.binary(min_size=24, max_size=24) | HEADER_FIELDS,
+    payload_len=st.integers(0, 300) | st.sampled_from([4356, 65536]),
+)
+@example(header=VALID_MARGINAL_HEADER, payload_len=256)
+@example(header=VALID_STATE_HEADER, payload_len=260)
+def test_snapshot_header_fuzz(tmp_path, header, payload_len):
+    # the 24 header bytes after the magic, then a payload whose first u32
+    # is 1 (a one-level count when the header announces a state)
+    payload = (struct.pack("<I", 1) + b"\0" * payload_len)[:payload_len]
+    path = tmp_path / "fuzz.gph"
+    path.write_bytes(b"GPH1" + header + payload)
+    try:
+        obj = snapshot_read(str(path))
+    except SnapshotError:
+        return
+    assert isinstance(obj, (Marginal, HierarchyState))
+
+
 FAST_CONFIG = "M = 4\nN = 3\nT = 0.02\ndt = 0.001\nstore_every = 5\n"
 
 
@@ -273,3 +316,96 @@ def test_cli_rejects_bad_config(tmp_path):
     )
     assert result.returncode == 1
     assert "xi < xi_prime" in result.stderr
+
+
+def test_cli_memory_guard_exit_code(tmp_path, capsys):
+    # level 3 at M=32 has 2^30 entries: the guard fires before allocating
+    out = tmp_path / "out"
+    assert main(["evolve", "--set", "M=32", "--set", "N=3", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: level-3 marginal")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 1
+    assert manifest["error"].startswith("MemoryGuardError:")
+
+
+def _read_csv(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _close(got: str, want: float, rel=1e-12, floor=1e-12) -> bool:
+    return abs(float(got) - want) <= max(rel * abs(want), floor if abs(want) <= floor else 0.0)
+
+
+def test_run_evolve_tables_match_real_space(tmp_path):
+    # streamed mode-space tables against the stored trajectory's real-space
+    # states through h_alpha_norm, trace, hxi_norm and validate_marginal
+    cfg = parse_config(FAST_CONFIG + "solver = volterra\n")
+    assert run_experiment(cfg, "evolve", out_dir=str(tmp_path)) == 0
+    grid = make_grid(1, 4, cfg.L)
+    g0 = HierarchyState.factorized(cosine_field(grid).values, 3, grid)
+    traj = solve_truncated(g0, InteractionSpec(2, 1), cfg.T, cfg.dt, "trapezoid", cfg.store_every)
+    levels = _read_csv(tmp_path / "evolve_volterra_levels.csv")
+    norms = _read_csv(tmp_path / "evolve_volterra_norms.csv")
+    invariants = _read_csv(tmp_path / "evolve_volterra_invariants.csv")
+    assert len(levels) == len(invariants) == 3 * len(traj.times) and len(norms) == len(traj.times)
+    states = traj.states
+    for row, inv in zip(levels, invariants):
+        i, k = list(traj.times).index(float(row["t"])), int(row["level"])
+        g = states[i].level(k)
+        tr = trace(g)
+        assert _close(row["norm_Halpha"], h_alpha_norm(g, cfg.alpha))
+        assert _close(row["trace_re"], tr.real) and _close(row["trace_im"], tr.imag)
+        rep = validate_marginal(g, check_positivity=False)
+        assert float(inv["trace_drift"]) == abs(tr - trace(states[0].level(k)))
+        assert float(inv["herm_defect"]) == rep.hermiticity_defect
+        assert float(inv["sym_defect"]) == rep.symmetry_defect
+    for row, st in zip(norms, states):
+        assert _close(row["norm_Hxi_alpha"], hxi_norm(st, cfg.xi, cfg.alpha))
+
+
+def test_run_km_report_tables_match_real_space(tmp_path):
+    cfg = parse_config("p = 4\nM = 4\nN = 3\nT = 0.02\ndt = 0.001\nstore_every = 1\n")
+    assert run_experiment(cfg, "km-report", out_dir=str(tmp_path)) == 0
+    grid = make_grid(1, 4, cfg.L)
+    spec = InteractionSpec(4, 1)
+    g0 = HierarchyState.factorized(cosine_field(grid).values, 3, grid, p=4)
+    traj = solve_truncated(g0, spec, cfg.T, cfg.dt, "trapezoid", 1)
+    states = traj.states
+    thetas = [b_hat(st, spec) for st in states]
+    rows = _read_csv(tmp_path / "km_per_time.csv")
+    assert len(rows) == len(states) == 21
+    for row, st, th in zip(rows, states, thetas):
+        assert _close(row["hxi_norm"], hxi_norm(st, cfg.xi, cfg.alpha))
+        assert _close(row["bhat_hxi_norm"], hxi_norm(th, cfg.xi, cfg.alpha))
+    fitted = json.loads((tmp_path / "km_summary.json").read_text())["fitted"]
+    assert _close(fitted["sup_t_hxi_norm"], max(hxi_norm(st, cfg.xi, cfg.alpha) for st in states))
+    assert _close(fitted["l2_t_bhat_norm"], spacetime_norm(traj.times, thetas, cfg.xi, cfg.alpha))
+    assert abs(fitted["theta_residual"]) <= 1e-12
+    assert fitted["samples"] == 21.0
+
+
+@pytest.mark.parametrize("command", ["evolve", "km-report"])
+def test_streamed_invariant_failure_keeps_other_tables(tmp_path, monkeypatch, command):
+    # a violation found mid-stream: the run still writes every row of its
+    # other tables, writes no invariants table and records the failure
+    from gphier import experiment
+
+    real = experiment._structural_invariants
+
+    def fail_after_start(t, hats, grid, spec, init_traces):
+        rows, traces, failure = real(t, hats, grid, spec, init_traces)
+        return rows, traces, failure or (f"invariant 'injected' failed at t={t}" if t > 0 else None)
+
+    monkeypatch.setattr(experiment, "_structural_invariants", fail_after_start)
+    cfg = parse_config(FAST_CONFIG + "solver = volterra\n")
+    assert run_experiment(cfg, command, out_dir=str(tmp_path)) == 2
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == 2
+    assert manifest["error"] == "InvariantFailure: invariant 'injected' failed at t=0.005"
+    if command == "evolve":
+        assert len(_read_csv(tmp_path / "evolve_volterra_levels.csv")) == 5 * 3
+        assert len(_read_csv(tmp_path / "evolve_volterra_norms.csv")) == 5
+        assert not (tmp_path / "evolve_volterra_invariants.csv").exists()
+    else:
+        assert len(_read_csv(tmp_path / "km_per_time.csv")) == 5

@@ -21,6 +21,8 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
+from gphier._kernels import ifftn_level
+from gphier.marginal import _h_alpha_norm_hat, _hxi_norm_hat, _trace_hat
 
 GRID = make_grid(1, 8, 2 * np.pi)
 
@@ -237,3 +239,31 @@ def test_symmetrize_and_hermitize_project():
     # projections are idempotent
     again = symmetrize(hermitize(sym))
     np.testing.assert_allclose(again.data, sym.data, atol=1e-14)
+
+
+@pytest.mark.parametrize("d,M", [(1, 6), (2, 4)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mode_space_trace_and_norm_match_real_space(d, M, k):
+    # the norm tables read mode tensors; they must equal the real-space
+    # definitions (d=2, k=3 holds 4^12 entries: about 0.8 GB peak RSS)
+    grid = make_grid(d, M, 3.0)
+    rng = np.random.default_rng(10 * d + k)
+    shape = (M,) * grid.axis_count(k)
+    hat = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    tr_hat = _trace_hat(hat, grid, k)
+    norm_hat = _h_alpha_norm_hat(hat, grid, k, 1.5)
+    gamma = Marginal(grid, k, ifftn_level(hat))
+    del hat
+    tr = trace(gamma)
+    assert abs(tr_hat - tr) <= 1e-12 * abs(tr)
+    assert norm_hat == pytest.approx(h_alpha_norm(gamma, 1.5), rel=1e-12)
+
+
+def test_mode_space_hxi_norm_matches_real_space():
+    from gphier._kernels import fftn_level
+
+    st = HierarchyState.factorized(cosine_field(GRID).values, 3, GRID)
+    hats = {k: fftn_level(st.level(k).data) for k in (1, 2, 3)}
+    assert _hxi_norm_hat(hats, GRID, 0.02, 1.0) == pytest.approx(hxi_norm(st, 0.02, 1.0), rel=1e-12)
+    with pytest.raises(ValueError):
+        _hxi_norm_hat(hats, GRID, 1.5, 1.0)

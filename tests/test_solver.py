@@ -23,7 +23,7 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
-from gphier.solver import _Cumulative
+from gphier.solver import _Cumulative, _initial_hats, _march, _materialize, _oracle_nodes, l2_in_time
 
 GRID = make_grid(1, 8, 2 * np.pi)
 CUBIC = InteractionSpec(2, 1)
@@ -102,7 +102,7 @@ def test_solver_agreement_and_order():
     for dt in (1e-3, 5e-4):
         tv = solve_truncated(g0, CUBIC, T=0.1, dt=dt, store_every=None)
         to = solve_oracle(g0, CUBIC, T=0.1, dt=dt, store_every=None)
-        dists.append(_hxi_distance(tv.states[-1], to.states[-1]))
+        dists.append(_hxi_distance(tv.state(-1), to.state(-1)))
     assert dists[0] <= 1e-6
     assert dists[0] / dists[1] == pytest.approx(4.0, rel=0.35)  # trapezoid order 2
 
@@ -114,7 +114,7 @@ def test_simpson_march_order():
     for dt in (2e-3, 1e-3):
         tv = solve_truncated(g0, CUBIC, T=0.1, dt=dt, quadrature="simpson", store_every=None)
         ref = solve_oracle(g0, CUBIC, T=0.1, dt=dt / 4, store_every=None)
-        dists.append(_hxi_distance(tv.states[-1], ref.states[-1]))
+        dists.append(_hxi_distance(tv.state(-1), ref.state(-1)))
     assert dists[0] / dists[1] == pytest.approx(16.0, rel=0.5)  # order 4
 
 
@@ -122,24 +122,24 @@ def test_oracle_self_convergence_order4():
     # dt coarse enough that the error sits above the rounding floor
     phi = cosine_field(GRID).values
     g0 = HierarchyState.factorized(phi, 3, GRID)
-    ref = solve_oracle(g0, CUBIC, T=0.1, dt=6.25e-4, store_every=None).states[-1]
+    ref = solve_oracle(g0, CUBIC, T=0.1, dt=6.25e-4, store_every=None).state(-1)
     errs = []
     for dt in (1e-2, 5e-3):
         t = solve_oracle(g0, CUBIC, T=0.1, dt=dt, store_every=None)
-        errs.append(_hxi_distance(t.states[-1], ref))
+        errs.append(_hxi_distance(t.state(-1), ref))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.4)
 
 
 def test_oracle_zero_data():
     traj = solve_oracle(HierarchyState.zero(GRID, 3), CUBIC, T=0.02, dt=1e-3, store_every=None)
-    assert all(np.max(np.abs(traj.states[-1].level(k).data)) == 0 for k in (1, 2, 3))
+    assert all(np.max(np.abs(traj.state(-1).level(k).data)) == 0 for k in (1, 2, 3))
 
 
 def test_mu_sign_changes_dynamics():
     phi = cosine_field(GRID).values
     plus = solve_truncated(HierarchyState.factorized(phi, 2, GRID, mu=1), InteractionSpec(2, 1), 0.05, 1e-3, store_every=None)
     minus = solve_truncated(HierarchyState.factorized(phi, 2, GRID, mu=-1), InteractionSpec(2, -1), 0.05, 1e-3, store_every=None)
-    assert _hxi_distance(plus.states[-1], minus.states[-1]) > 1e-8
+    assert _hxi_distance(plus.state(-1), minus.state(-1)) > 1e-8
 
 
 def test_quintic_smoke_n3():
@@ -148,13 +148,13 @@ def test_quintic_smoke_n3():
     spec = InteractionSpec(4, 1)
     g0 = HierarchyState.factorized(phi, 3, g4, p=4)
     traj = solve_truncated(g0, spec, T=0.05, dt=1e-3, store_every=None)
-    final = traj.states[-1]
+    final = traj.state(-1)
     assert abs(trace(final.level(1)) - 1.0) <= 1e-8
     rep = validate_marginal(final.level(1), check_positivity=False)
     assert rep.hermiticity_defect <= 1e-9
     # cross-check against the oracle integrator
     to = solve_oracle(g0, spec, T=0.05, dt=1e-3, store_every=None)
-    assert _hxi_distance(final, to.states[-1]) <= 1e-6
+    assert _hxi_distance(final, to.state(-1)) <= 1e-6
 
 
 def test_trajectory_structural_preservation():
@@ -185,11 +185,47 @@ def test_solver_input_validation():
 
 def test_trajectory_type_validation():
     phi = cosine_field(GRID).values
-    g0 = HierarchyState.factorized(phi, 2, GRID)
+    hats = _initial_hats(HierarchyState.factorized(phi, 2, GRID))
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1, 0.15]), [g0, g0, g0], CUBIC)
+        Trajectory(np.array([0.0, 0.1, 0.15]), [hats, hats, hats], GRID, CUBIC)
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0]), [g0], CUBIC)
+        Trajectory(np.array([0.0]), [hats], GRID, CUBIC)
+    with pytest.raises(ValueError):
+        Trajectory(np.array([0.0, 0.1]), [hats, {1: hats[1]}], GRID, CUBIC)  # levels differ
+    with pytest.raises(ValueError):
+        Trajectory(np.array([0.0, 0.1]), [hats, hats], make_grid(1, 4, 2 * np.pi), CUBIC)  # grid differs
+
+
+def test_trajectory_state_matches_materialized_march():
+    # state(i) is the real-space node built from the march's mode tensors
+    phi = cosine_field(GRID).values
+    g0 = HierarchyState.factorized(phi, 3, GRID)
+    traj = solve_truncated(g0, CUBIC, T=0.02, dt=1e-3, store_every=5)
+    march = _march(GRID, _initial_hats(g0), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
+    built = [_materialize(GRID, hats, CUBIC) for i, hats in march if i % 5 == 0]
+    assert len(built) == len(traj.times) == 5
+    for i, ref in enumerate(built):
+        for k in (1, 2, 3):
+            assert np.array_equal(traj.state(i).level(k).data, ref.level(k).data)
+    assert np.array_equal(traj.state(-1).level(3).data, built[-1].level(3).data)
+
+
+def test_oracle_nodes_collect_into_solve_oracle():
+    phi = cosine_field(GRID).values
+    g0 = HierarchyState.factorized(phi, 3, GRID)
+    traj = solve_oracle(g0, CUBIC, T=0.02, dt=1e-3, store_every=10)
+    nodes = list(_oracle_nodes(g0, CUBIC, 0.02, 1e-3, 10))
+    assert [t for t, _ in nodes] == list(traj.times)
+    for (_, hats), ref in zip(nodes, traj.hats):
+        for k in (1, 2, 3):
+            assert np.array_equal(hats[k], ref[k])
+
+
+def test_l2_in_time_matches_weighted_sum():
+    w = QuadratureRule("simpson").weights(4, 0.1)
+    values = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+    assert l2_in_time(w, values) == float(np.sqrt(np.dot(w, values**2)))
+    assert l2_in_time(w, list(values)) == l2_in_time(w, values)
 
 
 def test_duhamel_j1_is_free_evolution():
@@ -250,7 +286,7 @@ def test_reconstruct_matches_solved_bhat():
     T, dt = 0.1, 1e-3
     traj = solve_truncated(g0, CUBIC, T=T, dt=dt, store_every=50)
     for idx, t in [(1, T / 2), (2, T)]:
-        ref = b_collapse(traj.states[idx].level(2), CUBIC)
+        ref = b_collapse(traj.state(idx).level(2), CUBIC)
         rec = reconstruct_bhat(1, t, g0, CUBIC, dt=dt)
         assert h_alpha_norm(rec - ref, 1.0) <= 1e-5
 
