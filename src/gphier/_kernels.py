@@ -41,6 +41,8 @@ def multiplier_tensor(grid: TorusGrid, k: int) -> np.ndarray:
 
 def phase_tensor(grid: TorusGrid, k: int, t: float) -> np.ndarray:
     """Dense free-propagator phases exp(-i t lambda) on level-k modes."""
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     return np.exp(-1j * t * multiplier_tensor(grid, k))
 
 

@@ -5,13 +5,14 @@ written with shortest-roundtrip repr, key order is fixed, no timestamps).
 The manifest additionally records versions and wall time and is therefore
 excluded from the byte-identity contract.
 
-evolve and km-report stream the solver's stored nodes ({level: mode
-tensor} dicts) into their consumers and keep no list of nodes.  Norms and
-traces come from the mode tensors: the H^alpha norm of each level once per
-node (norm_Hxi_alpha is the xi-weighted sum of those numbers), the trace
-as h^(dk) * sum_r hat[r; -r], and Theta = B Gamma by the mode-space
-collapse, once per node.  Only the structural invariants are checked in
-real space: each node's state is built, checked and dropped.
+evolve, nls-compare and km-report stream the solver's stored nodes
+({level: mode tensor} dicts) into their consumers and keep no list of
+nodes.  Norms and traces come from the mode tensors: the H^alpha norm of
+each level once per node (norm_Hxi_alpha is the xi-weighted sum of those
+numbers), the trace as h^(dk) * sum_r hat[r; -r], and Theta = B Gamma by
+the mode-space collapse, once per node.  Only the structural invariants
+and the NLS comparison work in real space: each node's state is built,
+used and dropped.
 
 Column dictionary (CSV headers follow the estimate symbols):
   norm_Halpha      per-level H^alpha norm of gamma^(k)
@@ -35,10 +36,10 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .grid import make_grid
 from .marginal import HierarchyState, NormParams, _h_alpha_norm_hat, _trace_hat, validate_marginal
-from .nls import BUILTIN_FIELDS, WaveFunction, compare_hierarchy_vs_nls, nls_solve
+from .nls import BUILTIN_FIELDS, WaveFunction, _compare_nodes, nls_solve
 from .operators import InteractionSpec
 from .snapshots import snapshot_read, snapshot_write
-from .solver import QuadratureRule, _materialize, _oracle_nodes, _volterra_nodes, solve_truncated
+from .solver import QuadratureRule, _materialize, _oracle_nodes, _volterra_nodes
 from .studies import StudyReport, _km_report, boardgame_probe, cauchy_study, strichartz_study
 
 COMMANDS = ("evolve", "nls-compare", "cauchy", "strichartz", "boardgame", "km-report")
@@ -260,13 +261,12 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         elif command == "nls-compare":
             phi0 = _resolve_phi0(config, grid)
             gamma0 = HierarchyState.factorized(phi0.values, config.N, grid, config.p, config.mu)
-            traj = solve_truncated(gamma0, spec, config.T, config.dt, config.quadrature, config.store_every)
             wave = nls_solve(phi0, spec, config.T, config.dt, config.store_every)
-            rows = compare_hierarchy_vs_nls(traj, wave, config.alpha, config.xi)
-            write_csv(rows, os.path.join(out_dir, "nls_compare.csv"))
+            rule = QuadratureRule(config.quadrature)
+            nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)
-            for _ in check.watch(zip(traj.times, traj.hats)):
-                pass
+            rows = _compare_nodes(check.watch(nodes), grid, wave, config.alpha, config.xi)
+            write_csv(rows, os.path.join(out_dir, "nls_compare.csv"))
             check.rows()
         elif command == "cauchy":
             n_list = config.N_list or [3, 4]

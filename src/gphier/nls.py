@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid, phase_weights
-from .marginal import HierarchyState, factorized_marginal, h_alpha_norm
+from ._kernels import ifftn_level
+from .marginal import Marginal, factorized_marginal, h_alpha_norm
 from .operators import InteractionSpec
 from .solver import Trajectory, _resolve_steps
 
@@ -118,22 +119,27 @@ def compare_hierarchy_vs_nls(
     Returns one row per shared time sample with keys "t", "level_<k>_error"
     for k = 1..N, and the xi-weighted aggregate "hxi_error".
     """
-    if trajectory.grid != wave_trajectory.fields[0].grid:
+    return _compare_nodes(zip(trajectory.times, trajectory.hats), trajectory.grid, wave_trajectory, alpha, xi)
+
+
+def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alpha: float, xi: float) -> list[dict]:
+    """compare_hierarchy_vs_nls over streamed nodes (t, {level: mode tensor}).
+
+    Each level is built in real space, compared and dropped.
+    """
+    if grid != wave_trajectory.fields[0].grid:
         raise ValueError("hierarchy and NLS trajectories live on different grids")
-    if len(trajectory.times) != len(wave_trajectory.times) or not np.allclose(
-        trajectory.times, wave_trajectory.times, rtol=1e-9, atol=1e-12
-    ):
-        raise ValueError("hierarchy and NLS trajectories have different time samples")
+    mismatch = "hierarchy and NLS trajectories have different time samples"
     rows = []
-    for i, (t, wf) in enumerate(zip(trajectory.times, wave_trajectory.fields)):
-        state = trajectory.state(i)
+    for i, (t, hats) in enumerate(nodes):
+        if i >= len(wave_trajectory.times) or not np.isclose(t, wave_trajectory.times[i], rtol=1e-9, atol=1e-12):
+            raise ValueError(mismatch)
         row = {"t": float(t)}
-        agg = 0.0
-        for k in range(1, state.N + 1):
-            target = factorized_marginal(wf.values, k, state.grid)
-            err = h_alpha_norm(state.level(k) - target, alpha)
-            row[f"level_{k}_error"] = err
-            agg += xi**k * err
-        row["hxi_error"] = agg
+        for k in sorted(hats):
+            target = factorized_marginal(wave_trajectory.fields[i].values, k, grid)
+            row[f"level_{k}_error"] = h_alpha_norm(Marginal(grid, k, ifftn_level(hats[k])) - target, alpha)
+        row["hxi_error"] = sum(xi**k * row[f"level_{k}_error"] for k in sorted(hats))
         rows.append(row)
+    if len(rows) != len(wave_trajectory.times):
+        raise ValueError(mismatch)
     return rows

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TorusGrid, phase_weights, transform
+from ._kernels import fftn_level, ifftn_level, phase_tensor
+from .grid import TorusGrid, transform
 from .marginal import HierarchyState, Marginal
 
 
@@ -141,16 +142,7 @@ def free_evolve(gamma: Marginal, t: float) -> Marginal:
     Unitary and diagonal, so trace, hermiticity, symmetry, and every
     H^alpha norm are preserved exactly.
     """
-    grid = gamma.grid
-    hat = transform(gamma.data, range(gamma.n_axes), "forward")
-    ph_u = phase_weights(grid, t, "unprimed")
-    ph_p = phase_weights(grid, t, "primed")
-    half = gamma.n_axes // 2
-    for ax in range(gamma.n_axes):
-        shape = [1] * gamma.n_axes
-        shape[ax] = grid.M
-        hat *= (ph_u if ax < half else ph_p).reshape(shape)
-    return Marginal(grid, gamma.k, transform(hat, range(gamma.n_axes), "inverse"))
+    return Marginal(gamma.grid, gamma.k, ifftn_level(phase_tensor(gamma.grid, gamma.k, t) * fftn_level(gamma.data)))
 
 
 def rhs(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:

@@ -1,16 +1,22 @@
 """Truncated-hierarchy solvers and iterated Duhamel machinery.
 
+Every time integral here is one Volterra integral on a level's modes,
+x(t) = U(t)[x0 - i*mu int_0^t U(-s) g(s) ds], evaluated on the node grid
+t_i = i*dt by two primitives: _phases streams U(i*dt), advancing one array
+in place, and _Volterra is pushed g at each node and returns the nodes its
+composite rule (_Cumulative) has finalized.
+
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
 source is the collapse of the already-solved level p/2 above,
 
     gamma^(n)(t) = U(t) gamma0^(n) - i*mu * int_0^t U(t-s) B gamma^(n+p/2)(s) ds.
 
-solve_truncated marches this top-down with exact phase multipliers for
-the free part (quadrature error lives only in the coupling term);
-solve_oracle integrates the same linear system with a classical 4-stage
-integrating-factor Runge-Kutta step and serves as the cross-check route.
-Both collect the stored nodes of a generator (_volterra_nodes,
+_march solves it top-down with phase streams for the free levels (so all
+quadrature error sits in the coupling term) and one accumulator per coupled
+level; solve_oracle integrates the same linear system with a classical
+4-stage integrating-factor Runge-Kutta step and serves as the cross-check
+route.  Both collect the stored nodes of a generator (_volterra_nodes,
 _oracle_nodes) that yields each node as a {level: mode tensor} dict; a
 Trajectory keeps those dicts and builds real space one node at a time.
 
@@ -18,7 +24,8 @@ Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
 i.e. prefactor (-i*mu)^(j-1) with j-1 nested integrals, which is the
 convention under which the finite reconstruction identity
-(B Gamma)^(n)(t) = sum_j B Duh_j(t) holds exactly.
+(B Gamma)^(n)(t) = sum_j B Duh_j(t) holds exactly.  _duhamel_nodes streams
+one term through a chain of j-1 accumulators with no base.
 """
 
 from __future__ import annotations
@@ -136,6 +143,65 @@ def _resolve_steps(T: float, dt: float) -> int:
     return S
 
 
+def _phases(grid: TorusGrid, level: int, dt: float):
+    """U(i*dt) on level-`level` modes for i = 0, 1, 2, ...
+
+    One array is advanced in place by the phases of one step, so each
+    yielded value is overwritten by the next; copy it to keep it.
+    """
+    step = phase_tensor(grid, level, dt)
+    P = np.ones_like(step)
+    while True:
+        yield P
+        np.multiply(P, step, out=P)
+
+
+def _free_nodes(grid: TorusGrid, level: int, hat: np.ndarray, dt: float):
+    """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself."""
+    phases = _phases(grid, level, dt)
+    next(phases)
+    yield hat
+    for P in phases:
+        yield P * hat
+
+
+class _Volterra:
+    """Streaming x(t) = U(t)[base - i*mu int_0^t U(-r) g(r) dr] on one level.
+
+    push(g_i) feeds the level's integrand at node i and returns the newly
+    finalized nodes as (s, x(t_s)) pairs, in order; base=None stands for
+    zero.  The integral is the composite rule of _Cumulative, so under
+    Simpson push(g_2) returns nodes 1 and 2 together.
+    """
+
+    def __init__(self, grid: TorusGrid, level: int, spec: InteractionSpec, dt: float, rule: QuadratureRule, base=None):
+        self._cum = _Cumulative(rule, dt)
+        self._phases = _phases(grid, level, dt)
+        self._held: dict[int, np.ndarray] = {}
+        self._base = base
+        self._mu_coef = -1j * spec.mu
+
+    def push(self, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        P = next(self._phases)
+        i = self._cum.i + 1
+        if i == 0:
+            # the phases are unity at node 0
+            self._cum.push(g)
+            return [(0, np.zeros_like(g) if self._base is None else self._base)]
+        out = []
+        for s, Q in self._cum.push(np.conj(P) * g):
+            # keep the phase a named operand: numpy writes `a * (b + c)` into
+            # whichever operand is a temporary, and that choice moves the last bit
+            ph = P if s == i else self._held.pop(s)
+            if self._base is None:
+                out.append((s, ph * (self._mu_coef * Q)))
+            else:
+                out.append((s, ph * (self._base + self._mu_coef * Q)))
+        if not out or out[-1][0] != i:
+            self._held[i] = P.copy()
+        return out
+
+
 def _march(
     grid: TorusGrid,
     hat0: dict[int, np.ndarray],
@@ -146,67 +212,38 @@ def _march(
 ):
     """Lockstep Fourier-space march of all levels; yields (node, states) in order.
 
-    Yielded dicts map level -> mode tensor and are never mutated afterwards.
+    The top p/2 levels are phase streams.  Each coupled level n is a
+    _Volterra accumulator, pushed the collapse of every node of level
+    n + p/2 as soon as that node is final.  Yielded dicts map level -> mode
+    tensor and are never mutated afterwards.
     """
-    N = max(hat0)
-    half = spec.half
+    N, half = max(hat0), spec.half
     if rule.kind == "simpson" and S < 2:
         raise ValueError("the Simpson march needs at least two time steps")
-    coupled = [n for n in range(1, N + 1) if n + half <= N]
-    step = {n: phase_tensor(grid, n, dt) for n in hat0}
-    P = {n: np.ones_like(step[n]) for n in hat0}
-    cum = {n: _Cumulative(rule, dt) for n in coupled}
-    mu_coef = -1j * spec.mu
+    free = {n: _free_nodes(grid, n, hat0[n], dt) for n in hat0 if n + half > N}
+    vol = {n: _Volterra(grid, n, spec, dt, rule, base=hat0[n]) for n in hat0 if n + half <= N}
+    nodes: dict[int, dict[int, np.ndarray]] = {}
 
-    node_states: dict[int, dict[int, np.ndarray]] = {n: {0: hat0[n]} for n in hat0}
-    next_src = {n: 0 for n in coupled}
-    for n in coupled:
-        # node-0 integrand: the phases are unity there
-        cum[n].push(fourier_collapse(hat0[n + half], grid, n + half, half))
-    pending: dict[int, dict[int, np.ndarray]] = {0: {n: hat0[n] for n in hat0}}
+    def settle(n: int, s: int, hat: np.ndarray) -> None:
+        nodes.setdefault(s, {})[n] = hat
+        if n - half in vol:
+            for s2, hat2 in vol[n - half].push(fourier_collapse(hat, grid, n, half)):
+                settle(n - half, s2, hat2)
+
     next_yield = 0
-
-    def flush():
-        nonlocal next_yield
-        while next_yield in pending and len(pending[next_yield]) == len(hat0):
-            yield next_yield, pending.pop(next_yield)
-            next_yield += 1
-
-    yield from flush()
-
-    for i in range(1, S + 1):
-        P_prev = {}
-        for n in sorted(hat0, reverse=True):
-            P_prev[n] = P[n]
-            P[n] = P[n] * step[n]
-            if n not in cum:
-                st = P[n] * hat0[n]
-                node_states[n][i] = st
-                pending.setdefault(i, {})[n] = st
-            else:
-                src = n + half
-                while next_src[n] + 1 in node_states[src]:
-                    s = next_src[n] + 1
-                    g = fourier_collapse(node_states[src][s], grid, src, half)
-                    ph = P[n] if s == i else P_prev[n]
-                    finals = cum[n].push(np.conj(ph) * g)
-                    for s2, Q in finals:
-                        ph2 = P[n] if s2 == i else P_prev[n]
-                        st = ph2 * (hat0[n] + mu_coef * Q)
-                        node_states[n][s2] = st
-                        pending.setdefault(s2, {})[n] = st
-                    next_src[n] = s
-        # prune consumed/yielded node states (keep the last two nodes per level)
-        for n in hat0:
-            for key in [s for s in node_states[n] if s < i - 1]:
-                del node_states[n][key]
+    for i in range(S + 1):
+        for n in free:
+            settle(n, i, next(free[n]))
         if i == S:
             # consumers of the last nodes run while this generator is
-            # suspended; no later step needs the phases or source states
-            del P, P_prev, step, node_states
-        yield from flush()
+            # suspended; no later step needs the phases or accumulators
+            free.clear()
+            vol.clear()
+        while len(nodes.get(next_yield, ())) == len(hat0):
+            yield next_yield, nodes.pop(next_yield)
+            next_yield += 1
 
-    if pending:
+    if nodes:
         raise RuntimeError("march ended with unfinalized nodes")
 
 
@@ -395,43 +432,6 @@ def solve_oracle(
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
 
 
-def _volterra_from_samples(
-    source_hat,
-    out_level: int,
-    grid: TorusGrid,
-    spec: InteractionSpec,
-    S: int,
-    dt: float,
-    rule: QuadratureRule,
-    keep_all: bool,
-):
-    """Integrate x(t) = prefactor * int_0^t U(t-s) B source(s) ds on the node grid.
-
-    source_hat(i) must return the level-(out_level + p/2) mode tensor at
-    node i.  Returns the list of node values (keep_all) or just the final one.
-    """
-    half = spec.half
-    step = phase_tensor(grid, out_level, dt)
-    P = np.ones_like(step)
-    cum = _Cumulative(rule, dt)
-    mu_coef = -1j * spec.mu
-    shape = (grid.M,) * grid.axis_count(out_level)
-    values: dict[int, np.ndarray] = {0: np.zeros(shape, dtype=np.complex128)}
-    phases: dict[int, np.ndarray] = {0: P}
-    for i in range(0, S + 1):
-        if i > 0:
-            P = P * step
-        phases[i] = P
-        g = fourier_collapse(source_hat(i), grid, out_level + half, half)
-        for s, Q in cum.push(np.conj(P) * g):
-            values[s] = phases[s] * (mu_coef * Q)
-        for key in [s for s in phases if s < i - 3]:
-            del phases[key]
-    if keep_all:
-        return [values[i] for i in range(S + 1)]
-    return values[S]
-
-
 def duhamel_term(
     j: int,
     n: int,
@@ -464,32 +464,33 @@ def _duhamel_hat(
     j: int, n: int, gamma0: HierarchyState, spec: InteractionSpec, t: float, dt: float, rule: QuadratureRule
 ) -> np.ndarray:
     """Mode tensor of duhamel_term for n + j*p/2 <= N (and t > 0 when j > 1)."""
-    half = spec.half
-    grid = gamma0.grid
-    deepest = n + j * half
-    hat_deep = fftn_level(gamma0.level(deepest).data)
     if j == 1:
-        return phase_tensor(grid, deepest, t) * hat_deep
-    S = _resolve_steps(t, dt)
-    step_deep = phase_tensor(grid, deepest, dt)
+        # exact phases: t need not be a node
+        return phase_tensor(gamma0.grid, n + spec.half, t) * fftn_level(gamma0.level(n + spec.half).data)
+    for hat in _duhamel_nodes(j, n, gamma0, spec, _resolve_steps(t, dt), dt, rule):
+        pass
+    return hat
 
-    # rung 2 sources stream the free evolution of the deepest level
-    free_phase = {"P": np.ones_like(step_deep), "i": 0}
 
-    def free_source(i: int) -> np.ndarray:
-        if i == 0:
-            free_phase["P"] = np.ones_like(step_deep)
-            free_phase["i"] = 0
-        while free_phase["i"] < i:
-            free_phase["P"] = free_phase["P"] * step_deep
-            free_phase["i"] += 1
-        return free_phase["P"] * hat_deep
+def _duhamel_nodes(
+    j: int, n: int, gamma0: HierarchyState, spec: InteractionSpec, S: int, dt: float, rule: QuadratureRule
+):
+    """Mode tensors of Duh_j(Gamma0)^(n+p/2) at the nodes 0..S, in order.
 
-    source = free_source
-    for m in range(2, j):
-        samples = _volterra_from_samples(source, n + (j - m + 1) * half, grid, spec, S, dt, rule, keep_all=True)
-        source = lambda i, _s=samples: _s[i]
-    return _volterra_from_samples(source, n + half, grid, spec, S, dt, rule, keep_all=False)
+    The free evolution of the deepest level n + j*p/2 feeds a chain of j-1
+    accumulators with no base, one per nested integral; each is pushed the
+    collapse of every node of the level above as soon as that node is final.
+    """
+    half, grid = spec.half, gamma0.grid
+    deepest = n + j * half
+    chain = [_Volterra(grid, deepest - r * half, spec, dt, rule) for r in range(1, j)]
+    free = _free_nodes(grid, deepest, fftn_level(gamma0.level(deepest).data), dt)
+    for _, hat in zip(range(S + 1), free):
+        hats = [hat]
+        for r, vol in enumerate(chain):
+            src = deepest - r * half
+            hats = [x for h in hats for _, x in vol.push(fourier_collapse(h, grid, src, half))]
+        yield from hats
 
 
 def reconstruct_bhat(
@@ -567,43 +568,33 @@ def _theta_defect_norms(
     """Per-node H^alpha_xi norms of the Theta fixed-point defect (see theta_residual).
 
     thetas[i] maps level n to the mode tensor of Theta^(n) at node i;
-    ref_hat maps level m to the mode tensor of Gamma_ref^(m).
+    ref_hat maps level m to the mode tensor of Gamma_ref^(m).  The defect
+    of level n collapses level m = n + p/2 of U(t)[Gamma_ref - i*mu int_0^t
+    U(-s) Theta(s) ds]: a Volterra integral where Theta has level m, the
+    free evolution of the reference otherwise.
     """
     half = spec.half
-    S = len(thetas) - 1
-    theta_levels = sorted(thetas[0])
-    res_levels = list(range(1, max(len(theta_levels), max(ref_hat, default=0) - half) + 1))
-    need = sorted({lv + half for lv in res_levels})
-
-    step = {lv: phase_tensor(grid, lv, dt) for lv in theta_levels}
-    P = {lv: np.ones_like(step[lv]) for lv in theta_levels}
-    cum = {lv: _Cumulative(rule, dt) for lv in theta_levels}
-    W: dict[int, dict[int, np.ndarray]] = {lv: {0: np.zeros_like(step[lv])} for lv in theta_levels}
-    for lv in theta_levels:
-        cum[lv].push(thetas[0][lv])
-    for i in range(1, S + 1):
-        for lv in theta_levels:
-            P[lv] = P[lv] * step[lv]
-            for s, Q in cum[lv].push(np.conj(P[lv]) * thetas[i][lv]):
-                W[lv][s] = Q
-
-    mu_coef = -1j * spec.mu
-    norms = []
-    P_out = {m: np.ones((grid.M,) * grid.axis_count(m), dtype=np.complex128) for m in need}
-    step_out = {m: phase_tensor(grid, m, dt) for m in need}
-    for i in range(0, S + 1):
-        if i > 0:
-            for m in need:
-                P_out[m] = P_out[m] * step_out[m]
-        total = 0.0
-        for lv in res_levels:
-            m = lv + half
-            x = ref_hat[m] if m in ref_hat else np.zeros((grid.M,) * grid.axis_count(m), dtype=np.complex128)
-            if i > 0 and m in W:
-                x = x + mu_coef * W[m][i]
-            r = -fourier_collapse(P_out[m] * x, grid, m, half)
-            if lv in thetas[i]:
-                r = r + thetas[i][lv]
-            total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
-        norms.append(total)
+    res_levels = range(1, max(len(thetas[0]), max(ref_hat, default=0) - half) + 1)
+    shapes = {lv + half: (grid.M,) * grid.axis_count(lv + half) for lv in res_levels}
+    base = {m: ref_hat[m] if m in ref_hat else np.zeros(shape, dtype=np.complex128) for m, shape in shapes.items()}
+    vols = {m: _Volterra(grid, m, spec, dt, rule, b) for m, b in base.items() if m in thetas[0]}
+    free = {m: _phases(grid, m, dt) for m in base if m not in vols}
+    norms: list[float] = []
+    states: dict[int, dict[int, np.ndarray]] = {}
+    for i, theta in enumerate(thetas):
+        for m, vol in vols.items():
+            for s, x in vol.push(theta[m]):
+                states.setdefault(s, {})[m] = x
+        for m, phases in free.items():
+            states.setdefault(i, {})[m] = next(phases) * base[m]
+        while len(states.get(len(norms), ())) == len(base):
+            s = len(norms)
+            x = states.pop(s)
+            total = 0.0
+            for lv in res_levels:
+                r = -fourier_collapse(x[lv + half], grid, lv + half, half)
+                if lv in thetas[s]:
+                    r = r + thetas[s][lv]
+                total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
+            norms.append(total)
     return norms

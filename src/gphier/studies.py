@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse, phase_tensor
+from ._kernels import fftn_level, fourier_collapse
 from .grid import TorusGrid, sobolev_weights
 from .marginal import (
     HierarchyState,
@@ -32,7 +32,9 @@ from .operators import InteractionSpec
 from .solver import (
     QuadratureRule,
     Trajectory,
+    _duhamel_nodes,
     _march,
+    _phases,
     _reference_hats,
     _resolve_steps,
     _theta_defect_norms,
@@ -100,20 +102,17 @@ def _free_collapse_norms(
     dt: float,
     alpha: float,
 ) -> dict[int, np.ndarray]:
-    """Per-level H^alpha norms of (B U(t) Gamma0)^(n) on the node grid."""
+    """Per-level H^alpha norms of (B U(t) Gamma0)^(n) on the node grid.
+
+    Level n collapses level n + p/2 of hats0; rows come in the order of hats0.
+    """
     half = spec.half
-    out_levels = [n for n in hats0 if n + half in hats0]
-    srcs = sorted({n + half for n in out_levels})
-    P = {m: np.ones(hats0[m].shape, dtype=np.complex128) for m in srcs}
-    step = {m: phase_tensor(grid, m, dt) for m in srcs}
-    rows = {n: np.zeros(S + 1) for n in out_levels}
+    phases = {m: _phases(grid, m, dt) for m in hats0 if m > half}
+    rows = {m - half: np.zeros(S + 1) for m in phases}
     for i in range(S + 1):
-        if i > 0:
-            for m in srcs:
-                P[m] = P[m] * step[m]
-        for n in out_levels:
-            g = fourier_collapse(P[n + half] * hats0[n + half], grid, n + half, half)
-            rows[n][i] = _h_alpha_norm_hat(g, grid, n, alpha)
+        for m, stream in phases.items():
+            g = fourier_collapse(next(stream) * hats0[m], grid, m, half)
+            rows[m - half][i] = _h_alpha_norm_hat(g, grid, m - half, alpha)
     return rows
 
 
@@ -341,50 +340,6 @@ def cauchy_study(
     return report
 
 
-def _duhamel_series_hats(
-    j: int,
-    n: int,
-    gamma0: HierarchyState,
-    spec: InteractionSpec,
-    S: int,
-    dt: float,
-    rule: QuadratureRule,
-) -> list[np.ndarray]:
-    """Mode tensors of Duh_j(Gamma0)^(n+p/2) at every node 0..S."""
-    from .solver import _volterra_from_samples
-
-    half = spec.half
-    grid = gamma0.grid
-    deepest = n + j * half
-    hat_deep = fftn_level(gamma0.level(deepest).data)
-    if j == 1:
-        step = phase_tensor(grid, deepest, dt)
-        out, P = [hat_deep], np.ones_like(step)
-        for _ in range(S):
-            P = P * step
-            out.append(P * hat_deep)
-        return out
-    step_deep = phase_tensor(grid, deepest, dt)
-    stream = {"P": None, "i": -1}
-
-    def free_source(i: int) -> np.ndarray:
-        if i == 0 or stream["P"] is None or i < stream["i"]:
-            stream["P"] = np.ones_like(step_deep)
-            stream["i"] = 0
-        while stream["i"] < i:
-            stream["P"] = stream["P"] * step_deep
-            stream["i"] += 1
-        return stream["P"] * hat_deep
-
-    source = free_source
-    samples = None
-    for m in range(2, j + 1):
-        out_level = n + (j - m + 1) * half
-        samples = _volterra_from_samples(source, out_level, grid, spec, S, dt, rule, keep_all=True)
-        source = lambda i, _s=samples: _s[i]
-    return samples
-
-
 def boardgame_probe(
     n,
     j_range,
@@ -425,26 +380,15 @@ def boardgame_probe(
     for nv in n_values:
         log_ratios = []
         for j in j_values:
-            series = _duhamel_series_hats(j, nv, gamma_test, spec, S, dt, rule)
-            lhs_nodes = np.array(
-                [
-                    _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
-                    for h in series
-                ]
-            )
+            lhs_nodes = [
+                _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
+                for h in _duhamel_nodes(j, nv, gamma_test, spec, S, dt, rule)
+            ]
             lhs = l2_in_time(w, lhs_nodes)
             deepest = nv + j * half
             deep_hat = fftn_level(gamma_test.level(deepest).data)
             deep_norm = _h_alpha_norm_hat(deep_hat, grid, deepest, alpha)
-            step = phase_tensor(grid, deepest, dt)
-            P = np.ones_like(step)
-            rhs_nodes = np.zeros(S + 1)
-            for i in range(S + 1):
-                if i > 0:
-                    P = P * step
-                g = fourier_collapse(P * deep_hat, grid, deepest, half)
-                rhs_nodes[i] = _h_alpha_norm_hat(g, grid, deepest - half, alpha)
-            rhs = l2_in_time(w, rhs_nodes)
+            rhs = l2_in_time(w, _free_collapse_norms({deepest: deep_hat}, grid, spec, S, dt, alpha)[deepest - half])
             # normalizers at the rounding floor mean a vanishing collapse
             # (constant-modulus data); the ratio is then 0/0
             degenerate = rhs <= 1e-11 * max(deep_norm, 1.0) * np.sqrt(T)

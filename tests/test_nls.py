@@ -121,3 +121,7 @@ def test_compare_mismatch_rejected():
     wave = nls_solve(wf, CUBIC, T=0.05, dt=1e-3, store_every=25)
     with pytest.raises(ValueError):
         compare_hierarchy_vs_nls(traj, wave, 1.0, 0.02)
+    # equal leading samples, but the NLS run goes on longer
+    longer = nls_solve(wf, CUBIC, T=0.1, dt=1e-3, store_every=10)
+    with pytest.raises(ValueError, match="different time samples"):
+        compare_hierarchy_vs_nls(traj, longer, 1.0, 0.02)

@@ -240,6 +240,9 @@ def test_free_evolve_identity_and_stationary_plane_wave():
     g2 = factorized_marginal(wf.values, 2, GRID)
     for t in (0.1, 1.0, 7.3):
         np.testing.assert_allclose(free_evolve(g2, t).data, g2.data, atol=1e-12)
+    for t in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            free_evolve(g1, t)
 
 
 def test_free_evolve_preserves_everything():

@@ -23,7 +23,17 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
-from gphier.solver import _Cumulative, _initial_hats, _march, _materialize, _oracle_nodes, l2_in_time
+from gphier._kernels import phase_tensor
+from gphier.solver import (
+    _Cumulative,
+    _initial_hats,
+    _march,
+    _materialize,
+    _oracle_nodes,
+    _phases,
+    _Volterra,
+    l2_in_time,
+)
 
 GRID = make_grid(1, 8, 2 * np.pi)
 CUBIC = InteractionSpec(2, 1)
@@ -63,6 +73,47 @@ def test_cumulative_matches_weights():
             np.testing.assert_allclose(
                 got[m], np.tensordot(rule.weights(m, dt), f[: m + 1], axes=1), atol=1e-13
             )
+
+
+def test_phase_stream_is_the_repeated_step_product():
+    dt = 1e-3
+    for k in (1, 2):
+        step = phase_tensor(GRID, k, dt)
+        P = np.ones_like(step)
+        for i, got in zip(range(60), _phases(GRID, k, dt)):
+            assert got.tobytes() == P.tobytes(), (k, i)
+            np.testing.assert_allclose(got, phase_tensor(GRID, k, i * dt), rtol=0, atol=1e-13)
+            P = P * step
+
+
+def _direct_volterra(g, base, rule, s, dt, mu):
+    """U(t_s)[base - i*mu sum_r w_r U(-t_r) g_r] with exact phases."""
+    if s == 0:
+        w = np.zeros(1)
+    elif s == 1 and rule.kind == "simpson":
+        w = (dt / 12) * np.array([5.0, 8.0, -1.0])  # node 1 also reads g_2
+    else:
+        w = rule.weights(s, dt)
+    acc = sum(w[r] * np.conj(phase_tensor(GRID, 1, r * dt)) * g[r] for r in range(len(w)))
+    return phase_tensor(GRID, 1, s * dt) * (base - 1j * mu * acc)
+
+
+def test_volterra_matches_direct_weighted_sum():
+    # dt is large enough that U(t_1) and U(t_2) differ visibly, so a phase
+    # taken at the wrong node (Simpson finalizes node 1 at push 2) shows
+    rng = np.random.default_rng(9)
+    dt, shape = 0.05, (GRID.M,) * 2
+    for kind in ("trapezoid", "simpson"):
+        rule = QuadratureRule(kind)
+        for S in (2, 3, 8, 9):
+            g = rng.standard_normal((S + 1,) + shape) + 1j * rng.standard_normal((S + 1,) + shape)
+            for base, mu in ((None, 1), (rng.standard_normal(shape) + 0j, -1)):
+                vol = _Volterra(GRID, 1, InteractionSpec(2, mu), dt, rule, base=base)
+                nodes = [fin for i in range(S + 1) for fin in vol.push(g[i])]
+                assert [s for s, _ in nodes] == list(range(S + 1))
+                for s, x in nodes:
+                    want = _direct_volterra(g, 0 if base is None else base, rule, s, dt, mu)
+                    np.testing.assert_allclose(x, want, rtol=0, atol=1e-13, err_msg=f"{kind} S={S} s={s}")
 
 
 def test_stationary_plane_wave_trajectory():
@@ -116,6 +167,19 @@ def test_simpson_march_order():
         ref = solve_oracle(g0, CUBIC, T=0.1, dt=dt / 4, store_every=None)
         dists.append(_hxi_distance(tv.state(-1), ref.state(-1)))
     assert dists[0] / dists[1] == pytest.approx(16.0, rel=0.5)  # order 4
+
+
+def test_simpson_march_odd_steps_against_oracle():
+    # with odd S the endpoint closes with the 3/8 block on the last three
+    # intervals; dividing dt by 3 keeps S odd (27, 81), so the error falls by 3^4
+    phi = cosine_field(GRID).values
+    g0 = HierarchyState.factorized(phi, 3, GRID)
+    ref = solve_oracle(g0, CUBIC, T=0.081, dt=2.5e-4, store_every=None)
+    dists = []
+    for dt in (9e-3, 3e-3):
+        tv = solve_truncated(g0, CUBIC, T=0.081, dt=dt, quadrature="simpson", store_every=None)
+        dists.append(_hxi_distance(tv.state(-1), ref.state(-1)))
+    assert dists[0] / dists[1] == pytest.approx(81.0, rel=0.5)
 
 
 def test_oracle_self_convergence_order4():

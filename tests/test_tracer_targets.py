@@ -37,3 +37,13 @@ def test_benchmark_tracer_targets_resolve():
             if not ok:
                 missing.append(f"{module_name}.{attr}")
     assert not missing, f"tracer targets that no longer resolve: {missing}"
+
+
+def test_march_stays_a_shared_generator_function():
+    # the tracer times `_march` per next() only if it is a generator
+    # function; a plain function returning an iterator would be traced as
+    # one call and report solver._march.nodes as 0
+    solver = importlib.import_module("gphier.solver")
+    studies = importlib.import_module("gphier.studies")
+    assert inspect.isgeneratorfunction(solver._march)
+    assert studies._march is solver._march
