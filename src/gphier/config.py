@@ -1,7 +1,12 @@
 """Experiment configuration: flat key=value documents, strict validation.
 
 Unknown keys are hard errors (silent typos invalidate studies); every
-constraint violation names the inequality it breaks.  Regularities outside
+constraint violation names the inequality it breaks.  Each rule lives with
+the object that owns it, and validation asks that owner: make_grid (d, M, L),
+InteractionSpec (p, mu), NormParams (alpha, xi, xi2, xi_prime, eta),
+QuadratureRule (quadrature), solver._resolve_steps (T, dt) and
+studies._check_truncations (N_list).  Only the rules for N, solver,
+ensemble_size, j_max and store_every are kept here.  Regularities outside
 the admissible range are errors unless allow_inadmissible_alpha is set, in
 which case a warning is recorded and the run proceeds.
 """
@@ -11,7 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .operators import admissible_alpha_range
+from .grid import make_grid
+from .marginal import NormParams
+from .operators import InteractionSpec, admissible_alpha_range
+from .solver import QuadratureRule, _resolve_steps
+from .studies import _check_truncations
 
 
 class ConfigError(ValueError):
@@ -50,46 +59,18 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        if self.d < 1:
-            raise ConfigError("constraint violated: d >= 1")
-        if self.p not in (2, 4):
-            raise ConfigError("constraint violated: p in {2, 4}")
-        if self.mu not in (-1, 1):
-            raise ConfigError("constraint violated: mu in {-1, +1}")
-        if self.M < 4:
-            raise ConfigError("constraint violated: M >= 4")
-        if self.M % 2 != 0:
-            raise ConfigError("constraint violated: M even")
-        if not self.L > 0:
-            raise ConfigError("constraint violated: L > 0")
-        if self.alpha < 0:
-            raise ConfigError("constraint violated: alpha >= 0")
-        if not 0 < self.xi:
-            raise ConfigError("constraint violated: xi > 0")
-        if not self.xi < self.xi_prime:
-            raise ConfigError("constraint violated: xi < xi_prime")
-        if not self.xi < self.xi2:
-            raise ConfigError("constraint violated: xi < xi2")
-        if not self.xi2 < self.xi_prime:
-            raise ConfigError("constraint violated: xi2 < xi_prime")
-        if not self.xi_prime < 1:
-            raise ConfigError("constraint violated: xi_prime < 1")
-        if not 0 < self.eta < 1:
-            raise ConfigError("constraint violated: 0 < eta < 1")
+        try:
+            make_grid(self.d, self.M, self.L)
+            spec = InteractionSpec(self.p, self.mu)
+            NormParams(self.alpha, self.xi, self.xi2, self.xi_prime, self.eta)
+            QuadratureRule(self.quadrature)
+            _resolve_steps(self.T, self.dt)
+            if self.N_list is not None:
+                _check_truncations(self.N_list, spec)
+        except ValueError as exc:
+            raise ConfigError(f"constraint violated: {exc}") from exc
         if self.N < 1:
             raise ConfigError("constraint violated: N >= 1")
-        if self.N_list is not None:
-            if len(self.N_list) < 1 or any(n < 1 for n in self.N_list):
-                raise ConfigError("constraint violated: N_list entries >= 1")
-        if not self.T > 0:
-            raise ConfigError("constraint violated: T > 0")
-        if not self.dt > 0:
-            raise ConfigError("constraint violated: dt > 0")
-        S = round(self.T / self.dt)
-        if S < 1 or abs(S * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
-            raise ConfigError("constraint violated: dt divides T")
-        if self.quadrature not in ("trapezoid", "simpson"):
-            raise ConfigError("constraint violated: quadrature in {trapezoid, simpson}")
         if self.solver not in ("volterra", "oracle", "both"):
             raise ConfigError("constraint violated: solver in {volterra, oracle, both}")
         if self.ensemble_size < 1:

@@ -131,7 +131,7 @@ def _structural_invariants(
     the state.  Drift is measured against init_traces, the traces at t=0
     (None for the first node, which is its own reference).
     """
-    state = _materialize(grid, hats, spec)
+    state = _materialize(grid, hats)
     rows, traces, failure = [], {}, None
     for k in range(1, state.N + 1):
         rep = validate_marginal(state.level(k), check_positivity=False)
@@ -226,7 +226,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         params = NormParams(config.alpha, config.xi, config.xi2, config.xi_prime, config.eta)
         if command == "evolve":
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid, config.p, config.mu)
+            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid)
             solvers = ["volterra", "oracle"] if config.solver == "both" else [config.solver]
             terminal = {}
             for solver_name in solvers:
@@ -246,7 +246,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                 write_csv(per_state, os.path.join(out_dir, f"evolve_{solver_name}_norms.csv"))
                 write_csv(check.rows(), os.path.join(out_dir, f"evolve_{solver_name}_invariants.csv"))
                 if config.save_state:
-                    final = _materialize(grid, terminal[solver_name], spec)
+                    final = _materialize(grid, terminal[solver_name])
                     snapshot_write(final, os.path.join(out_dir, f"evolve_{solver_name}_final.gph"))
             if len(terminal) == 2:
                 dist = sum(
@@ -260,7 +260,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                 )
         elif command == "nls-compare":
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid, config.p, config.mu)
+            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid)
             wave = nls_solve(phi0, spec, config.T, config.dt, config.store_every)
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
@@ -271,7 +271,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         elif command == "cauchy":
             n_list = config.N_list or [3, 4]
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, max(n_list), grid, config.p, config.mu)
+            gamma0 = HierarchyState.factorized(phi0.values, max(n_list), grid)
             report = cauchy_study(gamma0, n_list, params, spec, config.T, config.dt, config.quadrature)
             _report_to_files(report, out_dir, "cauchy")
         elif command == "strichartz":
@@ -292,14 +292,14 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         elif command == "boardgame":
             phi0 = _resolve_phi0(config, grid)
             N_needed = 1 + config.j_max * spec.half
-            gamma_test = HierarchyState.factorized(phi0.values, max(config.N, N_needed), grid, config.p, config.mu)
+            gamma_test = HierarchyState.factorized(phi0.values, max(config.N, N_needed), grid)
             report = boardgame_probe(
                 1, range(1, config.j_max + 1), gamma_test, spec, config.T, params, config.quadrature, config.dt
             )
             _report_to_files(report, out_dir, "boardgame")
         elif command == "km-report":
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid, config.p, config.mu)
+            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid)
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)

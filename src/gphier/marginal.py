@@ -19,21 +19,24 @@ import numpy as np
 
 from .grid import TorusGrid, sobolev_weights, transform
 
-#: Dense tensors above this element count need an explicit override
+#: Dense tensors above this element count are refused
 #: (guards against accidental 100+ GB allocations; 2^28 complex128 = 4 GiB).
 MEMORY_GUARD_ELEMENTS = 2**28
+
+#: Defect (and negative eigenvalue) tolerance of validate_marginal.
+STRUCTURAL_TOL = 1e-10
 
 
 class MemoryGuardError(MemoryError):
     """Raised when a marginal would exceed the dense-tensor memory guard."""
 
 
-def _check_memory_guard(grid: TorusGrid, k: int, allow_large: bool) -> None:
+def _check_memory_guard(grid: TorusGrid, k: int) -> None:
     n_elements = grid.M ** (2 * grid.d * k)
-    if n_elements > MEMORY_GUARD_ELEMENTS and not allow_large:
+    if n_elements > MEMORY_GUARD_ELEMENTS:
         raise MemoryGuardError(
             f"level-{k} marginal on M={grid.M}, d={grid.d} has {n_elements} elements "
-            f"(> {MEMORY_GUARD_ELEMENTS}); pass allow_large=True to override"
+            f"(> {MEMORY_GUARD_ELEMENTS}); reduce M, d or the number of levels"
         )
 
 
@@ -81,15 +84,13 @@ class Marginal:
     __rmul__ = __mul__
 
 
-def zero_marginal(grid: TorusGrid, k: int, allow_large: bool = False) -> Marginal:
-    _check_memory_guard(grid, k, allow_large)
+def zero_marginal(grid: TorusGrid, k: int) -> Marginal:
+    _check_memory_guard(grid, k)
     shape = (grid.M,) * grid.axis_count(k)
     return Marginal(grid, k, np.zeros(shape, dtype=np.complex128))
 
 
-def factorized_marginal(
-    phi: np.ndarray, k: int, grid: TorusGrid, allow_large: bool = False
-) -> Marginal:
+def factorized_marginal(phi: np.ndarray, k: int, grid: TorusGrid) -> Marginal:
     """Product-state kernel prod_j phi(x_j) conj(phi(x'_j)).
 
     Trace equals ||phi||_{L2}^{2k}, so unit-normalized phi gives trace one.
@@ -101,7 +102,7 @@ def factorized_marginal(
         )
     if k < 1:
         raise ValueError(f"particle number must be >= 1, got k={k}")
-    _check_memory_guard(grid, k, allow_large)
+    _check_memory_guard(grid, k)
     factors = [phi] * k + [phi.conj()] * k
     out = factors[0]
     for f in factors[1:]:
@@ -163,11 +164,7 @@ class ValidationReport:
     passed: bool
 
 
-def validate_marginal(
-    gamma: Marginal,
-    structural_tol: float = 1e-10,
-    check_positivity: bool | None = None,
-) -> ValidationReport:
+def validate_marginal(gamma: Marginal, check_positivity: bool | None = None) -> ValidationReport:
     """Report hermiticity/symmetry defects, trace, and (k=1) positivity.
 
     Defects are max-abs deviations; positivity is computed by the smallest
@@ -192,8 +189,8 @@ def validate_marginal(
         mat = gamma.data.reshape(n, n)
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
         min_eig = float(eigs[0]) * grid.h ** (grid.d * k)
-        pos_flag = min_eig >= -structural_tol
-    passed = herm <= structural_tol and sym <= structural_tol
+        pos_flag = min_eig >= -STRUCTURAL_TOL
+    passed = herm <= STRUCTURAL_TOL and sym <= STRUCTURAL_TOL
     return ValidationReport(herm, sym, tr, pos_flag, min_eig, passed)
 
 
@@ -262,18 +259,16 @@ def _hxi_norm_hat(hats: dict[int, np.ndarray], grid: TorusGrid, xi: float, alpha
 
 @dataclass
 class HierarchyState:
-    """Finite sequence (gamma^(1), ..., gamma^(N)); levels above N are zero."""
+    """Finite sequence of marginals (gamma^(1), ..., gamma^(N)); levels above N are zero.
+
+    A state is only the sequence: the interaction order p and the coupling
+    mu belong to the equation, and the solvers take them as an InteractionSpec.
+    """
 
     grid: TorusGrid
     levels: list[Marginal]
-    p: int = 2
-    mu: int = 1
 
     def __post_init__(self):
-        if self.p not in (2, 4):
-            raise ValueError(f"interaction order p must be 2 or 4, got {self.p}")
-        if self.mu not in (-1, 1):
-            raise ValueError(f"coupling mu must be -1 or +1, got {self.mu}")
         if not self.levels:
             raise ValueError("hierarchy state needs at least one level")
         for n, g in enumerate(self.levels, start=1):
@@ -286,40 +281,28 @@ class HierarchyState:
     def N(self) -> int:
         return len(self.levels)
 
-    def level(self, n: int, allow_large: bool = False) -> Marginal:
+    def level(self, n: int) -> Marginal:
         """Level n; queries above the truncation return the zero marginal."""
         if n < 1:
             raise ValueError(f"level index must be >= 1, got {n}")
         if n <= self.N:
             return self.levels[n - 1]
-        return zero_marginal(self.grid, n, allow_large=allow_large)
-
-    def copy(self) -> "HierarchyState":
-        return HierarchyState(self.grid, [g.copy() for g in self.levels], self.p, self.mu)
+        return zero_marginal(self.grid, n)
 
     @classmethod
-    def factorized(
-        cls,
-        phi: np.ndarray,
-        N: int,
-        grid: TorusGrid,
-        p: int = 2,
-        mu: int = 1,
-        allow_large: bool = False,
-    ) -> "HierarchyState":
-        levels = [factorized_marginal(phi, k, grid, allow_large=allow_large) for k in range(1, N + 1)]
-        return cls(grid, levels, p, mu)
+    def factorized(cls, phi: np.ndarray, N: int, grid: TorusGrid) -> "HierarchyState":
+        return cls(grid, [factorized_marginal(phi, k, grid) for k in range(1, N + 1)])
 
     @classmethod
-    def zero(cls, grid: TorusGrid, N: int, p: int = 2, mu: int = 1) -> "HierarchyState":
-        return cls(grid, [zero_marginal(grid, k) for k in range(1, N + 1)], p, mu)
+    def zero(cls, grid: TorusGrid, N: int) -> "HierarchyState":
+        return cls(grid, [zero_marginal(grid, k) for k in range(1, N + 1)])
 
     def truncate(self, N1: int) -> "HierarchyState":
         """P_{<=N1}: keep levels 1..N1 (shares level data with self)."""
         if N1 < 1:
             raise ValueError(f"truncation level must be >= 1, got {N1}")
         N1 = min(N1, self.N)
-        return HierarchyState(self.grid, self.levels[:N1], self.p, self.mu)
+        return HierarchyState(self.grid, self.levels[:N1])
 
 
 def hxi_norm(state: HierarchyState, xi: float, alpha: float) -> float:
@@ -336,7 +319,7 @@ def project_tail(state: HierarchyState, N1: int) -> HierarchyState:
     levels = []
     for k, g in enumerate(state.levels, start=1):
         levels.append(zero_marginal(state.grid, k) if k <= N1 else g.copy())
-    return HierarchyState(state.grid, levels, state.p, state.mu)
+    return HierarchyState(state.grid, levels)
 
 
 def tail_norm(state: HierarchyState, N1: int, xi_prime: float, alpha: float) -> float:
@@ -363,15 +346,21 @@ class NormParams:
     eta: float = 0.3
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not (0 < self.xi < self.xi2 < self.xi_prime < 1):
-            raise ValueError(
-                f"weights must satisfy 0 < xi < xi2 < xi_prime < 1, got "
-                f"xi={self.xi}, xi2={self.xi2}, xi_prime={self.xi_prime}"
-            )
-        if not 0 < self.eta < 1:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        # the first inequality that fails is the one named
+        for holds, rule in (
+            (0 < self.xi, "xi > 0"),
+            (self.xi < self.xi_prime, "xi < xi_prime"),
+            (self.xi < self.xi2, "xi < xi2"),
+            (self.xi2 < self.xi_prime, "xi2 < xi_prime"),
+            (self.xi_prime < 1, "xi_prime < 1"),
+            (0 < self.eta < 1, "0 < eta < 1"),
+            (0 <= self.alpha < math.inf, "alpha >= 0 and finite"),
+        ):
+            if not holds:
+                raise ValueError(
+                    f"{rule}, got alpha={self.alpha}, xi={self.xi}, xi2={self.xi2}, "
+                    f"xi_prime={self.xi_prime}, eta={self.eta}"
+                )
 
     def cauchy_chain_ok(self) -> bool:
         """Whether xi < eta*xi'' < eta^2*xi' holds (the truncation-Cauchy regime)."""

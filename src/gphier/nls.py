@@ -18,7 +18,7 @@ from .grid import TorusGrid, phase_weights
 from ._kernels import ifftn_level
 from .marginal import Marginal, factorized_marginal, h_alpha_norm
 from .operators import InteractionSpec
-from .solver import Trajectory, _resolve_steps
+from .solver import Trajectory, _sampling
 
 
 @dataclass
@@ -88,9 +88,7 @@ def nls_solve(
     Second order in dt; the linear step is exact, so the L2 norm is
     conserved to rounding.
     """
-    S = _resolve_steps(T, dt)
-    if S % store_every != 0:
-        raise ValueError(f"store_every={store_every} must divide the step count S={S}")
+    S, store_every = _sampling(T, dt, store_every)
     grid = phi0.grid
     lin = phase_weights(grid, dt, "unprimed")
     lin_full = lin

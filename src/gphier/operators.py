@@ -86,24 +86,21 @@ def _check_collapse_input(gamma: Marginal, spec: InteractionSpec) -> int:
     return k
 
 
-def b_plus(j: int, gamma: Marginal, spec: InteractionSpec) -> Marginal:
-    """B^+_{j}: pin the p/2 extra unprimed and primed slots to x_j."""
+def _pin_slot(j: int, gamma: Marginal, spec: InteractionSpec, pin_primed: bool) -> Marginal:
     k = _check_collapse_input(gamma, spec)
     if not 1 <= j <= k:
         raise ValueError(f"slot index j={j} out of range 1..{k}")
-    return Marginal(
-        gamma.grid, k, _restrict_to_slot(gamma.data, gamma.grid, gamma.k, k, j, pin_primed=False)
-    )
+    return Marginal(gamma.grid, k, _restrict_to_slot(gamma.data, gamma.grid, gamma.k, k, j, pin_primed))
+
+
+def b_plus(j: int, gamma: Marginal, spec: InteractionSpec) -> Marginal:
+    """B^+_{j}: pin the p/2 extra unprimed and primed slots to x_j."""
+    return _pin_slot(j, gamma, spec, pin_primed=False)
 
 
 def b_minus(j: int, gamma: Marginal, spec: InteractionSpec) -> Marginal:
     """B^-_{j}: pin the p/2 extra unprimed and primed slots to x'_j."""
-    k = _check_collapse_input(gamma, spec)
-    if not 1 <= j <= k:
-        raise ValueError(f"slot index j={j} out of range 1..{k}")
-    return Marginal(
-        gamma.grid, k, _restrict_to_slot(gamma.data, gamma.grid, gamma.k, k, j, pin_primed=True)
-    )
+    return _pin_slot(j, gamma, spec, pin_primed=True)
 
 
 def b_collapse(gamma: Marginal, spec: InteractionSpec, symmetrize_output: bool = False) -> Marginal:
@@ -128,12 +125,10 @@ def b_collapse(gamma: Marginal, spec: InteractionSpec, symmetrize_output: bool =
 
 def b_hat(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:
     """Sequence collapse: level-k output is B gamma^(k+p/2); N shrinks by p/2."""
-    if state.p != spec.p or state.mu != spec.mu:
-        raise ValueError("interaction spec does not match the hierarchy state")
     if state.N < 1 + spec.half:
         raise ValueError(f"b_hat needs N >= {1 + spec.half}, got N={state.N}")
     levels = [b_collapse(state.level(k + spec.half), spec) for k in range(1, state.N - spec.half + 1)]
-    return HierarchyState(state.grid, levels, state.p, state.mu)
+    return HierarchyState(state.grid, levels)
 
 
 def free_evolve(gamma: Marginal, t: float) -> Marginal:
@@ -152,8 +147,6 @@ def rhs(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:
     in Fourier, consistent with free_evolve) minus i*mu times the collapse
     of the level p/2 above (zero above the truncation).
     """
-    if state.p != spec.p or state.mu != spec.mu:
-        raise ValueError("interaction spec does not match the hierarchy state")
     from ._kernels import multiplier_tensor
 
     grid = state.grid
@@ -166,7 +159,7 @@ def rhs(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:
         if n + spec.half <= state.N:
             dgamma = dgamma - 1j * spec.mu * b_collapse(state.level(n + spec.half), spec).data
         out.append(Marginal(grid, n, dgamma))
-    return HierarchyState(grid, out, state.p, state.mu)
+    return HierarchyState(grid, out)
 
 
 @dataclass(frozen=True)

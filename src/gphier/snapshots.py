@@ -5,7 +5,9 @@ d u32, M u32, L f64, k u32.  k > 0 is a single level-k marginal; k = 0 is
 a full state header followed by the level count (u32) and the levels
 1..count concatenated.  Entries are row-major complex values stored as
 interleaved IEEE-754 f64 (re, im) pairs, axis order (x_1..x_k, x'_1..x'_k).
-Round-trips are bit-exact.
+Round-trips are bit-exact.  A state is only its sequence of marginals: the
+interaction order p and coupling mu are not stored, and a solver takes them
+as an InteractionSpec.
 """
 
 from __future__ import annotations
@@ -86,11 +88,10 @@ def _payload_bytes(d: int, M: int, levels, cap: int) -> int:
     return total
 
 
-def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchyState:
-    """Read a snapshot; full states need the interaction order and coupling
-    supplied (the format does not store them).
+def snapshot_read(path: str) -> Marginal | HierarchyState:
+    """Read a snapshot: a Marginal (k > 0) or a HierarchyState (k = 0).
 
-    The header is validated against the grid rules and the file size before
+    The header is validated by make_grid and against the file size before
     anything is allocated; every malformed file raises a SnapshotError.
     """
     with open(path, "rb") as fh:
@@ -103,10 +104,13 @@ def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchySta
             raise VersionMismatchError(f"format version {version}, expected {VERSION}")
         (L,) = struct.unpack("<d", _read_exact(fh, 8, "header"))
         (k,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-        if d < 1 or M < 4 or M % 2 != 0 or not (math.isfinite(L) and L > 0):
-            raise SnapshotError(
-                f"invalid grid in header: d={d}, M={M}, L={L}; need d >= 1, even M >= 4, finite L > 0"
-            )
+        if 16 * M * M > file_size:
+            # a level has at least M^2 entries; bounds the M wavenumbers make_grid allocates
+            raise TruncatedPayloadError(f"header grid M={M} needs more than the {file_size} bytes of the file")
+        try:
+            grid = make_grid(d, M, L)
+        except ValueError as exc:
+            raise SnapshotError(f"invalid grid in header: {exc}") from exc
         if k > 0:
             levels = [k]
         else:
@@ -120,7 +124,6 @@ def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchySta
             raise TruncatedPayloadError(f"truncated payload: header needs more than the {present} bytes present")
         if expected < present:
             raise TruncatedPayloadError(f"{present - expected} trailing bytes after the payload")
-        grid = make_grid(d, M, L)
 
         def read_level(level_k: int) -> Marginal:
             n_el = M ** (2 * d * level_k)
@@ -130,4 +133,4 @@ def snapshot_read(path: str, p: int = 2, mu: int = 1) -> Marginal | HierarchySta
 
         if k > 0:
             return read_level(k)
-        return HierarchyState(grid, [read_level(n) for n in levels], p, mu)
+        return HierarchyState(grid, [read_level(n) for n in levels])

@@ -30,6 +30,7 @@ one term through a chain of j-1 accumulators with no base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,9 +138,12 @@ class _Cumulative:
 
 
 def _resolve_steps(T: float, dt: float) -> int:
+    """Step count S = T/dt of the node grid; T and dt must be positive and finite."""
+    if not (0 < T < math.inf and 0 < dt < math.inf and T / dt < math.inf):
+        raise ValueError(f"T > 0, dt > 0 and T/dt finite, got T={T}, dt={dt}")
     S = round(T / dt)
     if S < 1 or abs(S * dt - T) > 1e-9 * max(T, dt):
-        raise ValueError(f"dt={dt} does not divide T={T}")
+        raise ValueError(f"dt divides T, got T={T}, dt={dt}")
     return S
 
 
@@ -288,13 +292,9 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def N(self) -> int:
-        return len(self.hats[0])
-
     def state(self, i: int) -> HierarchyState:
         """Real-space hierarchy state at node i (built on each call)."""
-        return _materialize(self.grid, self.hats[i], self.spec)
+        return _materialize(self.grid, self.hats[i])
 
     @property
     def states(self) -> list[HierarchyState]:
@@ -306,14 +306,8 @@ def _initial_hats(state: HierarchyState) -> dict[int, np.ndarray]:
     return {n: fftn_level(state.level(n).data) for n in range(1, state.N + 1)}
 
 
-def _materialize(grid: TorusGrid, hats: dict[int, np.ndarray], spec: InteractionSpec) -> HierarchyState:
-    levels = [Marginal(grid, n, ifftn_level(hats[n])) for n in sorted(hats)]
-    return HierarchyState(grid, levels, spec.p, spec.mu)
-
-
-def _check_spec(state: HierarchyState, spec: InteractionSpec) -> None:
-    if state.p != spec.p or state.mu != spec.mu:
-        raise ValueError("interaction spec does not match the hierarchy state")
+def _materialize(grid: TorusGrid, hats: dict[int, np.ndarray]) -> HierarchyState:
+    return HierarchyState(grid, [Marginal(grid, n, ifftn_level(hats[n])) for n in sorted(hats)])
 
 
 def _sampling(T: float, dt: float, store_every: int | None) -> tuple[int, int]:
@@ -321,6 +315,8 @@ def _sampling(T: float, dt: float, store_every: int | None) -> tuple[int, int]:
     S = _resolve_steps(T, dt)
     if store_every is None:
         store_every = S
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
     if S % store_every != 0:
         raise ValueError(f"store_every={store_every} must divide the step count S={S}")
     return S, store_every
@@ -335,7 +331,6 @@ def _volterra_nodes(
     store_every: int | None = 1,
 ):
     """Stored nodes (t, {level: mode tensor}) of the Volterra march, in order."""
-    _check_spec(gamma0, spec)
     S, store_every = _sampling(T, dt, store_every)
     for i, hats in _march(gamma0.grid, _initial_hats(gamma0), spec, S, dt, rule):
         if i % store_every == 0:
@@ -356,7 +351,6 @@ def _oracle_nodes(
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
     Runge-Kutta step to this coupling (4th order in dt).
     """
-    _check_spec(gamma0, spec)
     S, store_every = _sampling(T, dt, store_every)
     grid = gamma0.grid
     N, half = gamma0.N, spec.half
@@ -452,7 +446,6 @@ def duhamel_term(
         raise ValueError(f"iteration depth must be >= 1, got j={j}")
     if n < 1:
         raise ValueError(f"level index must be >= 1, got n={n}")
-    _check_spec(gamma0, spec)
     grid = gamma0.grid
     if n + j * spec.half > gamma0.N or (j > 1 and t <= 0):
         return zero_marginal(grid, n + spec.half)
@@ -502,7 +495,6 @@ def reconstruct_bhat(
     dt: float = 1e-3,
 ) -> Marginal:
     """Finite Duhamel-sum identity: (B Gamma_N)^(n)(t) from initial data only."""
-    _check_spec(gamma0, spec)
     half = spec.half
     if n < 1 or n > gamma0.N - half:
         raise ValueError(f"level n={n} out of coupled range 1..{gamma0.N - half}")
@@ -535,8 +527,6 @@ def theta_residual(
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
     spec, grid = trajectory.spec, trajectory.grid
-    if trajectory.N < 1 + spec.half:
-        raise ValueError("trajectory has no coupled levels")
     ref_hat = trajectory.hats[0] if reference_data is None else _reference_hats(reference_data, spec)
     thetas = [_theta_hats(hats, grid, spec) for hats in trajectory.hats]
     norms = _theta_defect_norms(thetas, ref_hat, grid, spec, trajectory.dt, rule, xi, alpha)
@@ -545,7 +535,6 @@ def theta_residual(
 
 def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray]:
     """Mode tensors of the reference levels that the Theta residual collapses."""
-    _check_spec(reference_data, spec)
     return {m: fftn_level(reference_data.level(m).data) for m in range(1 + spec.half, reference_data.N + 1)}
 
 
@@ -573,6 +562,8 @@ def _theta_defect_norms(
     U(-s) Theta(s) ds]: a Volterra integral where Theta has level m, the
     free evolution of the reference otherwise.
     """
+    if not thetas[0]:
+        raise ValueError("trajectory has no coupled levels")
     half = spec.half
     res_levels = range(1, max(len(thetas[0]), max(ref_hat, default=0) - half) + 1)
     shapes = {lv + half: (grid.M,) * grid.axis_count(lv + half) for lv in res_levels}

@@ -11,6 +11,7 @@ counts; they are never claimed to be the sharp constants.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,17 +66,15 @@ def spacetime_norm(times, states, xi: float, alpha: float, quadrature="trapezoid
     return l2_in_time(rule.weights(S, dt), [hxi_norm(st, xi, alpha) for st in states])
 
 
-def random_marginal(
-    grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float, decay: float | None = None
-) -> Marginal:
+def random_marginal(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float) -> Marginal:
     """Random hermitean, permutation-symmetric kernel with decaying spectrum.
 
     Mode coefficients are complex Gaussians with per-axis standard
-    deviation (1+p^2)^(-decay/2) (decay defaults to alpha+1, keeping
-    H^alpha norms balanced across grid sizes), hermitized, symmetrized,
-    and normalized to unit H^alpha norm.
+    deviation (1+p^2)^(-s/2) with s = alpha+1 (keeping H^alpha norms
+    balanced across grid sizes), hermitized, symmetrized, and normalized
+    to unit H^alpha norm.
     """
-    s = alpha + 1.0 if decay is None else decay
+    s = alpha + 1.0
     n_axes = grid.axis_count(k)
     shape = (grid.M,) * n_axes
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -126,7 +125,6 @@ def strichartz_study(
     n_levels: int = 3,
     seed: int = 42,
     quadrature="trapezoid",
-    probe_alpha_bound: bool = False,
 ) -> StudyReport:
     """Finite-window ratios ||B U(t) Gamma0||_{L2 H_xi} / ||Gamma0||_{H_xi'}.
 
@@ -147,11 +145,9 @@ def strichartz_study(
     per_draw = []
     for idx in range(ensemble_size):
         rng = np.random.default_rng(seeds[idx])
-        levels = [random_marginal(grid, k, rng, alpha) for k in range(1, n_levels + 1)]
-        state = HierarchyState(grid, levels, spec.p, spec.mu)
-        hats0 = {k: fftn_level(levels[k - 1].data) for k in range(1, n_levels + 1)}
+        hats0 = {k: fftn_level(random_marginal(grid, k, rng, alpha).data) for k in range(1, n_levels + 1)}
         rows = _free_collapse_norms(hats0, grid, spec, S, dt, alpha)
-        rhs_norm = hxi_norm(state, xi_p, alpha)
+        rhs_norm = _hxi_norm_hat(hats0, grid, xi_p, alpha)
         series = np.zeros(S + 1)
         for n, r in rows.items():
             series += xi**n * r
@@ -161,9 +157,6 @@ def strichartz_study(
             per_level = l2_in_time(w, r)  # source level norm is 1
             row[f"level_{n}_ratio"] = per_level
             row[f"level_{n}_ratio_over_k"] = per_level / n
-        if probe_alpha_bound:
-            bh = _hxi_norm_hat(_theta_hats(hats0, grid, spec), grid, xi, alpha)
-            row["bhat_ratio"] = bh / _hxi_norm_hat(hats0, grid, xi, alpha)
         per_draw.append(row)
     ratios = np.array([r["ratio"] for r in per_draw])
     report = StudyReport(
@@ -203,6 +196,16 @@ def strichartz_study(
     return report
 
 
+def _check_truncations(N_list: list[int], spec: InteractionSpec) -> list[int]:
+    """The truncation levels of a Cauchy study, sorted: at least two, each >= 1 + p/2."""
+    if len(N_list) < 2:
+        raise ValueError("N_list needs at least two truncation levels")
+    N_list = sorted(N_list)
+    if N_list[0] < 1 + spec.half:
+        raise ValueError(f"every truncation in N_list must be >= {1 + spec.half}")
+    return N_list
+
+
 def cauchy_study(
     gamma0: HierarchyState,
     N_list: list[int],
@@ -215,18 +218,14 @@ def cauchy_study(
 ) -> StudyReport:
     """Truncation-difference ratios against the initial-data tail.
 
-    For each pair N1 < N2 solves both truncations from the shared data and
-    reports ||B(Gamma_N1 - Gamma_N2)||_{L2_t H_xi} and the sup-in-time
+    Solves each truncation once from the shared data and, for each pair
+    N1 < N2, reports ||B(Gamma_N1 - Gamma_N2)||_{L2_t H_xi} and the sup-in-time
     trajectory difference against ||P_{>N1} Gamma0||_{H_xi'}.  The nested
     scale chain xi < eta*xi'' < eta^2*xi' is recorded as a flag, not
     enforced: the ratios are well defined either way, only the bound's
     guarantee needs the chain.
     """
-    if len(N_list) < 2:
-        raise ValueError("N_list needs at least two truncation levels")
-    N_list = sorted(N_list)
-    if N_list[0] < 1 + spec.half:
-        raise ValueError(f"every truncation must be >= {1 + spec.half}")
+    N_list = _check_truncations(N_list, spec)
     if gamma0.N < N_list[-1]:
         raise ValueError("initial data has fewer levels than max(N_list)")
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
@@ -259,50 +258,51 @@ def cauchy_study(
         )
 
     hat0_full = {n: fftn_level(gamma0.level(n).data) for n in range(1, N_list[-1] + 1)}
+    # one march per truncation, all advanced together; every pair reads the shared nodes
+    marches = {N: _march(grid, {n: hat0_full[n] for n in range(1, N + 1)}, spec, S, dt, rule) for N in set(N_list)}
+    pairs = list(itertools.combinations(N_list, 2))
+    bnorms = {(N1, N2): {n: np.zeros(S + 1) for n in range(1, N2 - half + 1)} for N1, N2 in pairs}
+    sup_diff = dict.fromkeys(pairs, 0.0)
+    for nodes in zip(*marches.values()):
+        i = nodes[0][0]
+        assert all(s == i for s, _ in nodes)
+        h = {N: hats for N, (_, hats) in zip(marches, nodes)}
+        for N1, N2 in pairs:
+            h1, h2 = h[N1], h[N2]
+            diff_norm = 0.0
+            for n in range(1, N2 + 1):
+                dh = (h1[n] - h2[n]) if n in h1 else -h2[n]
+                diff_norm += xi**n * _h_alpha_norm_hat(dh, grid, n, alpha)
+            sup_diff[N1, N2] = max(sup_diff[N1, N2], diff_norm)
+            for n, row in bnorms[N1, N2].items():
+                m = n + half
+                dh = (h1[m] - h2[m]) if m in h1 else -h2[m]
+                row[i] = _h_alpha_norm_hat(fourier_collapse(dh, grid, m, half), grid, n, alpha)
     pair_rows = []
     bnorm_store = {}
-    for a in range(len(N_list)):
-        for b in range(a + 1, len(N_list)):
-            N1, N2 = N_list[a], N_list[b]
-            shared_equal = all(
-                np.array_equal(gamma0.truncate(N1).level(n).data, gamma0.truncate(N2).level(n).data)
-                for n in range(1, N1 + 1)
-            )
-            m1 = _march(grid, {n: hat0_full[n] for n in range(1, N1 + 1)}, spec, S, dt, rule)
-            m2 = _march(grid, {n: hat0_full[n] for n in range(1, N2 + 1)}, spec, S, dt, rule)
-            bdiff_levels = list(range(1, N2 - half + 1))
-            bnorms = {n: np.zeros(S + 1) for n in bdiff_levels}
-            sup_diff = 0.0
-            for (i1, h1), (i2, h2) in zip(m1, m2):
-                assert i1 == i2
-                diff_norm = 0.0
-                for n in range(1, N2 + 1):
-                    dh = (h1[n] - h2[n]) if n in h1 else -h2[n]
-                    diff_norm += xi**n * _h_alpha_norm_hat(dh, grid, n, alpha)
-                sup_diff = max(sup_diff, diff_norm)
-                for n in bdiff_levels:
-                    m = n + half
-                    dh = (h1[m] - h2[m]) if m in h1 else -h2[m]
-                    g = fourier_collapse(dh, grid, m, half)
-                    bnorms[n][i1] = _h_alpha_norm_hat(g, grid, n, alpha)
-            series = np.zeros(S + 1)
-            for n in bdiff_levels:
-                series += xi**n * bnorms[n]
-            l2_bdiff = l2_in_time(w, series)
-            tail = tail_norm(gamma0, N1, xi_p, alpha)
-            pair_rows.append(
-                {
-                    "N1": N1,
-                    "N2": N2,
-                    "bdiff_l2": l2_bdiff,
-                    "traj_diff_sup": sup_diff,
-                    "tail_xi_prime": tail,
-                    "ratio_l2_over_tail": l2_bdiff / tail if tail > 0 else np.nan,
-                    "ratio_sup_over_tail": sup_diff / tail if tail > 0 else np.nan,
-                    "shared_levels_equal": shared_equal,
-                }
-            )
-            bnorm_store[(N1, N2)] = (bnorms, tail)
+    for N1, N2 in pairs:
+        shared_equal = all(
+            np.array_equal(gamma0.truncate(N1).level(n).data, gamma0.truncate(N2).level(n).data)
+            for n in range(1, N1 + 1)
+        )
+        series = np.zeros(S + 1)
+        for n, row in bnorms[N1, N2].items():
+            series += xi**n * row
+        l2_bdiff = l2_in_time(w, series)
+        tail = tail_norm(gamma0, N1, xi_p, alpha)
+        pair_rows.append(
+            {
+                "N1": N1,
+                "N2": N2,
+                "bdiff_l2": l2_bdiff,
+                "traj_diff_sup": sup_diff[N1, N2],
+                "tail_xi_prime": tail,
+                "ratio_l2_over_tail": l2_bdiff / tail if tail > 0 else np.nan,
+                "ratio_sup_over_tail": sup_diff[N1, N2] / tail if tail > 0 else np.nan,
+                "shared_levels_equal": shared_equal,
+            }
+        )
+        bnorm_store[(N1, N2)] = (bnorms[N1, N2], tail)
     report.tables["pairs"] = pair_rows
 
     finite = [r["ratio_l2_over_tail"] for r in pair_rows if np.isfinite(r["ratio_l2_over_tail"])]
@@ -488,8 +488,6 @@ def _km_report(
             }
         )
     N = len(hat0)
-    if N < 1 + spec.half:
-        raise ValueError("trajectory has no coupled levels")
     S = len(rows) - 1
     dt = rows[1]["t"] - rows[0]["t"]
     w = rule.weights(S, dt)

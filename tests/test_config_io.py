@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,6 +16,8 @@ from gphier import (
     HierarchyState,
     InteractionSpec,
     Marginal,
+    NormParams,
+    QuadratureRule,
     SnapshotError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -33,6 +36,7 @@ from gphier import (
     validate_marginal,
 )
 from gphier.cli import main
+from gphier.solver import _resolve_steps
 
 GRID = make_grid(1, 4, 2 * np.pi)
 
@@ -77,6 +81,74 @@ def test_dt_divides_T_checked():
         parse_config("T = 0.1\ndt = 0.0003\n")
 
 
+@pytest.mark.parametrize(
+    "key,value", [("T", "inf"), ("dt", "1e-320"), ("L", "inf"), ("N_list", "3"), ("N_list", "1,2")]
+)
+def test_unusable_inputs_named(tmp_path, capsys, key, value):
+    # each used to pass the config or to escape it with a bare exception
+    with pytest.raises(ConfigError, match="constraint violated"):
+        parse_config(f"{key} = {value}\n")
+    assert main(["cauchy", "--set", f"{key}={value}", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: constraint violated: ")
+
+
+def _owners_reject(v: dict) -> bool:
+    try:
+        make_grid(v["d"], v["M"], v["L"])
+        InteractionSpec(v["p"], v["mu"])
+        NormParams(v["alpha"], v["xi"], v["xi2"], v["xi_prime"], v["eta"])
+        QuadratureRule(v["quadrature"])
+        _resolve_steps(v["T"], v["dt"])
+    except ValueError:
+        return True
+    return False
+
+
+def _numbers(*typical):
+    edge = (0.0, -1.0, 1e-320, math.inf, -math.inf, math.nan)
+    return st.sampled_from(typical + edge) | st.floats()
+
+
+VALID_INPUTS = dict(
+    d=1, M=8, L=2 * math.pi, p=2, mu=1, alpha=1.0, xi=0.02, xi2=0.06, xi_prime=0.2, eta=0.3,
+    T=0.1, dt=1e-3, quadrature="trapezoid",
+)
+CHANGED_INPUTS = dict(
+    d=st.integers(-1, 3),
+    M=st.integers(-2, 12),
+    L=_numbers(1.0),
+    p=st.sampled_from([4, 3, 0]),
+    mu=st.sampled_from([-1, 0, 2]),
+    alpha=_numbers(0.25, 2.0),
+    xi=_numbers(0.05, 0.1),
+    xi2=_numbers(0.01, 0.1),
+    xi_prime=_numbers(0.05, 0.5),
+    eta=_numbers(0.5),
+    T=_numbers(1.0, 0.05),
+    dt=_numbers(0.05, 3e-4),
+    quadrature=st.sampled_from(["simpson", "gauss"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_rejects_what_the_owners_reject(data):
+    # up to three inputs moved off a valid config, including inf, nan, 0 and
+    # negative values: the config keeps no copy of these rules and fails
+    # exactly when an owner does
+    values = dict(VALID_INPUTS)
+    for key in data.draw(st.lists(st.sampled_from(sorted(CHANGED_INPUTS)), max_size=3, unique=True)):
+        values[key] = data.draw(CHANGED_INPUTS[key], label=key)
+    overrides = {key: str(v) for key, v in values.items()}
+    overrides["allow_inadmissible_alpha"] = "true"
+    if _owners_reject(values):
+        with pytest.raises(ConfigError, match="constraint violated"):
+            parse_config("", overrides)
+    else:
+        parse_config("", overrides)
+
+
 def test_bad_value_types():
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config("M = eight\n")
@@ -103,11 +175,11 @@ def test_snapshot_marginal_roundtrip_bitwise(tmp_path):
 
 
 def test_snapshot_state_roundtrip_bitwise(tmp_path):
-    st = HierarchyState(GRID, [_random_m(1, 2), _random_m(2, 3), _random_m(3, 4)], p=2, mu=-1)
+    st = HierarchyState(GRID, [_random_m(1, 2), _random_m(2, 3), _random_m(3, 4)])
     path = str(tmp_path / "s.gph")
     snapshot_write(st, path)
-    back = snapshot_read(path, p=2, mu=-1)
-    assert isinstance(back, HierarchyState) and back.N == 3 and back.mu == -1
+    back = snapshot_read(path)
+    assert isinstance(back, HierarchyState) and back.N == 3
     for k in (1, 2, 3):
         assert np.array_equal(back.level(k).data, st.level(k).data)
 
@@ -369,7 +441,7 @@ def test_run_km_report_tables_match_real_space(tmp_path):
     assert run_experiment(cfg, "km-report", out_dir=str(tmp_path)) == 0
     grid = make_grid(1, 4, cfg.L)
     spec = InteractionSpec(4, 1)
-    g0 = HierarchyState.factorized(cosine_field(grid).values, 3, grid, p=4)
+    g0 = HierarchyState.factorized(cosine_field(grid).values, 3, grid)
     traj = solve_truncated(g0, spec, cfg.T, cfg.dt, "trapezoid", 1)
     states = traj.states
     thetas = [b_hat(st, spec) for st in states]

@@ -207,10 +207,6 @@ def test_hierarchy_state_validation():
     phi = cosine_field(GRID).values
     with pytest.raises(ValueError):
         HierarchyState(GRID, [factorized_marginal(phi, 2, GRID)])  # slot 1 holds level 2
-    with pytest.raises(ValueError):
-        HierarchyState.factorized(phi, 2, GRID, p=3)
-    with pytest.raises(ValueError):
-        HierarchyState.factorized(phi, 2, GRID, mu=0)
 
 
 def test_memory_guard():

@@ -311,3 +311,5 @@ def test_interaction_spec_validation():
         InteractionSpec(3, 1)
     with pytest.raises(ValueError):
         InteractionSpec(2, 2)
+    with pytest.raises(ValueError):
+        InteractionSpec(2, 0)

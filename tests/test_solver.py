@@ -14,6 +14,7 @@ from gphier import (
     h_alpha_norm,
     hxi_norm,
     make_grid,
+    nls_solve,
     plane_wave_field,
     reconstruct_bhat,
     solve_oracle,
@@ -201,8 +202,8 @@ def test_oracle_zero_data():
 
 def test_mu_sign_changes_dynamics():
     phi = cosine_field(GRID).values
-    plus = solve_truncated(HierarchyState.factorized(phi, 2, GRID, mu=1), InteractionSpec(2, 1), 0.05, 1e-3, store_every=None)
-    minus = solve_truncated(HierarchyState.factorized(phi, 2, GRID, mu=-1), InteractionSpec(2, -1), 0.05, 1e-3, store_every=None)
+    plus = solve_truncated(HierarchyState.factorized(phi, 2, GRID), InteractionSpec(2, 1), 0.05, 1e-3, store_every=None)
+    minus = solve_truncated(HierarchyState.factorized(phi, 2, GRID), InteractionSpec(2, -1), 0.05, 1e-3, store_every=None)
     assert _hxi_distance(plus.state(-1), minus.state(-1)) > 1e-8
 
 
@@ -210,7 +211,7 @@ def test_quintic_smoke_n3():
     g4 = make_grid(1, 4, 2 * np.pi)
     phi = cosine_field(g4).values
     spec = InteractionSpec(4, 1)
-    g0 = HierarchyState.factorized(phi, 3, g4, p=4)
+    g0 = HierarchyState.factorized(phi, 3, g4)
     traj = solve_truncated(g0, spec, T=0.05, dt=1e-3, store_every=None)
     final = traj.state(-1)
     assert abs(trace(final.level(1)) - 1.0) <= 1e-8
@@ -242,9 +243,32 @@ def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_truncated(g0, CUBIC, T=0.1, dt=1e-2, store_every=3)  # 3 does not divide 10
     with pytest.raises(ValueError):
-        solve_truncated(g0, InteractionSpec(2, -1), T=0.1, dt=1e-2)  # spec mismatch
-    with pytest.raises(ValueError):
         solve_truncated(g0, CUBIC, T=1e-2, dt=1e-2, quadrature="simpson")  # S=1
+
+
+@pytest.mark.parametrize("store_every", [0, -5])
+def test_store_every_below_one_rejected(store_every):
+    wf = cosine_field(GRID)
+    g0 = HierarchyState.factorized(wf.values, 2, GRID)
+    with pytest.raises(ValueError, match="store_every"):
+        solve_truncated(g0, CUBIC, T=0.01, dt=1e-3, store_every=store_every)
+    with pytest.raises(ValueError, match="store_every"):
+        solve_oracle(g0, CUBIC, T=0.01, dt=1e-3, store_every=store_every)
+    with pytest.raises(ValueError, match="store_every"):
+        nls_solve(wf, CUBIC, T=0.01, dt=1e-3, store_every=store_every)
+
+
+@pytest.mark.parametrize("T,dt", [(np.inf, 1e-3), (0.1, np.inf), (0.1, 1e-320), (np.nan, 1e-3), (-0.1, -1e-3)])
+def test_non_finite_time_grid_rejected(T, dt):
+    g0 = HierarchyState.factorized(cosine_field(GRID).values, 2, GRID)
+    with pytest.raises(ValueError, match="T > 0, dt > 0 and T/dt finite"):
+        solve_truncated(g0, CUBIC, T=T, dt=dt)
+
+
+def test_theta_residual_needs_coupled_levels():
+    traj = solve_truncated(HierarchyState.factorized(cosine_field(GRID).values, 1, GRID), CUBIC, T=0.01, dt=1e-3)
+    with pytest.raises(ValueError, match="no coupled levels"):
+        theta_residual(traj, 0.02, 1.0)
 
 
 def test_trajectory_type_validation():
@@ -266,7 +290,7 @@ def test_trajectory_state_matches_materialized_march():
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_truncated(g0, CUBIC, T=0.02, dt=1e-3, store_every=5)
     march = _march(GRID, _initial_hats(g0), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
-    built = [_materialize(GRID, hats, CUBIC) for i, hats in march if i % 5 == 0]
+    built = [_materialize(GRID, hats) for i, hats in march if i % 5 == 0]
     assert len(built) == len(traj.times) == 5
     for i, ref in enumerate(built):
         for k in (1, 2, 3):

@@ -186,6 +186,28 @@ def test_cauchy_smooth_data_bounded_ratios():
     assert 0 < rep.fitted["eta_hat"] <= 1.0
 
 
+def test_cauchy_marches_each_truncation_once(monkeypatch):
+    # one march per truncation serves every pair; the rows equal those of
+    # the pairs studied one at a time
+    from gphier import studies
+
+    grid = make_grid(1, 4, 2 * np.pi)
+    g0 = _cosine_hierarchy(grid, 5)
+    study = dict(params=PARAMS, spec=CUBIC, T=0.02, dt=2e-3, fit_eta=False)
+    pairs = [cauchy_study(g0, pair, **study).tables["pairs"][0] for pair in ([3, 4], [3, 5], [4, 5])]
+    marched = []
+    real_march = studies._march
+
+    def counting_march(grid, hat0, *args):
+        marched.append(max(hat0))
+        return real_march(grid, hat0, *args)
+
+    monkeypatch.setattr(studies, "_march", counting_march)
+    rows = cauchy_study(g0, [5, 3, 4], **study).tables["pairs"]
+    assert rows == pairs
+    assert sorted(marched) == [3, 4, 5]
+
+
 def test_cauchy_chain_warning():
     grid = make_grid(1, 4, 2 * np.pi)
     g0 = _cosine_hierarchy(grid, 4)
