@@ -39,7 +39,7 @@ from .marginal import HierarchyState, NormParams, _h_alpha_norm_hat, _trace_hat,
 from .nls import BUILTIN_FIELDS, WaveFunction, _compare_nodes, nls_solve
 from .operators import InteractionSpec
 from .snapshots import snapshot_read, snapshot_write
-from .solver import QuadratureRule, _materialize, _oracle_nodes, _volterra_nodes
+from .solver import QuadratureRule, _initial_hats, _materialize, _oracle_nodes, _volterra_nodes
 from .studies import StudyReport, _km_report, boardgame_probe, cauchy_study, strichartz_study
 
 COMMANDS = ("evolve", "nls-compare", "cauchy", "strichartz", "boardgame", "km-report")
@@ -226,15 +226,15 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         params = NormParams(config.alpha, config.xi, config.xi2, config.xi_prime, config.eta)
         if command == "evolve":
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid)
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
             solvers = ["volterra", "oracle"] if config.solver == "both" else [config.solver]
             terminal = {}
             for solver_name in solvers:
                 if solver_name == "volterra":
                     rule = QuadratureRule(config.quadrature)
-                    nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
+                    nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
                 else:
-                    nodes = _oracle_nodes(gamma0, spec, config.T, config.dt, config.store_every)
+                    nodes = _oracle_nodes(grid, hat0, spec, config.T, config.dt, config.store_every)
                 check = _InvariantCheck(grid, spec)
                 per_level, per_state = [], []
                 for t, hats in check.watch(nodes):
@@ -260,10 +260,10 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                 )
         elif command == "nls-compare":
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid)
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
             wave = nls_solve(phi0, spec, config.T, config.dt, config.store_every)
             rule = QuadratureRule(config.quadrature)
-            nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
+            nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)
             rows = _compare_nodes(check.watch(nodes), grid, wave, config.alpha, config.xi)
             write_csv(rows, os.path.join(out_dir, "nls_compare.csv"))
@@ -299,9 +299,9 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             _report_to_files(report, out_dir, "boardgame")
         elif command == "km-report":
             phi0 = _resolve_phi0(config, grid)
-            gamma0 = HierarchyState.factorized(phi0.values, config.N, grid)
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
             rule = QuadratureRule(config.quadrature)
-            nodes = _volterra_nodes(gamma0, spec, config.T, config.dt, rule, config.store_every)
+            nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)
             report = _km_report(check.watch(nodes), grid, spec, params, rule)
             _report_to_files(report, out_dir, "km")

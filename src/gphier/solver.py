@@ -323,40 +323,42 @@ def _sampling(T: float, dt: float, store_every: int | None) -> tuple[int, int]:
 
 
 def _volterra_nodes(
-    gamma0: HierarchyState,
+    grid: TorusGrid,
+    hat0: dict[int, np.ndarray],
     spec: InteractionSpec,
     T: float,
     dt: float,
     rule: QuadratureRule,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, {level: mode tensor}) of the Volterra march, in order."""
+    """Stored nodes (t, {level: mode tensor}) of the Volterra march from the
+    initial mode tensors hat0, in order."""
     S, store_every = _sampling(T, dt, store_every)
-    for i, hats in _march(gamma0.grid, _initial_hats(gamma0), spec, S, dt, rule):
+    for i, hats in _march(grid, hat0, spec, S, dt, rule):
         if i % store_every == 0:
             yield i * dt, hats
 
 
 def _oracle_nodes(
-    gamma0: HierarchyState,
+    grid: TorusGrid,
+    hat0: dict[int, np.ndarray],
     spec: InteractionSpec,
     T: float,
     dt: float,
     store_every: int | None = 1,
 ):
     """Stored nodes (t, {level: mode tensor}) of the integrating-factor RK4
-    oracle, in order.
+    oracle from the initial mode tensors hat0, in order.
 
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
     Runge-Kutta step to this coupling (4th order in dt).
     """
     S, store_every = _sampling(T, dt, store_every)
-    grid = gamma0.grid
-    N, half = gamma0.N, spec.half
+    N, half = max(hat0), spec.half
     coupled = [n for n in range(1, N + 1) if n + half <= N]
     srcs = sorted({n + half for n in coupled})
-    w = _initial_hats(gamma0)
+    w = dict(hat0)
     E = {n: np.ones(w[n].shape, dtype=np.complex128) for n in w}
     E_half = {n: phase_tensor(grid, n, dt / 2) for n in w}
     mu_coef = -1j * spec.mu
@@ -406,7 +408,7 @@ def solve_truncated(
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
     _, stride = _sampling(T, dt, store_every)
-    times, hats = zip(*_volterra_nodes(gamma0, spec, T, dt, rule, store_every))
+    times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, rule, store_every))
     meta = {"solver": "volterra", "quadrature": rule.kind, "dt_integration": dt, "store_every": stride}
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
 
@@ -421,7 +423,7 @@ def solve_oracle(
     """Independent reference integrator for the same truncated linear system
     (the integrating-factor RK4 of _oracle_nodes)."""
     _, stride = _sampling(T, dt, store_every)
-    times, hats = zip(*_oracle_nodes(gamma0, spec, T, dt, store_every))
+    times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, store_every))
     meta = {"solver": "oracle-ifrk4", "quadrature": "rk4", "dt_integration": dt, "store_every": stride}
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
 
@@ -460,24 +462,33 @@ def _duhamel_hat(
     if j == 1:
         # exact phases: t need not be a node
         return phase_tensor(gamma0.grid, n + spec.half, t) * fftn_level(gamma0.level(n + spec.half).data)
-    for hat in _duhamel_nodes(j, n, gamma0, spec, _resolve_steps(t, dt), dt, rule):
+    deep_hat = fftn_level(gamma0.level(n + j * spec.half).data)
+    for hat in _duhamel_nodes(j, n, gamma0.grid, deep_hat, spec, _resolve_steps(t, dt), dt, rule):
         pass
     return hat
 
 
 def _duhamel_nodes(
-    j: int, n: int, gamma0: HierarchyState, spec: InteractionSpec, S: int, dt: float, rule: QuadratureRule
+    j: int,
+    n: int,
+    grid: TorusGrid,
+    deep_hat: np.ndarray,
+    spec: InteractionSpec,
+    S: int,
+    dt: float,
+    rule: QuadratureRule,
 ):
     """Mode tensors of Duh_j(Gamma0)^(n+p/2) at the nodes 0..S, in order.
 
-    The free evolution of the deepest level n + j*p/2 feeds a chain of j-1
-    accumulators with no base, one per nested integral; each is pushed the
-    collapse of every node of the level above as soon as that node is final.
+    deep_hat is the mode tensor of the deepest level n + j*p/2 of Gamma0.
+    Its free evolution feeds a chain of j-1 accumulators with no base, one
+    per nested integral; each is pushed the collapse of every node of the
+    level above as soon as that node is final.
     """
-    half, grid = spec.half, gamma0.grid
+    half = spec.half
     deepest = n + j * half
     chain = [_Volterra(grid, deepest - r * half, spec, dt, rule) for r in range(1, j)]
-    free = _free_nodes(grid, deepest, fftn_level(gamma0.level(deepest).data), dt)
+    free = _free_nodes(grid, deepest, deep_hat, dt)
     for _, hat in zip(range(S + 1), free):
         hats = [hat]
         for r, vol in enumerate(chain):

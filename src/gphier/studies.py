@@ -27,7 +27,6 @@ from .marginal import (
     hermitize,
     hxi_norm,
     symmetrize,
-    tail_norm,
 )
 from .operators import InteractionSpec
 from .solver import (
@@ -257,7 +256,7 @@ def cauchy_study(
             "scale chain xi < eta*xi'' < eta^2*xi' violated; ratios reported anyway"
         )
 
-    hat0_full = {n: fftn_level(gamma0.level(n).data) for n in range(1, N_list[-1] + 1)}
+    hat0_full = {n: fftn_level(gamma0.level(n).data) for n in range(1, gamma0.N + 1)}
     # one march per truncation, all advanced together; every pair reads the shared nodes
     marches = {N: _march(grid, {n: hat0_full[n] for n in range(1, N + 1)}, spec, S, dt, rule) for N in set(N_list)}
     pairs = list(itertools.combinations(N_list, 2))
@@ -289,7 +288,7 @@ def cauchy_study(
         for n, row in bnorms[N1, N2].items():
             series += xi**n * row
         l2_bdiff = l2_in_time(w, series)
-        tail = tail_norm(gamma0, N1, xi_p, alpha)
+        tail = sum(xi_p**n * _h_alpha_norm_hat(hat0_full[n], grid, n, alpha) for n in range(N1 + 1, gamma0.N + 1))
         pair_rows.append(
             {
                 "N1": N1,
@@ -380,13 +379,13 @@ def boardgame_probe(
     for nv in n_values:
         log_ratios = []
         for j in j_values:
-            lhs_nodes = [
-                _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
-                for h in _duhamel_nodes(j, nv, gamma_test, spec, S, dt, rule)
-            ]
-            lhs = l2_in_time(w, lhs_nodes)
             deepest = nv + j * half
             deep_hat = fftn_level(gamma_test.level(deepest).data)
+            lhs_nodes = [
+                _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
+                for h in _duhamel_nodes(j, nv, grid, deep_hat, spec, S, dt, rule)
+            ]
+            lhs = l2_in_time(w, lhs_nodes)
             deep_norm = _h_alpha_norm_hat(deep_hat, grid, deepest, alpha)
             rhs = l2_in_time(w, _free_collapse_norms({deepest: deep_hat}, grid, spec, S, dt, alpha)[deepest - half])
             # normalizers at the rounding floor mean a vanishing collapse

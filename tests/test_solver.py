@@ -302,7 +302,7 @@ def test_oracle_nodes_collect_into_solve_oracle():
     phi = cosine_field(GRID).values
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_oracle(g0, CUBIC, T=0.02, dt=1e-3, store_every=10)
-    nodes = list(_oracle_nodes(g0, CUBIC, 0.02, 1e-3, 10))
+    nodes = list(_oracle_nodes(GRID, _initial_hats(g0), CUBIC, 0.02, 1e-3, 10))
     assert [t for t, _ in nodes] == list(traj.times)
     for (_, hats), ref in zip(nodes, traj.hats):
         for k in (1, 2, 3):
