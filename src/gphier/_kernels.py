@@ -15,6 +15,12 @@ variable at a time, each fold a cyclic shift-add per mode of the folded
 variable: (p - 1) * M^d shift-adds, with one code path for every p and
 d.  Cross-checked elementwise against the real-space operators in the
 test suite.
+
+A product level, the level-k mode tensor of a product state
+prod_j psi(x_j) conj(psi(x'_j)), is held by its M^d factor psi_hat (see
+marginal.ProductLevel), and product_collapse collapses it from that factor:
+pinning puts g = |psi|^p psi into one slot, so the result is a sum of 2k
+outer products of M^d vectors and no M^(2 kappa d) tensor is formed.
 """
 
 from __future__ import annotations
@@ -52,6 +58,42 @@ def fftn_level(data: np.ndarray) -> np.ndarray:
 
 def ifftn_level(hat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(hat, norm="ortho")
+
+
+def conj_negated(hat: np.ndarray) -> np.ndarray:
+    """conj(hat[-r]) on one-particle modes: the unitary DFT of conj(f) when hat is that of f."""
+    axes = tuple(range(hat.ndim))
+    return np.conj(np.roll(np.flip(hat, axes), 1, axes))
+
+
+def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
+    """Mode-space B_{k+p/2} of the level-kappa product level with factor psi_hat.
+
+    The result equals fourier_collapse of the dense tensor.  In real space
+    B^+_j puts g = |psi|^p psi in place of psi in unprimed slot j, and B^-_j
+    puts conj(g) in primed slot j, so with u = psi_hat, v = conj(u[-r]) and
+    g_hat, g_bar alike, the output is
+        sum_j u..g_hat(slot j)..u (x) v^k  -  u^k (x) sum_j v..g_bar(slot j)..v.
+    """
+    k = kappa - half
+    if k < 1:
+        raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
+    psi = ifftn_level(psi_hat)
+    g_hat = fftn_level(np.abs(psi) ** (2 * half) * psi)
+
+    def power_and_slot_sum(f: np.ndarray, f_slot: np.ndarray):
+        # f^(x k) and the sum over j of f^(x k) with f_slot in slot j
+        power, slot_sum = f, f_slot
+        for _ in range(k - 1):
+            slot_sum = np.multiply.outer(slot_sum, f) + np.multiply.outer(power, f_slot)
+            power = np.multiply.outer(power, f)
+        return power, slot_sum
+
+    u_power, u_sum = power_and_slot_sum(psi_hat, g_hat)
+    v_power, v_sum = power_and_slot_sum(conj_negated(psi_hat), conj_negated(g_hat))
+    out = np.multiply.outer(u_sum, v_power)
+    out -= np.multiply.outer(u_power, v_sum)
+    return out
 
 
 def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtract: bool = False) -> None:

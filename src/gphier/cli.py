@@ -55,6 +55,10 @@ def main(argv=None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     try:
         return run_experiment(config, args.command, args.out_dir)
+    except ConfigError as exc:
+        # the manifest already records the failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except MemoryGuardError as exc:
         # the manifest already records the failure
         print(f"error: {exc}", file=sys.stderr)

@@ -7,16 +7,22 @@ excluded from the byte-identity contract.
 
 evolve, nls-compare and km-report stream the solver's stored nodes
 ({level: mode tensor} dicts) into their consumers and keep no list of
-nodes.  Norms and traces come from the mode tensors: the H^alpha norm of
-each level once per node (norm_Hxi_alpha is the xi-weighted sum of those
-numbers), the trace as h^(dk) * sum_r hat[r; -r], and Theta = B Gamma by
-the mode-space collapse, once per node.  Only the structural invariants
-and the NLS comparison work in real space: each node's state is built,
-used and dropped.
+nodes.  The free top p/2 levels of the factorized initial data are product
+levels (marginal.ProductLevel), held by one M^d factor.  Norms and traces
+come from the mode tensors: the H^alpha norm of each level once per node
+(norm_Hxi_alpha is the xi-weighted sum of those numbers), the trace as
+h^(dk) * sum_r hat[r; -r] (closed forms on a product level), and
+Theta = B Gamma by the mode-space collapse, once per node.  Only the
+structural invariants of the dense levels and the NLS comparison work in
+real space: each level is built, used and dropped.
 
 Column dictionary (CSV headers follow the estimate symbols):
   norm_Halpha      per-level H^alpha norm of gamma^(k)
   norm_Hxi_alpha   xi-weighted sequence norm of the state
+  trace_drift, herm_defect, sym_defect
+                   per-level invariant drifts; on a free level of
+                   factorized data (a product level) herm_defect and
+                   sym_defect are 0 by construction
   tail_xi_prime    ||P_{>N1} Gamma_0|| at weight xi'
   bdiff_l2         L2-in-time H_xi norm of B(Gamma_N1 - Gamma_N2)
   traj_diff_sup    sup-in-time H_xi norm of Gamma_N1 - Gamma_N2
@@ -35,7 +41,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .grid import make_grid
-from .marginal import HierarchyState, NormParams, _h_alpha_norm_hat, _trace_hat, validate_marginal
+from .marginal import HierarchyState, NormParams, _h_alpha_norm_hat, _hat_difference, _trace_hat, _validate_hat
 from .nls import BUILTIN_FIELDS, WaveFunction, _compare_nodes, nls_solve
 from .operators import InteractionSpec
 from .snapshots import snapshot_read, snapshot_write
@@ -127,17 +133,18 @@ def _structural_invariants(
 ) -> tuple[list[dict], dict[int, complex], str | None]:
     """Trace-drift and defect rows of one node, its traces, and its first violation.
 
-    Builds the node's real-space state, checks every level there and drops
-    the state.  Drift is measured against init_traces, the traces at t=0
-    (None for the first node, which is its own reference).
+    Checks each dense level in real space, one level at a time; a product
+    level has zero defects and its closed-form trace.  Drift is measured
+    against init_traces, the traces at t=0 (None for the first node, which
+    is its own reference).  Every comparison is written so that NaN fails.
     """
-    state = _materialize(grid, hats)
+    N = max(hats)
     rows, traces, failure = [], {}, None
-    for k in range(1, state.N + 1):
-        rep = validate_marginal(state.level(k), check_positivity=False)
+    for k in range(1, N + 1):
+        rep = _validate_hat(hats[k], grid, k)
         traces[k] = rep.trace
         drift = abs(rep.trace - (init_traces or traces)[k])
-        free = k + spec.half > state.N
+        free = k + spec.half > N
         rows.append(
             {
                 "t": float(t),
@@ -150,9 +157,9 @@ def _structural_invariants(
         )
         limit = 1e-12 if free else 1e-8
         checks = (
-            ("trace conservation", drift > limit, f"drift {drift:.3e} > {limit}"),
-            ("hermiticity preservation", rep.hermiticity_defect > 1e-9, f"defect {rep.hermiticity_defect:.3e}"),
-            ("permutation symmetry preservation", rep.symmetry_defect > 1e-9, f"defect {rep.symmetry_defect:.3e}"),
+            ("trace conservation", not drift <= limit, f"drift {drift:.3e} > {limit}"),
+            ("hermiticity preservation", not rep.hermiticity_defect <= 1e-9, f"defect {rep.hermiticity_defect:.3e}"),
+            ("permutation symmetry preservation", not rep.symmetry_defect <= 1e-9, f"defect {rep.symmetry_defect:.3e}"),
         )
         for name, violated, detail in checks:
             if failure is None and violated:
@@ -221,12 +228,13 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
     t_start = time.perf_counter()
     status, error = 0, None
     try:
+        config.check_command(command)
         grid = make_grid(config.d, config.M, config.L)
         spec = InteractionSpec(config.p, config.mu)
         params = NormParams(config.alpha, config.xi, config.xi2, config.xi_prime, config.eta)
         if command == "evolve":
             phi0 = _resolve_phi0(config, grid)
-            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid), spec)
             solvers = ["volterra", "oracle"] if config.solver == "both" else [config.solver]
             terminal = {}
             for solver_name in solvers:
@@ -249,9 +257,9 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                     final = _materialize(grid, terminal[solver_name])
                     snapshot_write(final, os.path.join(out_dir, f"evolve_{solver_name}_final.gph"))
             if len(terminal) == 2:
+                vol, orc = terminal["volterra"], terminal["oracle"]
                 dist = sum(
-                    config.xi**k
-                    * _h_alpha_norm_hat(terminal["volterra"][k] - terminal["oracle"][k], grid, k, config.alpha)
+                    config.xi**k * _h_alpha_norm_hat(_hat_difference(vol[k], orc[k]), grid, k, config.alpha)
                     for k in range(1, config.N + 1)
                 )
                 write_csv(
@@ -260,7 +268,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                 )
         elif command == "nls-compare":
             phi0 = _resolve_phi0(config, grid)
-            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid), spec)
             wave = nls_solve(phi0, spec, config.T, config.dt, config.store_every)
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
@@ -299,7 +307,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             _report_to_files(report, out_dir, "boardgame")
         elif command == "km-report":
             phi0 = _resolve_phi0(config, grid)
-            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid), spec)
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)

@@ -36,7 +36,8 @@ class TorusGrid:
 
 
 def make_grid(d: int, M: int, L: float) -> TorusGrid:
-    """Build a torus grid; rejects odd M, M < 4, and nonpositive or infinite L."""
+    """Build a torus grid; rejects odd M, M < 4, nonpositive or infinite L, and
+    an L so small that the wavenumbers 2*pi*m/L are not finite."""
     if d < 1:
         raise ValueError(f"spatial dimension must be >= 1, got d={d}")
     if M < 4:
@@ -48,7 +49,10 @@ def make_grid(d: int, M: int, L: float) -> TorusGrid:
     # symmetric alias in (-M/2, M/2]; fftfreq puts the Nyquist mode at -M/2
     alias = np.fft.fftfreq(M, d=1.0 / M)
     alias[M // 2] = M // 2
-    p = 2.0 * np.pi * alias / L
+    with np.errstate(over="ignore"):
+        p = 2.0 * np.pi * alias / L
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"period length L={L} gives non-finite wavenumbers 2*pi*m/L")
     p.setflags(write=False)
     return TorusGrid(d=d, M=M, L=float(L), h=L / M, wavenumbers=p)
 

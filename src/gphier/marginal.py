@@ -7,6 +7,16 @@ permutations of the unprimed and primed slots, and trace one.
 
 All torus integrals are Riemann sums with weight h^d per integrated
 variable, so trace/norm identities are exact for band-limited data.
+
+The solvers hold each level as its mode tensor (unitary DFT of the
+kernel).  A level of factorized data that evolves freely is a product
+level (ProductLevel): the one-particle factor psi_hat stands for the whole
+M^(2kd) tensor.  Its H^alpha norm and trace are closed forms in psi_hat,
+it is hermitean and symmetric by construction, and dense() builds the
+tensor for the consumers that need one (marginal() the real-space
+kernel).  The memory guard counts only dense levels.  The mode-space
+helpers below (_h_alpha_norm_hat, _trace_hat, _collapse_hat, _validate_hat,
+_hat_difference, _dense_hat, _marginal_of) accept either kind.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import TorusGrid, sobolev_weights, transform
+from ._kernels import conj_negated, fourier_collapse, ifftn_level, product_collapse
+from .grid import TorusGrid, phase_weights, sobolev_weights, transform
 
 #: Dense tensors above this element count are refused
 #: (guards against accidental 100+ GB allocations; 2^28 complex128 = 4 GiB).
@@ -90,16 +101,21 @@ def zero_marginal(grid: TorusGrid, k: int) -> Marginal:
     return Marginal(grid, k, np.zeros(shape, dtype=np.complex128))
 
 
-def factorized_marginal(phi: np.ndarray, k: int, grid: TorusGrid) -> Marginal:
-    """Product-state kernel prod_j phi(x_j) conj(phi(x'_j)).
-
-    Trace equals ||phi||_{L2}^{2k}, so unit-normalized phi gives trace one.
-    """
+def _field(phi: np.ndarray, grid: TorusGrid) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (grid.M,) * grid.d:
         raise ValueError(
             f"field shape {phi.shape} does not match grid (M={grid.M}, d={grid.d})"
         )
+    return phi
+
+
+def factorized_marginal(phi: np.ndarray, k: int, grid: TorusGrid) -> Marginal:
+    """Product-state kernel prod_j phi(x_j) conj(phi(x'_j)).
+
+    Trace equals ||phi||_{L2}^{2k}, so unit-normalized phi gives trace one.
+    """
+    phi = _field(phi, grid)
     if k < 1:
         raise ValueError(f"particle number must be >= 1, got k={k}")
     _check_memory_guard(grid, k)
@@ -225,8 +241,8 @@ def h_alpha_norm(gamma: Marginal, alpha: float) -> float:
     return _h_alpha_norm_hat(hat, gamma.grid, gamma.k, alpha)
 
 
-def _h_alpha_norm_hat(hat: np.ndarray, grid: TorusGrid, k: int, alpha: float) -> float:
-    """H^alpha norm from the Fourier representation (internal fast path)."""
+def _weighted_square_sum(hat: np.ndarray, grid: TorusGrid, alpha: float) -> float:
+    """sum |hat|^2 times the squared Bessel weight of every axis."""
     acc = np.abs(hat) ** 2
     if alpha != 0:
         w2 = sobolev_weights(grid, alpha) ** 2
@@ -234,15 +250,115 @@ def _h_alpha_norm_hat(hat: np.ndarray, grid: TorusGrid, k: int, alpha: float) ->
             shape = [1] * acc.ndim
             shape[ax] = grid.M
             acc *= w2.reshape(shape)
-    return float(np.sqrt(acc.sum()) * grid.h ** (grid.d * k))
+    return acc.sum()
 
 
-def _trace_hat(hat: np.ndarray, grid: TorusGrid, k: int) -> complex:
+@dataclass(frozen=True, eq=False)
+class ProductLevel:
+    """Level-k mode tensor of the product state prod_j psi(x_j) conj(psi(x'_j)).
+
+    psi_hat is the unitary DFT of psi on the M^d one-particle modes.  The
+    tensor it stands for is psi_hat^(x k) (x) conj(psi_hat[-r])^(x k), since
+    the DFT of conj(psi) is conj(psi_hat[-r]).
+    """
+
+    grid: TorusGrid
+    k: int
+    psi_hat: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the dense mode tensor."""
+        return (self.grid.M,) * self.grid.axis_count(self.k)
+
+    def dense(self) -> np.ndarray:
+        _check_memory_guard(self.grid, self.k)
+        out = self.psi_hat
+        psi_bar = conj_negated(self.psi_hat)
+        for f in [self.psi_hat] * (self.k - 1) + [psi_bar] * self.k:
+            out = np.multiply.outer(out, f)
+        return out
+
+    def marginal(self) -> Marginal:
+        """The real-space level: the product kernel of psi, the inverse DFT of psi_hat."""
+        return factorized_marginal(ifftn_level(self.psi_hat), self.k, self.grid)
+
+    def h_alpha_norm(self, alpha: float) -> float:
+        """(h^d sum_r w(r)^2 |psi_hat(r)|^2)^k: the primed factor gives the
+        same sum as the unprimed one, because the weights are even in r."""
+        return float((_weighted_square_sum(self.psi_hat, self.grid, alpha) * self.grid.h**self.grid.d) ** self.k)
+
+    def trace(self) -> complex:
+        """(h^d sum_r |psi_hat(r)|^2)^k = ||psi||_{L2}^{2k}."""
+        return complex(self.h_alpha_norm(0.0))
+
+    def evolved(self, t: float) -> "ProductLevel":
+        """U(t) of the level: psi_hat(t) = exp(-i t |p|^2) psi_hat, exact at every t."""
+        ph = phase_weights(self.grid, t, "unprimed")
+        psi_hat = self.psi_hat
+        for ax in range(self.grid.d):
+            shape = [1] * self.grid.d
+            shape[ax] = self.grid.M
+            psi_hat = psi_hat * ph.reshape(shape)
+        return ProductLevel(self.grid, self.k, psi_hat)
+
+    def collapse(self, half: int) -> np.ndarray:
+        """Dense mode tensor of B_{k} of this level, down to level k - half."""
+        _check_memory_guard(self.grid, self.k - half)
+        return product_collapse(self.psi_hat, self.grid, self.k, half)
+
+
+def _dense_hat(hat: np.ndarray | ProductLevel) -> np.ndarray:
+    return hat.dense() if isinstance(hat, ProductLevel) else hat
+
+
+def _marginal_of(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> Marginal:
+    """Real-space level-k marginal of a mode tensor or product level."""
+    if isinstance(hat, ProductLevel):
+        return hat.marginal()
+    return Marginal(grid, k, ifftn_level(hat))
+
+
+def _collapse_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
+    """Mode-space collapse of a level-kappa mode tensor or product level."""
+    if isinstance(hat, ProductLevel):
+        return hat.collapse(half)
+    return fourier_collapse(hat, grid, kappa, half)
+
+
+def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) -> np.ndarray | ProductLevel:
+    """a - b of two level mode tensors; product levels with equal factors give the zero product."""
+    if isinstance(a, ProductLevel) and isinstance(b, ProductLevel) and np.array_equal(a.psi_hat, b.psi_hat):
+        return ProductLevel(a.grid, a.k, np.zeros_like(a.psi_hat))
+    return _dense_hat(a) - _dense_hat(b)
+
+
+def _validate_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> ValidationReport:
+    """validate_marginal of a level given in mode space, without positivity.
+
+    A product level is hermitean and symmetric by construction: its defects
+    are exactly 0 and its trace is the closed form.
+    """
+    if isinstance(hat, ProductLevel):
+        return ValidationReport(0.0, 0.0, hat.trace(), None, None, True)
+    return validate_marginal(_marginal_of(hat, grid, k), check_positivity=False)
+
+
+def _h_alpha_norm_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, alpha: float) -> float:
+    """H^alpha norm from the Fourier representation (internal fast path)."""
+    if isinstance(hat, ProductLevel):
+        return hat.h_alpha_norm(alpha)
+    return float(np.sqrt(_weighted_square_sum(hat, grid, alpha)) * grid.h ** (grid.d * k))
+
+
+def _trace_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> complex:
     """Trace from the Fourier representation: h^(dk) * sum_r hat[r; -r].
 
     The unitary DFT turns the diagonal sum over x = x' into a sum over
     antidiagonal mode pairs r' = -r (mod M).
     """
+    if isinstance(hat, ProductLevel):
+        return hat.trace()
     shape = (grid.M,) * (grid.d * k)
     n = grid.M ** (grid.d * k)
     modes = np.indices(shape).reshape(len(shape), n)
@@ -250,48 +366,56 @@ def _trace_hat(hat: np.ndarray, grid: TorusGrid, k: int) -> complex:
     return complex(hat.reshape(n, n)[np.arange(n), neg].sum() * grid.h ** (grid.d * k))
 
 
-def _hxi_norm_hat(hats: dict[int, np.ndarray], grid: TorusGrid, xi: float, alpha: float) -> float:
+def _hxi_norm_hat(hats: dict[int, np.ndarray | ProductLevel], grid: TorusGrid, xi: float, alpha: float) -> float:
     """hxi_norm of the state whose level-k mode tensor is hats[k], k = 1..N."""
     if not 0 < xi < 1:
         raise ValueError(f"weight xi must lie in (0, 1), got {xi}")
     return sum(xi**k * _h_alpha_norm_hat(hats[k], grid, k, alpha) for k in sorted(hats))
 
 
-@dataclass
 class HierarchyState:
     """Finite sequence of marginals (gamma^(1), ..., gamma^(N)); levels above N are zero.
 
     A state is only the sequence: the interaction order p and the coupling
     mu belong to the equation, and the solvers take them as an InteractionSpec.
+    A factorized state keeps its one-particle field phi (None for any other
+    state) and builds a dense level only when level(n) asks for it.
     """
 
-    grid: TorusGrid
-    levels: list[Marginal]
-
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, grid: TorusGrid, levels: list[Marginal]):
+        if not levels:
             raise ValueError("hierarchy state needs at least one level")
-        for n, g in enumerate(self.levels, start=1):
+        for n, g in enumerate(levels, start=1):
             if g.k != n:
                 raise ValueError(f"slot {n} holds a level-{g.k} marginal")
-            if g.grid is not self.grid and g.grid != self.grid:
+            if g.grid is not grid and g.grid != grid:
                 raise ValueError("all levels must share one grid")
+        self.grid = grid
+        self.N = len(levels)
+        self.phi: np.ndarray | None = None
+        self._built = dict(enumerate(levels, start=1))
 
     @property
-    def N(self) -> int:
-        return len(self.levels)
+    def levels(self) -> list[Marginal]:
+        return [self.level(n) for n in range(1, self.N + 1)]
 
     def level(self, n: int) -> Marginal:
         """Level n; queries above the truncation return the zero marginal."""
         if n < 1:
             raise ValueError(f"level index must be >= 1, got {n}")
-        if n <= self.N:
-            return self.levels[n - 1]
-        return zero_marginal(self.grid, n)
+        if n > self.N:
+            return zero_marginal(self.grid, n)
+        if n not in self._built:
+            self._built[n] = factorized_marginal(self.phi, n, self.grid)
+        return self._built[n]
 
     @classmethod
     def factorized(cls, phi: np.ndarray, N: int, grid: TorusGrid) -> "HierarchyState":
-        return cls(grid, [factorized_marginal(phi, k, grid) for k in range(1, N + 1)])
+        if N < 1:
+            raise ValueError(f"truncation level must be >= 1, got N={N}")
+        state = cls.__new__(cls)
+        state.grid, state.N, state.phi, state._built = grid, N, _field(phi, grid).copy(), {}
+        return state
 
     @classmethod
     def zero(cls, grid: TorusGrid, N: int) -> "HierarchyState":
@@ -302,7 +426,11 @@ class HierarchyState:
         if N1 < 1:
             raise ValueError(f"truncation level must be >= 1, got {N1}")
         N1 = min(N1, self.N)
-        return HierarchyState(self.grid, self.levels[:N1])
+        if self.phi is None:
+            return HierarchyState(self.grid, self.levels[:N1])
+        state = HierarchyState.factorized(self.phi, N1, self.grid)
+        state._built = self._built
+        return state
 
 
 def hxi_norm(state: HierarchyState, xi: float, alpha: float) -> float:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid, phase_weights
-from ._kernels import ifftn_level
-from .marginal import Marginal, factorized_marginal, h_alpha_norm
+from .marginal import _marginal_of, factorized_marginal, h_alpha_norm
 from .operators import InteractionSpec
 from .solver import Trajectory, _sampling
 
@@ -135,7 +134,7 @@ def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alph
         row = {"t": float(t)}
         for k in sorted(hats):
             target = factorized_marginal(wave_trajectory.fields[i].values, k, grid)
-            row[f"level_{k}_error"] = h_alpha_norm(Marginal(grid, k, ifftn_level(hats[k])) - target, alpha)
+            row[f"level_{k}_error"] = h_alpha_norm(_marginal_of(hats[k], grid, k) - target, alpha)
         row["hxi_error"] = sum(xi**k * row[f"level_{k}_error"] for k in sorted(hats))
         rows.append(row)
     if len(rows) != len(wave_trajectory.times):

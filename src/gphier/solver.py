@@ -20,6 +20,15 @@ route.  Both collect the stored nodes of a generator (_volterra_nodes,
 _oracle_nodes) that yields each node as a {level: mode tensor} dict; a
 Trajectory keeps those dicts and builds real space one node at a time.
 
+For factorized data the free levels are product levels
+(marginal.ProductLevel): U(t) of prod psi(x_j) conj(psi(x'_j)) is the
+product of psi(t), psi_hat(t) = exp(-i t |p|^2) psi_hat, so a free level
+is one M^d factor with exact phases at every node, and its collapse is the
+rank-one product_collapse.  _level_hat makes that choice, for the free top
+p/2 levels of the truncated system, the deepest level of a Duhamel term
+and the free levels of the oracle and of the Theta residual; every coupled
+level stays a dense mode tensor.
+
 Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
 i.e. prefactor (-i*mu)^(j-1) with j-1 nested integrals, which is the
@@ -30,14 +39,24 @@ one term through a chain of j-1 accumulators with no base.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
+from ._kernels import fftn_level, ifftn_level, phase_tensor
 from .grid import TorusGrid
-from .marginal import HierarchyState, Marginal, _h_alpha_norm_hat, zero_marginal
+from .marginal import (
+    HierarchyState,
+    Marginal,
+    ProductLevel,
+    _collapse_hat,
+    _dense_hat,
+    _h_alpha_norm_hat,
+    _marginal_of,
+    zero_marginal,
+)
 from .operators import InteractionSpec
 
 
@@ -51,16 +70,20 @@ class QuadratureRule:
         if self.kind not in ("trapezoid", "simpson"):
             raise ValueError(f"quadrature kind must be 'trapezoid' or 'simpson', got {self.kind!r}")
 
+    def on(self, S: int) -> "QuadratureRule":
+        """The rule applied on S intervals: Simpson needs two, so S=1 falls back to the trapezoid."""
+        return QuadratureRule("trapezoid") if S == 1 else self
+
     def weights(self, S: int, dt: float) -> np.ndarray:
         """Node weights for int_0^{S*dt} on S+1 uniform nodes.
 
         Simpson uses plain pairs for even S and a 3/8 block on the last
-        three intervals for odd S >= 3 (S=1 falls back to the trapezoid).
+        three intervals for odd S >= 3 (see on() for S=1).
         """
         if S < 1:
             raise ValueError(f"need at least one interval, got S={S}")
         w = np.zeros(S + 1)
-        if self.kind == "trapezoid" or S == 1:
+        if self.on(S).kind == "trapezoid":
             w[:] = dt
             w[0] = w[-1] = dt / 2
             return w
@@ -147,6 +170,12 @@ def _resolve_steps(T: float, dt: float) -> int:
     return S
 
 
+def _check_coupled(N: int, spec: InteractionSpec) -> None:
+    """A truncation at N has a coupled level, one the collapse reaches, only if N >= 1 + p/2."""
+    if N < 1 + spec.half:
+        raise ValueError(f"N >= {1 + spec.half} for a coupled level at p={spec.p}, got N={N}")
+
+
 def _phases(grid: TorusGrid, level: int, dt: float):
     """U(i*dt) on level-`level` modes for i = 0, 1, 2, ...
 
@@ -160,11 +189,18 @@ def _phases(grid: TorusGrid, level: int, dt: float):
         np.multiply(P, step, out=P)
 
 
-def _free_nodes(grid: TorusGrid, level: int, hat: np.ndarray, dt: float):
-    """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself."""
+def _free_nodes(grid: TorusGrid, level: int, hat: np.ndarray | ProductLevel, dt: float):
+    """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself.
+
+    A product level takes the exact phases of each node on its M^d factor;
+    a dense level is advanced by one phase stream.
+    """
+    yield hat
+    if isinstance(hat, ProductLevel):
+        for i in itertools.count(1):
+            yield hat.evolved(i * dt)
     phases = _phases(grid, level, dt)
     next(phases)
-    yield hat
     for P in phases:
         yield P * hat
 
@@ -216,22 +252,22 @@ def _march(
 ):
     """Lockstep Fourier-space march of all levels; yields (node, states) in order.
 
-    The top p/2 levels are phase streams.  Each coupled level n is a
-    _Volterra accumulator, pushed the collapse of every node of level
-    n + p/2 as soon as that node is final.  Yielded dicts map level -> mode
-    tensor and are never mutated afterwards.
+    The top p/2 levels are free streams (hat0 may hold them as product
+    levels).  Each coupled level n is a _Volterra accumulator, started from
+    its dense hat0[n] and pushed the collapse of every node of level n + p/2
+    as soon as that node is final.  Yielded dicts map level -> mode tensor
+    or product level and are never mutated afterwards.
     """
     N, half = max(hat0), spec.half
-    if rule.kind == "simpson" and S < 2:
-        raise ValueError("the Simpson march needs at least two time steps")
+    rule = rule.on(S)
     free = {n: _free_nodes(grid, n, hat0[n], dt) for n in hat0 if n + half > N}
     vol = {n: _Volterra(grid, n, spec, dt, rule, base=hat0[n]) for n in hat0 if n + half <= N}
     nodes: dict[int, dict[int, np.ndarray]] = {}
 
-    def settle(n: int, s: int, hat: np.ndarray) -> None:
+    def settle(n: int, s: int, hat: np.ndarray | ProductLevel) -> None:
         nodes.setdefault(s, {})[n] = hat
         if n - half in vol:
-            for s2, hat2 in vol[n - half].push(fourier_collapse(hat, grid, n, half)):
+            for s2, hat2 in vol[n - half].push(_collapse_hat(hat, grid, n, half)):
                 settle(n - half, s2, hat2)
 
     next_yield = 0
@@ -262,9 +298,10 @@ class Trajectory:
     """Time-sampled hierarchy states on a uniform grid over [0, T].
 
     Each stored node is kept as the solver produced it: a dict mapping
-    level n = 1..N to its mode tensor (unitary DFT of the level-n kernel).
-    Norms and collapses read these directly; state(i) builds the
-    real-space HierarchyState of one node on request.
+    level n = 1..N to its mode tensor (unitary DFT of the level-n kernel)
+    or, for a free level of factorized data, its ProductLevel.  Norms and
+    collapses read these directly; state(i) builds the real-space
+    HierarchyState of one node on request.
     """
 
     times: np.ndarray
@@ -302,12 +339,25 @@ class Trajectory:
         return [self.state(i) for i in range(len(self.times))]
 
 
-def _initial_hats(state: HierarchyState) -> dict[int, np.ndarray]:
-    return {n: fftn_level(state.level(n).data) for n in range(1, state.N + 1)}
+def _level_hat(state: HierarchyState, n: int, free: bool) -> np.ndarray | ProductLevel:
+    """Mode representation of level n of state.
+
+    This is where a level becomes a product level: when the state is
+    factorized and the caller only evolves the level freely (or reads its
+    norms).  Every other level is the dense mode tensor.
+    """
+    if free and state.phi is not None:
+        return ProductLevel(state.grid, n, fftn_level(state.phi))
+    return fftn_level(state.level(n).data)
 
 
-def _materialize(grid: TorusGrid, hats: dict[int, np.ndarray]) -> HierarchyState:
-    return HierarchyState(grid, [Marginal(grid, n, ifftn_level(hats[n])) for n in sorted(hats)])
+def _initial_hats(state: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray | ProductLevel]:
+    """Initial data of the truncated system; the free top p/2 levels of a factorized state are product levels."""
+    return {n: _level_hat(state, n, free=n + spec.half > state.N) for n in range(1, state.N + 1)}
+
+
+def _materialize(grid: TorusGrid, hats: dict[int, np.ndarray | ProductLevel]) -> HierarchyState:
+    return HierarchyState(grid, [_marginal_of(hats[n], grid, n) for n in sorted(hats)])
 
 
 def _sampling(T: float, dt: float, store_every: int | None) -> tuple[int, int]:
@@ -352,22 +402,28 @@ def _oracle_nodes(
 
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
-    Runge-Kutta step to this coupling (4th order in dt).
+    Runge-Kutta step to this coupling (4th order in dt).  A free level is
+    constant in this frame; a product level takes its exact phases at each
+    stage time, and only dense levels carry phase tensors E.
     """
     S, store_every = _sampling(T, dt, store_every)
     N, half = max(hat0), spec.half
     coupled = [n for n in range(1, N + 1) if n + half <= N]
     srcs = sorted({n + half for n in coupled})
     w = dict(hat0)
-    E = {n: np.ones(w[n].shape, dtype=np.complex128) for n in w}
-    E_half = {n: phase_tensor(grid, n, dt / 2) for n in w}
+    dense = [n for n in w if not isinstance(w[n], ProductLevel)]
+    E = {n: np.ones(w[n].shape, dtype=np.complex128) for n in dense}
+    E_half = {n: phase_tensor(grid, n, dt / 2) for n in dense}
     mu_coef = -1j * spec.mu
 
-    def F(E_t: dict[int, np.ndarray], w_t: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        real_frame = {m: E_t[m] * w_t[m] for m in srcs}
+    def frame(t: float, E_t: dict[int, np.ndarray], w_t: dict, m: int):
+        # U(t) w_t[m]: level m of the state at stage time t
+        return w_t[m].evolved(t) if isinstance(w_t[m], ProductLevel) else E_t[m] * w_t[m]
+
+    def F(t: float, E_t: dict[int, np.ndarray], w_t: dict) -> dict[int, np.ndarray]:
         out = {}
         for n in coupled:
-            g = fourier_collapse(real_frame[n + half], grid, n + half, half)
+            g = _collapse_hat(frame(t, E_t, w_t, n + half), grid, n + half, half)
             out[n] = mu_coef * np.conj(E_t[n]) * g
         return out
 
@@ -377,17 +433,17 @@ def _oracle_nodes(
     # levels of w are rebound, never written in place, so a yielded dict stays valid
     yield 0.0, dict(w)
     for i in range(1, S + 1):
-        E_mid = {n: E[n] * E_half[n] for n in w}
-        E_end = {n: E_mid[n] * E_half[n] for n in w}
-        k1 = F(E, w)
-        k2 = F(E_mid, axpy(w, dt / 2, k1))
-        k3 = F(E_mid, axpy(w, dt / 2, k2))
-        k4 = F(E_end, axpy(w, dt, k3))
+        E_mid = {n: E[n] * E_half[n] for n in dense}
+        E_end = {n: E_mid[n] * E_half[n] for n in dense}
+        k1 = F((i - 1) * dt, E, w)
+        k2 = F((i - 0.5) * dt, E_mid, axpy(w, dt / 2, k1))
+        k3 = F((i - 0.5) * dt, E_mid, axpy(w, dt / 2, k2))
+        k4 = F(i * dt, E_end, axpy(w, dt, k3))
         for n in coupled:
             w[n] = w[n] + (dt / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
         E = E_end
         if i % store_every == 0:
-            yield i * dt, {n: E[n] * w[n] for n in w}
+            yield i * dt, {n: frame(i * dt, E, w, n) for n in w}
 
 
 def solve_truncated(
@@ -408,7 +464,7 @@ def solve_truncated(
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
     _, stride = _sampling(T, dt, store_every)
-    times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, rule, store_every))
+    times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0, spec), spec, T, dt, rule, store_every))
     meta = {"solver": "volterra", "quadrature": rule.kind, "dt_integration": dt, "store_every": stride}
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
 
@@ -423,7 +479,7 @@ def solve_oracle(
     """Independent reference integrator for the same truncated linear system
     (the integrating-factor RK4 of _oracle_nodes)."""
     _, stride = _sampling(T, dt, store_every)
-    times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, store_every))
+    times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0, spec), spec, T, dt, store_every))
     meta = {"solver": "oracle-ifrk4", "quadrature": "rk4", "dt_integration": dt, "store_every": stride}
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
 
@@ -452,17 +508,23 @@ def duhamel_term(
     if n + j * spec.half > gamma0.N or (j > 1 and t <= 0):
         return zero_marginal(grid, n + spec.half)
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    return Marginal(grid, n + spec.half, ifftn_level(_duhamel_hat(j, n, gamma0, spec, t, dt, rule)))
+    return _marginal_of(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + spec.half)
 
 
 def _duhamel_hat(
     j: int, n: int, gamma0: HierarchyState, spec: InteractionSpec, t: float, dt: float, rule: QuadratureRule
-) -> np.ndarray:
-    """Mode tensor of duhamel_term for n + j*p/2 <= N (and t > 0 when j > 1)."""
+) -> np.ndarray | ProductLevel:
+    """Mode tensor of duhamel_term for n + j*p/2 <= N (and t > 0 when j > 1).
+
+    The deepest level n + j*p/2 only evolves freely, so factorized data
+    keeps it as a product level.
+    """
+    deep_hat = _level_hat(gamma0, n + j * spec.half, free=True)
     if j == 1:
         # exact phases: t need not be a node
-        return phase_tensor(gamma0.grid, n + spec.half, t) * fftn_level(gamma0.level(n + spec.half).data)
-    deep_hat = fftn_level(gamma0.level(n + j * spec.half).data)
+        if isinstance(deep_hat, ProductLevel):
+            return deep_hat.evolved(t)
+        return phase_tensor(gamma0.grid, n + spec.half, t) * deep_hat
     for hat in _duhamel_nodes(j, n, gamma0.grid, deep_hat, spec, _resolve_steps(t, dt), dt, rule):
         pass
     return hat
@@ -472,7 +534,7 @@ def _duhamel_nodes(
     j: int,
     n: int,
     grid: TorusGrid,
-    deep_hat: np.ndarray,
+    deep_hat: np.ndarray | ProductLevel,
     spec: InteractionSpec,
     S: int,
     dt: float,
@@ -480,20 +542,22 @@ def _duhamel_nodes(
 ):
     """Mode tensors of Duh_j(Gamma0)^(n+p/2) at the nodes 0..S, in order.
 
-    deep_hat is the mode tensor of the deepest level n + j*p/2 of Gamma0.
+    deep_hat is the mode tensor (or product level) of the deepest level
+    n + j*p/2 of Gamma0.
     Its free evolution feeds a chain of j-1 accumulators with no base, one
     per nested integral; each is pushed the collapse of every node of the
     level above as soon as that node is final.
     """
     half = spec.half
     deepest = n + j * half
+    rule = rule.on(S)
     chain = [_Volterra(grid, deepest - r * half, spec, dt, rule) for r in range(1, j)]
     free = _free_nodes(grid, deepest, deep_hat, dt)
     for _, hat in zip(range(S + 1), free):
         hats = [hat]
         for r, vol in enumerate(chain):
             src = deepest - r * half
-            hats = [x for h in hats for _, x in vol.push(fourier_collapse(h, grid, src, half))]
+            hats = [x for h in hats for _, x in vol.push(_collapse_hat(h, grid, src, half))]
         yield from hats
 
 
@@ -514,7 +578,7 @@ def reconstruct_bhat(
     out = np.zeros((grid.M,) * grid.axis_count(n), dtype=np.complex128)
     j = 1
     while n + j * half <= gamma0.N and (j == 1 or t > 0):
-        out += fourier_collapse(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + half, half)
+        out += _collapse_hat(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + half, half)
         j += 1
     return Marginal(grid, n, ifftn_level(out))
 
@@ -544,15 +608,18 @@ def theta_residual(
     return l2_in_time(rule.weights(len(thetas) - 1, trajectory.dt), norms)
 
 
-def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray]:
-    """Mode tensors of the reference levels that the Theta residual collapses."""
-    return {m: fftn_level(reference_data.level(m).data) for m in range(1 + spec.half, reference_data.N + 1)}
+def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray | ProductLevel]:
+    """Mode representations of the reference levels that the Theta residual collapses."""
+    N = reference_data.N
+    return {m: _level_hat(reference_data, m, free=m + spec.half > N) for m in range(1 + spec.half, N + 1)}
 
 
-def _theta_hats(hats: dict[int, np.ndarray], grid: TorusGrid, spec: InteractionSpec) -> dict[int, np.ndarray]:
+def _theta_hats(
+    hats: dict[int, np.ndarray | ProductLevel], grid: TorusGrid, spec: InteractionSpec
+) -> dict[int, np.ndarray]:
     """Theta = B Gamma at one node, in mode space: level n collapses level n + p/2."""
     half = spec.half
-    return {n: fourier_collapse(hats[n + half], grid, n + half, half) for n in range(1, max(hats) - half + 1)}
+    return {n: _collapse_hat(hats[n + half], grid, n + half, half) for n in range(1, max(hats) - half + 1)}
 
 
 def _theta_defect_norms(
@@ -568,33 +635,44 @@ def _theta_defect_norms(
     """Per-node H^alpha_xi norms of the Theta fixed-point defect (see theta_residual).
 
     thetas[i] maps level n to the mode tensor of Theta^(n) at node i;
-    ref_hat maps level m to the mode tensor of Gamma_ref^(m).  The defect
-    of level n collapses level m = n + p/2 of U(t)[Gamma_ref - i*mu int_0^t
-    U(-s) Theta(s) ds]: a Volterra integral where Theta has level m, the
-    free evolution of the reference otherwise.
+    ref_hat maps level m to the mode tensor (or product level) of
+    Gamma_ref^(m).  The defect of level n collapses level m = n + p/2 of
+    U(t)[Gamma_ref - i*mu int_0^t U(-s) Theta(s) ds]: a Volterra integral
+    where Theta has level m, the free evolution of the reference otherwise.
+    A level the reference lacks is zero: no base for a Volterra integral,
+    the zero product level for a free one.
     """
     if not thetas[0]:
         raise ValueError("trajectory has no coupled levels")
     half = spec.half
+    rule = rule.on(len(thetas) - 1)
     res_levels = range(1, max(len(thetas[0]), max(ref_hat, default=0) - half) + 1)
-    shapes = {lv + half: (grid.M,) * grid.axis_count(lv + half) for lv in res_levels}
-    base = {m: ref_hat[m] if m in ref_hat else np.zeros(shape, dtype=np.complex128) for m, shape in shapes.items()}
-    vols = {m: _Volterra(grid, m, spec, dt, rule, b) for m, b in base.items() if m in thetas[0]}
-    free = {m: _phases(grid, m, dt) for m in base if m not in vols}
+    base = {lv + half: ref_hat.get(lv + half) for lv in res_levels}
+    vols = {
+        m: _Volterra(grid, m, spec, dt, rule, None if b is None else _dense_hat(b))
+        for m, b in base.items()
+        if m in thetas[0]
+    }
+    zero = np.zeros((grid.M,) * grid.d, dtype=np.complex128)
+    free = {
+        m: _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
+        for m, b in base.items()
+        if m not in vols
+    }
     norms: list[float] = []
-    states: dict[int, dict[int, np.ndarray]] = {}
+    states: dict[int, dict] = {}
     for i, theta in enumerate(thetas):
         for m, vol in vols.items():
             for s, x in vol.push(theta[m]):
                 states.setdefault(s, {})[m] = x
-        for m, phases in free.items():
-            states.setdefault(i, {})[m] = next(phases) * base[m]
+        for m, nodes in free.items():
+            states.setdefault(i, {})[m] = next(nodes)
         while len(states.get(len(norms), ())) == len(base):
             s = len(norms)
             x = states.pop(s)
             total = 0.0
             for lv in res_levels:
-                r = -fourier_collapse(x[lv + half], grid, lv + half, half)
+                r = -_collapse_hat(x[lv + half], grid, lv + half, half)
                 if lv in thetas[s]:
                     r = r + thetas[s][lv]
                 total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)

@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse
+from ._kernels import fftn_level
 from .grid import TorusGrid, sobolev_weights
 from .marginal import (
     HierarchyState,
     Marginal,
     NormParams,
+    ProductLevel,
+    _collapse_hat,
     _h_alpha_norm_hat,
+    _hat_difference,
     _hxi_norm_hat,
     hermitize,
     hxi_norm,
@@ -32,9 +35,12 @@ from .operators import InteractionSpec
 from .solver import (
     QuadratureRule,
     Trajectory,
+    _check_coupled,
     _duhamel_nodes,
+    _free_nodes,
+    _initial_hats,
+    _level_hat,
     _march,
-    _phases,
     _reference_hats,
     _resolve_steps,
     _theta_defect_norms,
@@ -93,7 +99,7 @@ def random_marginal(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: fl
 
 
 def _free_collapse_norms(
-    hats0: dict[int, np.ndarray],
+    hats0: dict[int, np.ndarray | ProductLevel],
     grid: TorusGrid,
     spec: InteractionSpec,
     S: int,
@@ -105,11 +111,11 @@ def _free_collapse_norms(
     Level n collapses level n + p/2 of hats0; rows come in the order of hats0.
     """
     half = spec.half
-    phases = {m: _phases(grid, m, dt) for m in hats0 if m > half}
-    rows = {m - half: np.zeros(S + 1) for m in phases}
+    streams = {m: _free_nodes(grid, m, hats0[m], dt) for m in hats0 if m > half}
+    rows = {m - half: np.zeros(S + 1) for m in streams}
     for i in range(S + 1):
-        for m, stream in phases.items():
-            g = fourier_collapse(next(stream) * hats0[m], grid, m, half)
+        for m, stream in streams.items():
+            g = _collapse_hat(next(stream), grid, m, half)
             rows[m - half][i] = _h_alpha_norm_hat(g, grid, m - half, alpha)
     return rows
 
@@ -134,8 +140,7 @@ def strichartz_study(
     """
     if ensemble_size < 1:
         raise ValueError("ensemble must contain at least one draw")
-    if n_levels < 1 + spec.half:
-        raise ValueError(f"ensemble needs levels beyond {spec.half} to couple")
+    _check_coupled(n_levels, spec)
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
     S = _resolve_steps(T, dt)
     xi, xi_p, alpha = params.xi, params.xi_prime, params.alpha
@@ -256,9 +261,14 @@ def cauchy_study(
             "scale chain xi < eta*xi'' < eta^2*xi' violated; ratios reported anyway"
         )
 
-    hat0_full = {n: fftn_level(gamma0.level(n).data) for n in range(1, gamma0.N + 1)}
+    hat0_full = _initial_hats(gamma0, spec)
+
+    def initial(N: int) -> dict:
+        # the truncations share the dense coupled levels; each starts its own free top levels
+        return {n: hat0_full[n] if n + half <= N else _level_hat(gamma0, n, free=True) for n in range(1, N + 1)}
+
     # one march per truncation, all advanced together; every pair reads the shared nodes
-    marches = {N: _march(grid, {n: hat0_full[n] for n in range(1, N + 1)}, spec, S, dt, rule) for N in set(N_list)}
+    marches = {N: _march(grid, initial(N), spec, S, dt, rule) for N in set(N_list)}
     pairs = list(itertools.combinations(N_list, 2))
     bnorms = {(N1, N2): {n: np.zeros(S + 1) for n in range(1, N2 - half + 1)} for N1, N2 in pairs}
     sup_diff = dict.fromkeys(pairs, 0.0)
@@ -269,14 +279,15 @@ def cauchy_study(
         for N1, N2 in pairs:
             h1, h2 = h[N1], h[N2]
             diff_norm = 0.0
+            # a level beyond N1 differs by -h2, whose norms are those of h2
             for n in range(1, N2 + 1):
-                dh = (h1[n] - h2[n]) if n in h1 else -h2[n]
+                dh = _hat_difference(h1[n], h2[n]) if n in h1 else h2[n]
                 diff_norm += xi**n * _h_alpha_norm_hat(dh, grid, n, alpha)
             sup_diff[N1, N2] = max(sup_diff[N1, N2], diff_norm)
             for n, row in bnorms[N1, N2].items():
                 m = n + half
-                dh = (h1[m] - h2[m]) if m in h1 else -h2[m]
-                row[i] = _h_alpha_norm_hat(fourier_collapse(dh, grid, m, half), grid, n, alpha)
+                dh = _hat_difference(h1[m], h2[m]) if m in h1 else h2[m]
+                row[i] = _h_alpha_norm_hat(_collapse_hat(dh, grid, m, half), grid, n, alpha)
     pair_rows = []
     bnorm_store = {}
     for N1, N2 in pairs:
@@ -380,9 +391,10 @@ def boardgame_probe(
         log_ratios = []
         for j in j_values:
             deepest = nv + j * half
-            deep_hat = fftn_level(gamma_test.level(deepest).data)
+            # the deepest level only evolves freely
+            deep_hat = _level_hat(gamma_test, deepest, free=True)
             lhs_nodes = [
-                _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
+                _h_alpha_norm_hat(_collapse_hat(h, grid, nv + half, half), grid, nv, alpha)
                 for h in _duhamel_nodes(j, nv, grid, deep_hat, spec, S, dt, rule)
             ]
             lhs = l2_in_time(w, lhs_nodes)

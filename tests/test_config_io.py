@@ -391,9 +391,10 @@ def test_cli_rejects_bad_config(tmp_path):
 
 
 def test_cli_memory_guard_exit_code(tmp_path, capsys):
-    # level 3 at M=32 has 2^30 entries: the guard fires before allocating
+    # level 3 at M=32 has 2^30 entries: the guard fires before allocating.
+    # At N=4 level 3 couples, so it is dense (the free level 4 is a product)
     out = tmp_path / "out"
-    assert main(["evolve", "--set", "M=32", "--set", "N=3", "--out-dir", str(out)]) == 3
+    assert main(["evolve", "--set", "M=32", "--set", "N=4", "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: level-3 marginal")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == 1
@@ -429,7 +430,15 @@ def test_run_evolve_tables_match_real_space(tmp_path):
         assert _close(row["norm_Halpha"], h_alpha_norm(g, cfg.alpha))
         assert _close(row["trace_re"], tr.real) and _close(row["trace_im"], tr.imag)
         rep = validate_marginal(g, check_positivity=False)
-        assert float(inv["trace_drift"]) == abs(tr - trace(states[0].level(k)))
+        drift = abs(tr - trace(states[0].level(k)))
+        if inv["free"] == "true":
+            # a free level of factorized data is a product level: its rows
+            # come from the factor, with defects 0 by construction
+            assert _close(inv["trace_drift"], drift)
+            assert float(inv["herm_defect"]) == float(inv["sym_defect"]) == 0.0
+            assert max(rep.hermiticity_defect, rep.symmetry_defect) <= 1e-15
+            continue
+        assert float(inv["trace_drift"]) == drift
         assert float(inv["herm_defect"]) == rep.hermiticity_defect
         assert float(inv["sym_defect"]) == rep.symmetry_defect
     for row, st in zip(norms, states):
@@ -481,3 +490,29 @@ def test_streamed_invariant_failure_keeps_other_tables(tmp_path, monkeypatch, co
         assert not (tmp_path / "evolve_volterra_invariants.csv").exists()
     else:
         assert len(_read_csv(tmp_path / "km_per_time.csv")) == 5
+
+
+def test_cli_rejects_subnormal_period(tmp_path, capsys):
+    # 2*pi*m/L overflows: the run used to exit 0 with nan in every column
+    settings = ["L=1e-320", "M=4", "N=2", "T=0.002", "solver=volterra"]
+    args = ["evolve"] + [arg for s in settings for arg in ("--set", s)]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite wavenumbers" in err[0]
+
+
+@pytest.mark.parametrize("command", ["evolve", "km-report", "boardgame"])
+def test_simpson_single_step_runs(tmp_path, command):
+    # with one interval Simpson falls back to the trapezoid, as its weights do
+    args = [command, "--set", "M=4", "--set", "T=0.001", "--set", "dt=0.001", "--set", "quadrature=simpson"]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["strichartz", "km-report"])
+def test_uncoupled_truncation_rejected_with_manifest(tmp_path, capsys, command):
+    assert main([command, "--set", "M=4", "--set", "N=1", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: constraint violated: N >= 2")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == 1
+    assert manifest["error"].startswith("ConfigError:")

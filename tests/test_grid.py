@@ -111,3 +111,8 @@ def test_phase_conjugation():
         phase_weights(g, np.inf, "unprimed")
     with pytest.raises(ValueError):
         phase_weights(g, 0.1, "mixed")
+
+
+def test_make_grid_rejects_non_finite_wavenumbers():
+    with pytest.raises(ValueError, match="non-finite wavenumbers"):
+        make_grid(1, 4, 1e-320)

@@ -25,6 +25,7 @@ from gphier import (
     zero_marginal,
 )
 from gphier._kernels import phase_tensor
+from gphier.marginal import _dense_hat
 from gphier.solver import (
     _Cumulative,
     _initial_hats,
@@ -242,8 +243,10 @@ def test_solver_input_validation():
         solve_truncated(g0, CUBIC, T=0.1, dt=3e-4)  # dt does not divide T
     with pytest.raises(ValueError):
         solve_truncated(g0, CUBIC, T=0.1, dt=1e-2, store_every=3)  # 3 does not divide 10
-    with pytest.raises(ValueError):
-        solve_truncated(g0, CUBIC, T=1e-2, dt=1e-2, quadrature="simpson")  # S=1
+    # S=1: Simpson falls back to the trapezoid, in the march as in its weights
+    simpson = solve_truncated(g0, CUBIC, T=1e-2, dt=1e-2, quadrature="simpson")
+    trapezoid = solve_truncated(g0, CUBIC, T=1e-2, dt=1e-2, quadrature="trapezoid")
+    assert np.array_equal(simpson.state(1).level(1).data, trapezoid.state(1).level(1).data)
 
 
 @pytest.mark.parametrize("store_every", [0, -5])
@@ -273,7 +276,7 @@ def test_theta_residual_needs_coupled_levels():
 
 def test_trajectory_type_validation():
     phi = cosine_field(GRID).values
-    hats = _initial_hats(HierarchyState.factorized(phi, 2, GRID))
+    hats = _initial_hats(HierarchyState.factorized(phi, 2, GRID), CUBIC)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.1, 0.15]), [hats, hats, hats], GRID, CUBIC)
     with pytest.raises(ValueError):
@@ -289,7 +292,7 @@ def test_trajectory_state_matches_materialized_march():
     phi = cosine_field(GRID).values
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_truncated(g0, CUBIC, T=0.02, dt=1e-3, store_every=5)
-    march = _march(GRID, _initial_hats(g0), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
+    march = _march(GRID, _initial_hats(g0, CUBIC), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
     built = [_materialize(GRID, hats) for i, hats in march if i % 5 == 0]
     assert len(built) == len(traj.times) == 5
     for i, ref in enumerate(built):
@@ -302,11 +305,11 @@ def test_oracle_nodes_collect_into_solve_oracle():
     phi = cosine_field(GRID).values
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_oracle(g0, CUBIC, T=0.02, dt=1e-3, store_every=10)
-    nodes = list(_oracle_nodes(GRID, _initial_hats(g0), CUBIC, 0.02, 1e-3, 10))
+    nodes = list(_oracle_nodes(GRID, _initial_hats(g0, CUBIC), CUBIC, 0.02, 1e-3, 10))
     assert [t for t, _ in nodes] == list(traj.times)
     for (_, hats), ref in zip(nodes, traj.hats):
         for k in (1, 2, 3):
-            assert np.array_equal(hats[k], ref[k])
+            assert np.array_equal(_dense_hat(hats[k]), _dense_hat(ref[k]))
 
 
 def test_l2_in_time_matches_weighted_sum():
