@@ -18,18 +18,23 @@ test suite.
 
 A product level, the level-k mode tensor of a product state
 prod_j psi(x_j) conj(psi(x'_j)), is held by its M^d factor psi_hat (see
-marginal.ProductLevel), and product_collapse collapses it from that factor:
-pinning puts g = |psi|^p psi into one slot, so the result is a sum of 2k
-outer products of M^d vectors and no M^(2 kappa d) tensor is formed.
+marginal.ProductLevel), and fourier_collapse hands it to product_collapse,
+which collapses it from that factor: pinning puts g = |psi|^p psi into one
+slot, so the result is a sum of 2k outer products of M^d vectors and no
+M^(2 kappa d) tensor is formed.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import TorusGrid
+
+if TYPE_CHECKING:
+    from .marginal import ProductLevel
 
 
 def multiplier_tensor(grid: TorusGrid, k: int) -> np.ndarray:
@@ -121,12 +126,13 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtrac
             view += part
 
 
-def fourier_collapse(hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
+def fourier_collapse(hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
     """Mode-space B_{k+p/2}: collapse a level-kappa mode tensor to level kappa-half.
 
     `half` is p/2.  Output axes follow the standard (unprimed block, primed
     block) order of the retained k = kappa - half variables; `hat` is not
-    modified.
+    modified.  A product level (marginal.ProductLevel) in place of the
+    tensor is collapsed from its factor by product_collapse.
 
     The p pinned variables are folded one at a time into the first pinned
     unprimed variable, which thereby comes to hold sigma:
@@ -137,6 +143,8 @@ def fourier_collapse(hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) ->
     unprimed (+) and primed (-) variable.  In all: (p - 1) * M^d fold
     shift-adds and 2k * M^d output shift-adds, each at most 2^d slice adds.
     """
+    if not isinstance(hat, np.ndarray):
+        return hat.collapse(half)
     d, M = grid.d, grid.M
     k = kappa - half
     if k < 1:

@@ -15,8 +15,9 @@ M^(2kd) tensor.  Its H^alpha norm and trace are closed forms in psi_hat,
 it is hermitean and symmetric by construction, and dense() builds the
 tensor for the consumers that need one (marginal() the real-space
 kernel).  The memory guard counts only dense levels.  The mode-space
-helpers below (_h_alpha_norm_hat, _trace_hat, _collapse_hat, _validate_hat,
-_hat_difference, _dense_hat, _marginal_of) accept either kind.
+helpers below (_h_alpha_norm_hat, _trace_hat, _validate_hat,
+_hat_difference, _dense_hat, _marginal_of) accept either kind, as does
+_kernels.fourier_collapse.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import conj_negated, fourier_collapse, ifftn_level, product_collapse
+from ._kernels import conj_negated, ifftn_level, product_collapse
 from .grid import TorusGrid, phase_weights, sobolev_weights, transform
 
 #: Dense tensors above this element count are refused
@@ -303,7 +304,8 @@ class ProductLevel:
         return ProductLevel(self.grid, self.k, psi_hat)
 
     def collapse(self, half: int) -> np.ndarray:
-        """Dense mode tensor of B_{k} of this level, down to level k - half."""
+        """Dense mode tensor of B_{k} of this level, down to level k - half
+        (what fourier_collapse returns for a product level)."""
         _check_memory_guard(self.grid, self.k - half)
         return product_collapse(self.psi_hat, self.grid, self.k, half)
 
@@ -317,13 +319,6 @@ def _marginal_of(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> Mar
     if isinstance(hat, ProductLevel):
         return hat.marginal()
     return Marginal(grid, k, ifftn_level(hat))
-
-
-def _collapse_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
-    """Mode-space collapse of a level-kappa mode tensor or product level."""
-    if isinstance(hat, ProductLevel):
-        return hat.collapse(half)
-    return fourier_collapse(hat, grid, kappa, half)
 
 
 def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) -> np.ndarray | ProductLevel:

@@ -45,13 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level, ifftn_level, phase_tensor
+from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
 from .grid import TorusGrid
 from .marginal import (
     HierarchyState,
     Marginal,
     ProductLevel,
-    _collapse_hat,
     _dense_hat,
     _h_alpha_norm_hat,
     _marginal_of,
@@ -267,7 +266,7 @@ def _march(
     def settle(n: int, s: int, hat: np.ndarray | ProductLevel) -> None:
         nodes.setdefault(s, {})[n] = hat
         if n - half in vol:
-            for s2, hat2 in vol[n - half].push(_collapse_hat(hat, grid, n, half)):
+            for s2, hat2 in vol[n - half].push(fourier_collapse(hat, grid, n, half)):
                 settle(n - half, s2, hat2)
 
     next_yield = 0
@@ -423,7 +422,7 @@ def _oracle_nodes(
     def F(t: float, E_t: dict[int, np.ndarray], w_t: dict) -> dict[int, np.ndarray]:
         out = {}
         for n in coupled:
-            g = _collapse_hat(frame(t, E_t, w_t, n + half), grid, n + half, half)
+            g = fourier_collapse(frame(t, E_t, w_t, n + half), grid, n + half, half)
             out[n] = mu_coef * np.conj(E_t[n]) * g
         return out
 
@@ -557,7 +556,7 @@ def _duhamel_nodes(
         hats = [hat]
         for r, vol in enumerate(chain):
             src = deepest - r * half
-            hats = [x for h in hats for _, x in vol.push(_collapse_hat(h, grid, src, half))]
+            hats = [x for h in hats for _, x in vol.push(fourier_collapse(h, grid, src, half))]
         yield from hats
 
 
@@ -578,7 +577,7 @@ def reconstruct_bhat(
     out = np.zeros((grid.M,) * grid.axis_count(n), dtype=np.complex128)
     j = 1
     while n + j * half <= gamma0.N and (j == 1 or t > 0):
-        out += _collapse_hat(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + half, half)
+        out += fourier_collapse(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + half, half)
         j += 1
     return Marginal(grid, n, ifftn_level(out))
 
@@ -619,7 +618,7 @@ def _theta_hats(
 ) -> dict[int, np.ndarray]:
     """Theta = B Gamma at one node, in mode space: level n collapses level n + p/2."""
     half = spec.half
-    return {n: _collapse_hat(hats[n + half], grid, n + half, half) for n in range(1, max(hats) - half + 1)}
+    return {n: fourier_collapse(hats[n + half], grid, n + half, half) for n in range(1, max(hats) - half + 1)}
 
 
 def _theta_defect_norms(
@@ -672,7 +671,7 @@ def _theta_defect_norms(
             x = states.pop(s)
             total = 0.0
             for lv in res_levels:
-                r = -_collapse_hat(x[lv + half], grid, lv + half, half)
+                r = -fourier_collapse(x[lv + half], grid, lv + half, half)
                 if lv in thetas[s]:
                     r = r + thetas[s][lv]
                 total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level
+from ._kernels import fftn_level, fourier_collapse
 from .grid import TorusGrid, sobolev_weights
 from .marginal import (
     HierarchyState,
     Marginal,
     NormParams,
     ProductLevel,
-    _collapse_hat,
     _h_alpha_norm_hat,
     _hat_difference,
     _hxi_norm_hat,
@@ -115,7 +114,7 @@ def _free_collapse_norms(
     rows = {m - half: np.zeros(S + 1) for m in streams}
     for i in range(S + 1):
         for m, stream in streams.items():
-            g = _collapse_hat(next(stream), grid, m, half)
+            g = fourier_collapse(next(stream), grid, m, half)
             rows[m - half][i] = _h_alpha_norm_hat(g, grid, m - half, alpha)
     return rows
 
@@ -287,7 +286,7 @@ def cauchy_study(
             for n, row in bnorms[N1, N2].items():
                 m = n + half
                 dh = _hat_difference(h1[m], h2[m]) if m in h1 else h2[m]
-                row[i] = _h_alpha_norm_hat(_collapse_hat(dh, grid, m, half), grid, n, alpha)
+                row[i] = _h_alpha_norm_hat(fourier_collapse(dh, grid, m, half), grid, n, alpha)
     pair_rows = []
     bnorm_store = {}
     for N1, N2 in pairs:
@@ -394,7 +393,7 @@ def boardgame_probe(
             # the deepest level only evolves freely
             deep_hat = _level_hat(gamma_test, deepest, free=True)
             lhs_nodes = [
-                _h_alpha_norm_hat(_collapse_hat(h, grid, nv + half, half), grid, nv, alpha)
+                _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
                 for h in _duhamel_nodes(j, nv, grid, deep_hat, spec, S, dt, rule)
             ]
             lhs = l2_in_time(w, lhs_nodes)
