@@ -57,6 +57,19 @@ def phase_tensor(grid: TorusGrid, k: int, t: float) -> np.ndarray:
     return np.exp(-1j * t * multiplier_tensor(grid, k))
 
 
+def phase_stream(grid: TorusGrid, k: int, dt: float):
+    """U(i*dt) on level-k modes for i = 0, 1, 2, ...
+
+    One array is advanced in place by the phases of one step, so each
+    yielded value is overwritten by the next; copy it to keep it.
+    """
+    step = phase_tensor(grid, k, dt)
+    P = np.ones_like(step)
+    while True:
+        yield P
+        np.multiply(P, step, out=P)
+
+
 def fftn_level(data: np.ndarray) -> np.ndarray:
     return np.fft.fftn(data, norm="ortho")
 

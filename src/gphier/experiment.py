@@ -41,7 +41,15 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .grid import make_grid
-from .marginal import HierarchyState, NormParams, _h_alpha_norm_hat, _hat_difference, _trace_hat, _validate_hat
+from .marginal import (
+    HierarchyState,
+    NormParams,
+    ProductLevel,
+    _h_alpha_norm_hat,
+    _hat_difference,
+    _trace_hat,
+    validate_marginal,
+)
 from .nls import BUILTIN_FIELDS, WaveFunction, _compare_nodes, nls_solve
 from .operators import InteractionSpec
 from .snapshots import snapshot_read, snapshot_write
@@ -133,15 +141,23 @@ def _structural_invariants(
 ) -> tuple[list[dict], dict[int, complex], str | None]:
     """Trace-drift and defect rows of one node, its traces, and its first violation.
 
-    Checks each dense level in real space, one level at a time; a product
-    level has zero defects and its closed-form trace.  Drift is measured
-    against init_traces, the traces at t=0 (None for the first node, which
-    is its own reference).  Every comparison is written so that NaN fails.
+    Builds the real-space state of the node's dense levels, checks each
+    level there and drops the state; a product level reports zero defects
+    and its closed-form trace (ProductLevel.report).  The dense levels are
+    the coupled levels 1..N - p/2, since only free levels are products.
+    Drift is measured against init_traces, the traces at t=0 (None for the
+    first node, which is its own reference).  Every comparison is written
+    so that NaN fails.
     """
     N = max(hats)
+    dense = {k: h for k, h in hats.items() if not isinstance(h, ProductLevel)}
+    reports = {k: h.report() for k, h in hats.items() if k not in dense}
+    if dense:
+        state = _materialize(grid, dense)
+        reports.update((k, validate_marginal(g, check_positivity=False)) for k, g in enumerate(state.levels, start=1))
     rows, traces, failure = [], {}, None
     for k in range(1, N + 1):
-        rep = _validate_hat(hats[k], grid, k)
+        rep = reports[k]
         traces[k] = rep.trace
         drift = abs(rep.trace - (init_traces or traces)[k])
         free = k + spec.half > N

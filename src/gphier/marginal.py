@@ -15,9 +15,9 @@ M^(2kd) tensor.  Its H^alpha norm and trace are closed forms in psi_hat,
 it is hermitean and symmetric by construction, and dense() builds the
 tensor for the consumers that need one (marginal() the real-space
 kernel).  The memory guard counts only dense levels.  The mode-space
-helpers below (_h_alpha_norm_hat, _trace_hat, _validate_hat,
-_hat_difference, _dense_hat, _marginal_of) accept either kind, as does
-_kernels.fourier_collapse.
+helpers below (_h_alpha_norm_hat, _trace_hat, _hat_difference,
+_dense_hat, _marginal_of, and _evolved_hat and _free_nodes for U(t)) accept
+either kind, as does _kernels.fourier_collapse.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import conj_negated, ifftn_level, product_collapse
+from ._kernels import conj_negated, ifftn_level, phase_stream, phase_tensor, product_collapse
 from .grid import TorusGrid, phase_weights, sobolev_weights, transform
 
 #: Dense tensors above this element count are refused
@@ -293,6 +293,11 @@ class ProductLevel:
         """(h^d sum_r |psi_hat(r)|^2)^k = ||psi||_{L2}^{2k}."""
         return complex(self.h_alpha_norm(0.0))
 
+    def report(self) -> ValidationReport:
+        """validate_marginal of the level, without positivity: a product is
+        hermitean and symmetric by construction, so its defects are exactly 0."""
+        return ValidationReport(0.0, 0.0, self.trace(), None, None, True)
+
     def evolved(self, t: float) -> "ProductLevel":
         """U(t) of the level: psi_hat(t) = exp(-i t |p|^2) psi_hat, exact at every t."""
         ph = phase_weights(self.grid, t, "unprimed")
@@ -314,6 +319,34 @@ def _dense_hat(hat: np.ndarray | ProductLevel) -> np.ndarray:
     return hat.dense() if isinstance(hat, ProductLevel) else hat
 
 
+def _evolved_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, t: float, phases: np.ndarray | None = None):
+    """U(t) of a level-k mode tensor or product level, exact at every t.
+
+    A product level takes the phases of t on its factor.  A dense level is
+    multiplied by phases, the level-k phase tensor of t, which the caller
+    may pass when it already holds it.
+    """
+    if isinstance(hat, ProductLevel):
+        return hat.evolved(t)
+    return (phase_tensor(grid, k, t) if phases is None else phases) * hat
+
+
+def _free_nodes(grid: TorusGrid, k: int, hat: np.ndarray | ProductLevel, dt: float):
+    """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself.
+
+    A product level takes the exact phases of each node on its factor;
+    a dense level is advanced by one phase stream.
+    """
+    yield hat
+    if isinstance(hat, ProductLevel):
+        for i in itertools.count(1):
+            yield hat.evolved(i * dt)
+    phases = phase_stream(grid, k, dt)
+    next(phases)
+    for P in phases:
+        yield P * hat
+
+
 def _marginal_of(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> Marginal:
     """Real-space level-k marginal of a mode tensor or product level."""
     if isinstance(hat, ProductLevel):
@@ -326,17 +359,6 @@ def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) 
     if isinstance(a, ProductLevel) and isinstance(b, ProductLevel) and np.array_equal(a.psi_hat, b.psi_hat):
         return ProductLevel(a.grid, a.k, np.zeros_like(a.psi_hat))
     return _dense_hat(a) - _dense_hat(b)
-
-
-def _validate_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> ValidationReport:
-    """validate_marginal of a level given in mode space, without positivity.
-
-    A product level is hermitean and symmetric by construction: its defects
-    are exactly 0 and its trace is the closed form.
-    """
-    if isinstance(hat, ProductLevel):
-        return ValidationReport(0.0, 0.0, hat.trace(), None, None, True)
-    return validate_marginal(_marginal_of(hat, grid, k), check_positivity=False)
 
 
 def _h_alpha_norm_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, alpha: float) -> float:
@@ -373,12 +395,26 @@ class HierarchyState:
 
     A state is only the sequence: the interaction order p and the coupling
     mu belong to the equation, and the solvers take them as an InteractionSpec.
-    A factorized state keeps its one-particle field phi (None for any other
-    state) and builds a dense level only when level(n) asks for it.
+    It is built from its levels, or, as a factorized state, from its
+    one-particle field phi and N alone (phi is None for any other state):
+    then level(n) builds the product kernel of phi when first asked for it.
     """
 
-    def __init__(self, grid: TorusGrid, levels: list[Marginal]):
-        if not levels:
+    def __init__(
+        self,
+        grid: TorusGrid,
+        levels: list[Marginal] | None = None,
+        phi: np.ndarray | None = None,
+        N: int | None = None,
+    ):
+        if (levels is None) == (phi is None):
+            raise ValueError("a hierarchy state needs either its levels or a factorized field phi")
+        if phi is not None:
+            if N is None or N < 1:
+                raise ValueError(f"truncation level must be >= 1, got N={N}")
+            phi = _field(phi, grid).copy()
+            levels = []
+        elif not levels:
             raise ValueError("hierarchy state needs at least one level")
         for n, g in enumerate(levels, start=1):
             if g.k != n:
@@ -386,8 +422,8 @@ class HierarchyState:
             if g.grid is not grid and g.grid != grid:
                 raise ValueError("all levels must share one grid")
         self.grid = grid
-        self.N = len(levels)
-        self.phi: np.ndarray | None = None
+        self.N = len(levels) if phi is None else N
+        self.phi = phi
         self._built = dict(enumerate(levels, start=1))
 
     @property
@@ -406,26 +442,21 @@ class HierarchyState:
 
     @classmethod
     def factorized(cls, phi: np.ndarray, N: int, grid: TorusGrid) -> "HierarchyState":
-        if N < 1:
-            raise ValueError(f"truncation level must be >= 1, got N={N}")
-        state = cls.__new__(cls)
-        state.grid, state.N, state.phi, state._built = grid, N, _field(phi, grid).copy(), {}
-        return state
+        return cls(grid, phi=phi, N=N)
 
     @classmethod
     def zero(cls, grid: TorusGrid, N: int) -> "HierarchyState":
         return cls(grid, [zero_marginal(grid, k) for k in range(1, N + 1)])
 
     def truncate(self, N1: int) -> "HierarchyState":
-        """P_{<=N1}: keep levels 1..N1 (shares level data with self)."""
+        """P_{<=N1}: keep levels 1..N1 (shares level data with self; a
+        factorized state keeps phi and builds its levels on request)."""
         if N1 < 1:
             raise ValueError(f"truncation level must be >= 1, got {N1}")
         N1 = min(N1, self.N)
         if self.phi is None:
             return HierarchyState(self.grid, self.levels[:N1])
-        state = HierarchyState.factorized(self.phi, N1, self.grid)
-        state._built = self._built
-        return state
+        return HierarchyState(self.grid, phi=self.phi, N=N1)
 
 
 def hxi_norm(state: HierarchyState, xi: float, alpha: float) -> float:

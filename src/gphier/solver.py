@@ -2,9 +2,9 @@
 
 Every time integral here is one Volterra integral on a level's modes,
 x(t) = U(t)[x0 - i*mu int_0^t U(-s) g(s) ds], evaluated on the node grid
-t_i = i*dt by two primitives: _phases streams U(i*dt), advancing one array
-in place, and _Volterra is pushed g at each node and returns the nodes its
-composite rule (_Cumulative) has finalized.
+t_i = i*dt by two primitives: _kernels.phase_stream streams U(i*dt),
+advancing one array in place, and _Volterra is pushed g at each node and
+returns the nodes its composite rule (_Cumulative) has finalized.
 
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
@@ -27,7 +27,8 @@ is one M^d factor with exact phases at every node, and its collapse is the
 rank-one product_collapse.  _level_hat makes that choice, for the free top
 p/2 levels of the truncated system, the deepest level of a Duhamel term
 and the free levels of the oracle and of the Theta residual; every coupled
-level stays a dense mode tensor.
+level stays a dense mode tensor.  U(t) of a level of either kind is
+marginal._evolved_hat, and marginal._free_nodes streams it on the nodes.
 
 Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
@@ -39,19 +40,20 @@ one term through a chain of j-1 accumulators with no base.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
+from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_stream, phase_tensor
 from .grid import TorusGrid
 from .marginal import (
     HierarchyState,
     Marginal,
     ProductLevel,
     _dense_hat,
+    _evolved_hat,
+    _free_nodes,
     _h_alpha_norm_hat,
     _marginal_of,
     zero_marginal,
@@ -175,35 +177,6 @@ def _check_coupled(N: int, spec: InteractionSpec) -> None:
         raise ValueError(f"N >= {1 + spec.half} for a coupled level at p={spec.p}, got N={N}")
 
 
-def _phases(grid: TorusGrid, level: int, dt: float):
-    """U(i*dt) on level-`level` modes for i = 0, 1, 2, ...
-
-    One array is advanced in place by the phases of one step, so each
-    yielded value is overwritten by the next; copy it to keep it.
-    """
-    step = phase_tensor(grid, level, dt)
-    P = np.ones_like(step)
-    while True:
-        yield P
-        np.multiply(P, step, out=P)
-
-
-def _free_nodes(grid: TorusGrid, level: int, hat: np.ndarray | ProductLevel, dt: float):
-    """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself.
-
-    A product level takes the exact phases of each node on its M^d factor;
-    a dense level is advanced by one phase stream.
-    """
-    yield hat
-    if isinstance(hat, ProductLevel):
-        for i in itertools.count(1):
-            yield hat.evolved(i * dt)
-    phases = _phases(grid, level, dt)
-    next(phases)
-    for P in phases:
-        yield P * hat
-
-
 class _Volterra:
     """Streaming x(t) = U(t)[base - i*mu int_0^t U(-r) g(r) dr] on one level.
 
@@ -215,7 +188,7 @@ class _Volterra:
 
     def __init__(self, grid: TorusGrid, level: int, spec: InteractionSpec, dt: float, rule: QuadratureRule, base=None):
         self._cum = _Cumulative(rule, dt)
-        self._phases = _phases(grid, level, dt)
+        self._phases = phase_stream(grid, level, dt)
         self._held: dict[int, np.ndarray] = {}
         self._base = base
         self._mu_coef = -1j * spec.mu
@@ -417,7 +390,7 @@ def _oracle_nodes(
 
     def frame(t: float, E_t: dict[int, np.ndarray], w_t: dict, m: int):
         # U(t) w_t[m]: level m of the state at stage time t
-        return w_t[m].evolved(t) if isinstance(w_t[m], ProductLevel) else E_t[m] * w_t[m]
+        return _evolved_hat(w_t[m], grid, m, t, E_t.get(m))
 
     def F(t: float, E_t: dict[int, np.ndarray], w_t: dict) -> dict[int, np.ndarray]:
         out = {}
@@ -521,9 +494,7 @@ def _duhamel_hat(
     deep_hat = _level_hat(gamma0, n + j * spec.half, free=True)
     if j == 1:
         # exact phases: t need not be a node
-        if isinstance(deep_hat, ProductLevel):
-            return deep_hat.evolved(t)
-        return phase_tensor(gamma0.grid, n + spec.half, t) * deep_hat
+        return _evolved_hat(deep_hat, gamma0.grid, n + spec.half, t)
     for hat in _duhamel_nodes(j, n, gamma0.grid, deep_hat, spec, _resolve_steps(t, dt), dt, rule):
         pass
     return hat

@@ -23,6 +23,7 @@ from .marginal import (
     Marginal,
     NormParams,
     ProductLevel,
+    _free_nodes,
     _h_alpha_norm_hat,
     _hat_difference,
     _hxi_norm_hat,
@@ -36,7 +37,6 @@ from .solver import (
     Trajectory,
     _check_coupled,
     _duhamel_nodes,
-    _free_nodes,
     _initial_hats,
     _level_hat,
     _march,

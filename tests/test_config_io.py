@@ -36,6 +36,7 @@ from gphier import (
     validate_marginal,
 )
 from gphier.cli import main
+from gphier.marginal import ProductLevel
 from gphier.solver import _resolve_steps
 
 GRID = make_grid(1, 4, 2 * np.pi)
@@ -434,7 +435,10 @@ def test_run_evolve_tables_match_real_space(tmp_path):
         if inv["free"] == "true":
             # a free level of factorized data is a product level: its rows
             # come from the factor, with defects 0 by construction
-            assert _close(inv["trace_drift"], drift)
+            assert isinstance(traj.hats[i][k], ProductLevel)
+            level_drift = abs(traj.hats[i][k].trace() - traj.hats[0][k].trace())
+            assert float(inv["trace_drift"]) == level_drift
+            assert abs(level_drift - drift) <= 1e-15
             assert float(inv["herm_defect"]) == float(inv["sym_defect"]) == 0.0
             assert max(rep.hermiticity_defect, rep.symmetry_defect) <= 1e-15
             continue

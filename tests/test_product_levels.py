@@ -72,6 +72,16 @@ def test_product_evolution_matches_dense_phases(shape, seed, t):
     assert _rel(level.evolved(t).dense(), phase_tensor(level.grid, kappa, t) * level.dense()) <= 1e-13
 
 
+def test_d2_quintic_product_level_matches_dense():
+    # the smallest d=2, p=4 collapse, kappa=3 at M=4, has 4^12 dense
+    # entries (268 MB), beyond SHAPES: one fixed case
+    level = _product(2, 4, 3, 7, 0.3)
+    dense = level.dense()
+    assert _rel(level.collapse(2), fourier_collapse(dense, level.grid, 3, 2)) <= 1e-13
+    assert level.h_alpha_norm(1.0) == pytest.approx(_h_alpha_norm_hat(dense, level.grid, 3, 1.0), rel=1e-13)
+    assert level.trace() == pytest.approx(_trace_hat(dense, level.grid, 3), rel=1e-13)
+
+
 @pytest.mark.parametrize("d,p,N", [(1, 2, 2), (1, 2, 4), (1, 4, 3), (1, 4, 4), (2, 2, 2)])
 def test_march_from_products_matches_dense_march(d, p, N):
     grid = make_grid(d, 4, 2 * np.pi)

@@ -24,7 +24,7 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
-from gphier._kernels import phase_tensor
+from gphier._kernels import phase_stream, phase_tensor
 from gphier.marginal import _dense_hat
 from gphier.solver import (
     _Cumulative,
@@ -32,7 +32,6 @@ from gphier.solver import (
     _march,
     _materialize,
     _oracle_nodes,
-    _phases,
     _Volterra,
     l2_in_time,
 )
@@ -82,7 +81,7 @@ def test_phase_stream_is_the_repeated_step_product():
     for k in (1, 2):
         step = phase_tensor(GRID, k, dt)
         P = np.ones_like(step)
-        for i, got in zip(range(60), _phases(GRID, k, dt)):
+        for i, got in zip(range(60), phase_stream(GRID, k, dt)):
             assert got.tobytes() == P.tobytes(), (k, i)
             np.testing.assert_allclose(got, phase_tensor(GRID, k, i * dt), rtol=0, atol=1e-13)
             P = P * step
