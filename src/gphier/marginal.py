@@ -320,11 +320,12 @@ def _dense_hat(hat: np.ndarray | ProductLevel) -> np.ndarray:
 
 
 def _evolved_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, t: float, phases: np.ndarray | None = None):
-    """U(t) of a level-k mode tensor or product level, exact at every t.
+    """U(t) of a level-k mode tensor or product level; t need not be a node.
 
-    A product level takes the phases of t on its factor.  A dense level is
-    multiplied by phases, the level-k phase tensor of t, which the caller
-    may pass when it already holds it.
+    A product level takes the exact phases of t on its factor.  A dense
+    level is multiplied by phases, the level-k phase tensor of t, computed
+    here unless the caller passes the one it holds (the oracle's stage
+    phases).
     """
     if isinstance(hat, ProductLevel):
         return hat.evolved(t)
