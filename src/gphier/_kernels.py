@@ -81,7 +81,8 @@ def ifftn_level(hat: np.ndarray) -> np.ndarray:
 def conj_negated(hat: np.ndarray) -> np.ndarray:
     """conj(hat[-r]) on one-particle modes: the unitary DFT of conj(f) when hat is that of f."""
     axes = tuple(range(hat.ndim))
-    return np.conj(np.roll(np.flip(hat, axes), 1, axes))
+    out = np.roll(np.flip(hat, axes), 1, axes)
+    return np.conjugate(out, out=out)
 
 
 def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:

@@ -16,22 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse
+from ._kernels import conj_negated, fourier_collapse, ifftn_level, phase_stream
 from .grid import TorusGrid, sobolev_weights
 from .marginal import (
     HierarchyState,
     Marginal,
     NormParams,
     ProductLevel,
+    _check_memory_guard,
     _free_nodes,
     _h_alpha_norm_hat,
     _hat_difference,
     _hxi_norm_hat,
-    hermitize,
     hxi_norm,
     symmetrize,
 )
-from .operators import InteractionSpec
+from .operators import InteractionSpec, admissible_alpha_range
 from .solver import (
     QuadratureRule,
     Trajectory,
@@ -73,28 +73,47 @@ def spacetime_norm(times, states, xi: float, alpha: float, quadrature="trapezoid
 def random_marginal(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float) -> Marginal:
     """Random hermitean, permutation-symmetric kernel with decaying spectrum.
 
-    Mode coefficients are complex Gaussians with per-axis standard
-    deviation (1+p^2)^(-s/2) with s = alpha+1 (keeping H^alpha norms
-    balanced across grid sizes), hermitized, symmetrized, and normalized
-    to unit H^alpha norm.
+    The real-space kernel of the mode tensor that _random_hat draws from
+    rng: hermitean, symmetric and of unit H^alpha norm.  The Strichartz
+    study takes the mode tensor itself and transforms nothing.
     """
+    return Marginal(grid, k, ifftn_level(_random_hat(grid, k, rng, alpha)))
+
+
+def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float) -> np.ndarray:
+    """Mode tensor of a random hermitean, permutation-symmetric level-k kernel.
+
+    The coefficients are complex Gaussians, all real parts drawn before the
+    imaginary parts, with per-axis standard deviation (1+p^2)^(-s/2) and
+    s = alpha+1 (keeping H^alpha norms balanced across grid sizes).  The
+    draw is hermitized in mode space, where the adjoint is
+    conj hat[-r'; -r]: conj_negated on every axis, then the unprimed and
+    primed blocks swapped.  Permuting variables permutes mode axes as it
+    permutes point axes, so symmetrize serves the mode tensor unchanged.
+    Last, the draw is scaled to unit H^alpha norm.  The draw, the
+    hermitization and the scaling work in place on one array.
+    """
+    _check_memory_guard(grid, k)
     s = alpha + 1.0
     n_axes = grid.axis_count(k)
     shape = (grid.M,) * n_axes
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    hat = np.empty(shape, dtype=np.complex128)
+    hat.real = rng.standard_normal(shape)
+    hat.imag = rng.standard_normal(shape)
     prof = (1.0 + grid.wavenumbers**2) ** (-s / 2.0)
     for ax in range(n_axes):
         sl = [1] * n_axes
         sl[ax] = grid.M
-        coeffs *= prof.reshape(sl)
-    gamma = Marginal(grid, k, np.fft.ifftn(coeffs, norm="ortho"))
-    gamma = symmetrize(hermitize(gamma))
-    from .marginal import h_alpha_norm
-
-    nrm = h_alpha_norm(gamma, alpha)
+        hat *= prof.reshape(sl)
+    half = n_axes // 2
+    hat += conj_negated(hat).transpose(tuple(range(half, n_axes)) + tuple(range(half)))
+    hat *= 0.5
+    hat = symmetrize(Marginal(grid, k, hat)).data
+    nrm = _h_alpha_norm_hat(hat, grid, k, alpha)
     if nrm == 0:
         raise ValueError("degenerate random draw")
-    return Marginal(grid, k, gamma.data / nrm)
+    hat /= nrm
+    return hat
 
 
 def _free_collapse_norms(
@@ -110,12 +129,19 @@ def _free_collapse_norms(
     Level n collapses level n + p/2 of hats0; rows come in the order of hats0.
     """
     half = spec.half
-    streams = {m: _free_nodes(grid, m, hats0[m], dt) for m in hats0 if m > half}
-    rows = {m - half: np.zeros(S + 1) for m in streams}
-    for i in range(S + 1):
-        for m, stream in streams.items():
-            g = fourier_collapse(next(stream), grid, m, half)
-            rows[m - half][i] = _h_alpha_norm_hat(g, grid, m - half, alpha)
+    rows = {}
+    for m, hat in hats0.items():
+        if m <= half:
+            continue
+        if isinstance(hat, ProductLevel):
+            nodes = _free_nodes(grid, m, hat, dt)
+        else:
+            # every node goes into one buffer: fourier_collapse keeps no reference to its input
+            buf = np.empty_like(hat)
+            nodes = (np.multiply(P, hat, out=buf) for P in phase_stream(grid, m, dt))
+        row = rows[m - half] = np.zeros(S + 1)
+        for i, node in zip(range(S + 1), nodes):
+            row[i] = _h_alpha_norm_hat(fourier_collapse(node, grid, m, half), grid, m - half, alpha)
     return rows
 
 
@@ -148,7 +174,7 @@ def strichartz_study(
     per_draw = []
     for idx in range(ensemble_size):
         rng = np.random.default_rng(seeds[idx])
-        hats0 = {k: fftn_level(random_marginal(grid, k, rng, alpha).data) for k in range(1, n_levels + 1)}
+        hats0 = {k: _random_hat(grid, k, rng, alpha) for k in range(1, n_levels + 1)}
         rows = _free_collapse_norms(hats0, grid, spec, S, dt, alpha)
         rhs_norm = _hxi_norm_hat(hats0, grid, xi_p, alpha)
         series = np.zeros(S + 1)
@@ -189,8 +215,6 @@ def strichartz_study(
     )
     if not np.all(np.isfinite(ratios)):
         report.warnings.append("non-finite ratio encountered")
-    from .operators import admissible_alpha_range
-
     if params.alpha not in admissible_alpha_range(grid.d, spec.p):
         report.warnings.append(
             f"alpha={params.alpha} outside the admissible range "

@@ -35,6 +35,7 @@ from gphier import (
     trace,
     validate_marginal,
 )
+from gphier import marginal
 from gphier.cli import main
 from gphier.marginal import ProductLevel
 from gphier.solver import _resolve_steps
@@ -397,6 +398,19 @@ def test_cli_memory_guard_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["evolve", "--set", "M=32", "--set", "N=4", "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: level-3 marginal")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 1
+    assert manifest["error"].startswith("MemoryGuardError:")
+
+
+def test_cli_strichartz_draw_checks_memory_guard(tmp_path, capsys, monkeypatch):
+    # with the guard at 100 entries the level-2 draw (4^4 = 256 entries)
+    # is refused before it is allocated
+    monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 100)
+    out = tmp_path / "out"
+    argv = ["strichartz", "--set", "M=4", "--set", "N=3", "--set", "T=0.004", "--set", "dt=0.002"]
+    assert main(argv + ["--set", "ensemble_size=1", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: level-2 marginal")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == 1
     assert manifest["error"].startswith("MemoryGuardError:")

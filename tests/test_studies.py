@@ -19,8 +19,9 @@ from gphier import (
     spacetime_norm,
     strichartz_study,
 )
-from gphier._kernels import fftn_level, fourier_collapse, phase_tensor
-from gphier.marginal import _h_alpha_norm_hat
+from gphier._kernels import fftn_level, fourier_collapse, phase_stream, phase_tensor
+from gphier.marginal import Marginal, _h_alpha_norm_hat, hermitize, symmetrize
+from gphier.studies import _free_collapse_norms, _random_hat
 from gphier.solver import QuadratureRule
 
 CUBIC = InteractionSpec(2, 1)
@@ -57,6 +58,55 @@ def test_random_marginal_structure():
     assert rep.hermiticity_defect <= 1e-12
     assert rep.symmetry_defect <= 1e-12
     assert h_alpha_norm(gam, 1.0) == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_random_hat_matches_real_space_draw(d, k):
+    # the real-space route as the oracle: the same coefficients, then
+    # ifftn, hermitize, symmetrize, the H^alpha norm and fftn_level
+    grid = make_grid(d, 4, 2 * np.pi)
+    alpha, seed = 1.0, 7 + k
+    got = _random_hat(grid, k, np.random.default_rng(seed), alpha)
+    rng = np.random.default_rng(seed)
+    shape = (grid.M,) * grid.axis_count(k)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    prof = (1.0 + grid.wavenumbers**2) ** (-(alpha + 1.0) / 2.0)
+    for ax in range(len(shape)):
+        coeffs *= prof.reshape([grid.M if a == ax else 1 for a in range(len(shape))])
+    gamma = symmetrize(hermitize(Marginal(grid, k, np.fft.ifftn(coeffs, norm="ortho"))))
+    want = fftn_level(gamma.data / h_alpha_norm(gamma, alpha))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_strichartz_study_transforms_no_dense_level(monkeypatch):
+    # the draws stay in mode space: no FFT larger than one M^d field
+    grid = make_grid(1, 4, 2 * np.pi)
+    sizes = []
+    for name in ("fftn", "ifftn"):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _real=real, **kwargs):
+            sizes.append(np.size(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    strichartz_study(2, PARAMS, grid, CUBIC, T=0.008, dt=4e-3, n_levels=3, seed=1)
+    assert all(n <= grid.M**grid.d for n in sizes), sizes
+
+
+@pytest.mark.parametrize("M", [4, 6])
+def test_free_collapse_norms_match_unbuffered_loop(M):
+    # the reused node buffer keeps every bit and leaks into no row
+    grid = make_grid(1, M, 2 * np.pi)
+    rng = np.random.default_rng(M)
+    hats = {k: _random_hat(grid, k, rng, 1.0) for k in (1, 2, 3)}
+    S, dt = 4, 3e-3
+    rows = _free_collapse_norms(hats, grid, CUBIC, S, dt, 1.0)
+    for m in (2, 3):
+        want = np.zeros(S + 1)
+        for i, P in zip(range(S + 1), phase_stream(grid, m, dt)):
+            want[i] = _h_alpha_norm_hat(fourier_collapse(P * hats[m], grid, m, 1), grid, m - 1, 1.0)
+        assert np.array_equal(rows[m - 1], want)
 
 
 def test_strichartz_single_mode_closed_form():
@@ -102,7 +152,6 @@ def test_strichartz_ratios_scale_invariant():
     levels = [random_marginal(grid, k, rng, 1.0) for k in (1, 2, 3)]
     st1 = HierarchyState(grid, levels)
     st2 = HierarchyState(grid, [2.0 * g for g in levels])
-    from gphier.studies import _free_collapse_norms
 
     T, dt = 0.06, 2e-3
     S = round(T / dt)
@@ -125,7 +174,6 @@ def test_strichartz_time_translation_surrogate():
     levels = [random_marginal(grid, k, rng, 1.0) for k in (1, 2)]
     st = HierarchyState(grid, levels)
     from gphier import free_evolve
-    from gphier.studies import _free_collapse_norms
 
     T_long, dt, t0 = 4.0, 4e-3, 0.02
     S = round(T_long / dt)
