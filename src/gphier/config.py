@@ -6,11 +6,13 @@ the object that owns it, and validation asks that owner: make_grid (d, M, L),
 InteractionSpec (p, mu), NormParams (alpha, xi, xi2, xi_prime, eta),
 QuadratureRule (quadrature), solver._resolve_steps (T, dt) and
 studies._check_truncations (N_list).  Only the rules for N, solver,
-ensemble_size, j_max and store_every are kept here.  check_command adds the
-rules of one command: strichartz and km-report collapse the state, so they
-ask solver._check_coupled for a coupled level.  Regularities outside
-the admissible range are errors unless allow_inadmissible_alpha is set, in
-which case a warning is recorded and the run proceeds.
+ensemble_size, j_max and store_every >= 1 are kept here.  check_command adds
+the rules of one command: strichartz and km-report collapse the state, so
+they ask solver._check_coupled for a coupled level, and evolve, km-report
+and nls-compare store every store_every-th node, so they ask
+solver._sampling whether store_every divides the step count.  Regularities
+outside the admissible range are errors unless allow_inadmissible_alpha is
+set, in which case a warning is recorded and the run proceeds.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from .grid import make_grid
 from .marginal import NormParams
 from .operators import InteractionSpec, admissible_alpha_range
-from .solver import QuadratureRule, _check_coupled, _resolve_steps
+from .solver import QuadratureRule, _check_coupled, _resolve_steps, _sampling
 from .studies import _check_truncations
 
 
@@ -91,11 +93,13 @@ class ExperimentConfig:
 
     def check_command(self, command: str) -> None:
         """Raise ConfigError if this config cannot run `command`."""
-        if command in ("strichartz", "km-report"):
-            try:
+        try:
+            if command in ("strichartz", "km-report"):
                 _check_coupled(self.N, InteractionSpec(self.p, self.mu))
-            except ValueError as exc:
-                raise ConfigError(f"constraint violated: {exc}") from exc
+            if command in ("evolve", "km-report", "nls-compare"):
+                _sampling(self.T, self.dt, self.store_every)
+        except ValueError as exc:
+            raise ConfigError(f"constraint violated: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = {}

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fftn_level, ifftn_level, phase_tensor
+from ._kernels import fftn_level, ifftn_level, multiplier_tensor, phase_tensor
 from .grid import TorusGrid, transform
-from .marginal import HierarchyState, Marginal
+from .marginal import HierarchyState, Marginal, symmetrize
 
 
 @dataclass(frozen=True)
@@ -103,24 +103,18 @@ def b_minus(j: int, gamma: Marginal, spec: InteractionSpec) -> Marginal:
     return _pin_slot(j, gamma, spec, pin_primed=True)
 
 
-def b_collapse(gamma: Marginal, spec: InteractionSpec, symmetrize_output: bool = False) -> Marginal:
+def b_collapse(gamma: Marginal, spec: InteractionSpec) -> Marginal:
     """B_{k+p/2} gamma = sum_j (B^+_j - B^-_j) gamma, mapping level k+p/2 to k.
 
     The j-sum is evaluated without intermediate symmetrization (symmetry
-    holds analytically for symmetric inputs); pass symmetrize_output=True
-    to add a final symmetrize pass.
+    holds analytically for symmetric inputs).
     """
     k = _check_collapse_input(gamma, spec)
     out = np.zeros((gamma.grid.M,) * gamma.grid.axis_count(k), dtype=np.complex128)
     for j in range(1, k + 1):
         out += _restrict_to_slot(gamma.data, gamma.grid, gamma.k, k, j, pin_primed=False)
         out -= _restrict_to_slot(gamma.data, gamma.grid, gamma.k, k, j, pin_primed=True)
-    result = Marginal(gamma.grid, k, out)
-    if symmetrize_output:
-        from .marginal import symmetrize
-
-        result = symmetrize(result)
-    return result
+    return Marginal(gamma.grid, k, out)
 
 
 def b_hat(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:
@@ -147,8 +141,6 @@ def rhs(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:
     in Fourier, consistent with free_evolve) minus i*mu times the collapse
     of the level p/2 above (zero above the truncation).
     """
-    from ._kernels import multiplier_tensor
-
     grid = state.grid
     out = []
     for n in range(1, state.N + 1):

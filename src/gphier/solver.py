@@ -3,8 +3,10 @@
 Every time integral here is one Volterra integral on a level's modes,
 x(t) = U(t)[x0 - i*mu int_0^t U(-s) g(s) ds], evaluated on the node grid
 t_i = i*dt by two primitives: _kernels.phase_stream streams U(i*dt),
-advancing one array in place, and _Volterra is pushed g at each node and
-returns the nodes its composite rule (_Cumulative) has finalized.
+advancing one array in place, and _Volterra.stream pushes g at each node
+and yields every node x(t_i) once, in order.  Simpson's rule finalizes
+node 1 only with node 2; _Cumulative and _Volterra are the only places
+that know it, so every consumer reads one node of each level per step.
 
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
@@ -13,8 +15,8 @@ source is the collapse of the already-solved level p/2 above,
     gamma^(n)(t) = U(t) gamma0^(n) - i*mu * int_0^t U(t-s) B gamma^(n+p/2)(s) ds.
 
 _march solves it top-down with phase streams for the free levels (so all
-quadrature error sits in the coupling term) and one accumulator per coupled
-level; solve_oracle integrates the same linear system with a classical
+quadrature error sits in the coupling term) and one Volterra stream per
+coupled level, fed by the stream of the level p/2 above; solve_oracle integrates the same linear system with a classical
 4-stage integrating-factor Runge-Kutta step and serves as the cross-check
 route.  Both collect the stored nodes of a generator (_volterra_nodes,
 _oracle_nodes) that yields each node as a {level: mode tensor} dict; a
@@ -35,12 +37,15 @@ Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
 i.e. prefactor (-i*mu)^(j-1) with j-1 nested integrals, which is the
 convention under which the finite reconstruction identity
 (B Gamma)^(n)(t) = sum_j B Duh_j(t) holds exactly.  _duhamel_nodes streams
-one term through a chain of j-1 accumulators with no base.
+one term through a chain of j-1 Volterra streams with no base.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,10 +185,12 @@ def _check_coupled(N: int, spec: InteractionSpec) -> None:
 class _Volterra:
     """Streaming x(t) = U(t)[base - i*mu int_0^t U(-r) g(r) dr] on one level.
 
-    push(g_i) feeds the level's integrand at node i and returns the newly
-    finalized nodes as (s, x(t_s)) pairs, in order; base=None stands for
-    zero.  The integral is the composite rule of _Cumulative, so under
-    Simpson push(g_2) returns nodes 1 and 2 together.
+    push(g_i) feeds the level's integrand at node i and returns the nodes
+    x(t_s) that the composite rule of _Cumulative finalizes, in order;
+    base=None stands for zero.  Under Simpson push(g_1) returns no node and
+    push(g_2) returns nodes 1 and 2.  stream(sources) hides that: it pushes
+    each integrand and yields every node once, in order, so no consumer
+    tracks node indices.
     """
 
     def __init__(self, grid: TorusGrid, level: int, spec: InteractionSpec, dt: float, rule: QuadratureRule, base=None):
@@ -193,25 +200,34 @@ class _Volterra:
         self._base = base
         self._mu_coef = -1j * spec.mu
 
-    def push(self, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    def push(self, g: np.ndarray) -> list[np.ndarray]:
         P = next(self._phases)
         i = self._cum.i + 1
         if i == 0:
             # the phases are unity at node 0
             self._cum.push(g)
-            return [(0, np.zeros_like(g) if self._base is None else self._base)]
+            return [np.zeros_like(g) if self._base is None else self._base]
         out = []
         for s, Q in self._cum.push(np.conj(P) * g):
             # keep the phase a named operand: numpy writes `a * (b + c)` into
             # whichever operand is a temporary, and that choice moves the last bit
             ph = P if s == i else self._held.pop(s)
             if self._base is None:
-                out.append((s, ph * (self._mu_coef * Q)))
+                out.append(ph * (self._mu_coef * Q))
             else:
-                out.append((s, ph * (self._base + self._mu_coef * Q)))
-        if not out or out[-1][0] != i:
+                out.append(ph * (self._base + self._mu_coef * Q))
+        if not out:
+            # node i is finalized late (Simpson's node 1): keep its phase
             self._held[i] = P.copy()
         return out
+
+    def stream(self, sources):
+        """Push each integrand of sources; yield every node once, in order."""
+        # map keeps no integrand between pushes, and popping leaves no
+        # yielded node in this frame while the consumer holds it
+        for nodes in map(self.push, sources):
+            while nodes:
+                yield nodes.pop(0)
 
 
 def _march(
@@ -224,39 +240,39 @@ def _march(
 ):
     """Lockstep Fourier-space march of all levels; yields (node, states) in order.
 
-    The top p/2 levels are free streams (hat0 may hold them as product
-    levels).  Each coupled level n is a _Volterra accumulator, started from
-    its dense hat0[n] and pushed the collapse of every node of level n + p/2
-    as soon as that node is final.  Yielded dicts map level -> mode tensor
-    or product level and are never mutated afterwards.
+    Each level is one stream of its nodes.  The top p/2 levels are free
+    streams (hat0 may hold them as product levels); each coupled level n is
+    the stream of a _Volterra accumulator started from its dense hat0[n] and
+    fed the collapse of each node of level n + p/2.  Every node passes
+    through its level's FIFO: a level that feeds the one below queues each
+    node as it is collapsed, the bottom p/2 levels are pulled here, and the
+    output pops one node of every level per step.  Yielded dicts map
+    level -> mode tensor or product level and are never mutated afterwards.
     """
     N, half = max(hat0), spec.half
     rule = rule.on(S)
-    free = {n: _free_nodes(grid, n, hat0[n], dt) for n in hat0 if n + half > N}
-    vol = {n: _Volterra(grid, n, spec, dt, rule, base=hat0[n]) for n in hat0 if n + half <= N}
-    nodes: dict[int, dict[int, np.ndarray]] = {}
+    fifo = {n: deque() for n in hat0}
 
-    def settle(n: int, s: int, hat: np.ndarray | ProductLevel) -> None:
-        nodes.setdefault(s, {})[n] = hat
-        if n - half in vol:
-            for s2, hat2 in vol[n - half].push(fourier_collapse(hat, grid, n, half)):
-                settle(n - half, s2, hat2)
+    def queued_collapse(m: int, hat: np.ndarray | ProductLevel) -> np.ndarray:
+        fifo[m].append(hat)
+        return fourier_collapse(hat, grid, m, half)
 
-    next_yield = 0
+    streams = {}
+    for n in sorted(hat0, reverse=True):
+        if n + half > N:
+            streams[n] = _free_nodes(grid, n, hat0[n], dt)
+        else:
+            feed = map(functools.partial(queued_collapse, n + half), streams[n + half])
+            streams[n] = _Volterra(grid, n, spec, dt, rule, base=hat0[n]).stream(feed)
+    bottom = [n for n in hat0 if n <= half]
     for i in range(S + 1):
-        for n in free:
-            settle(n, i, next(free[n]))
+        for n in bottom:
+            fifo[n].append(next(streams[n]))
         if i == S:
             # consumers of the last nodes run while this generator is
             # suspended; no later step needs the phases or accumulators
-            free.clear()
-            vol.clear()
-        while len(nodes.get(next_yield, ())) == len(hat0):
-            yield next_yield, nodes.pop(next_yield)
-            next_yield += 1
-
-    if nodes:
-        raise RuntimeError("march ended with unfinalized nodes")
+            streams.clear()
+        yield i, {n: fifo[n].popleft() for n in sorted(hat0)}
 
 
 def l2_in_time(w: np.ndarray, values) -> float:
@@ -514,21 +530,18 @@ def _duhamel_nodes(
 
     deep_hat is the mode tensor (or product level) of the deepest level
     n + j*p/2 of Gamma0.
-    Its free evolution feeds a chain of j-1 accumulators with no base, one
-    per nested integral; each is pushed the collapse of every node of the
-    level above as soon as that node is final.
+    Its free evolution feeds a chain of j-1 Volterra streams with no base,
+    one per nested integral, each fed the collapse of the stream above; the
+    chain stops after node S.
     """
     half = spec.half
     deepest = n + j * half
     rule = rule.on(S)
-    chain = [_Volterra(grid, deepest - r * half, spec, dt, rule) for r in range(1, j)]
-    free = _free_nodes(grid, deepest, deep_hat, dt)
-    for _, hat in zip(range(S + 1), free):
-        hats = [hat]
-        for r, vol in enumerate(chain):
-            src = deepest - r * half
-            hats = [x for h in hats for _, x in vol.push(fourier_collapse(h, grid, src, half))]
-        yield from hats
+    nodes = _free_nodes(grid, deepest, deep_hat, dt)
+    for src in range(deepest, n + half, -half):
+        collapse = functools.partial(fourier_collapse, grid=grid, kappa=src, half=half)
+        nodes = _Volterra(grid, src - half, spec, dt, rule).stream(map(collapse, nodes))
+    return itertools.islice(nodes, S + 1)
 
 
 def reconstruct_bhat(
@@ -610,41 +623,31 @@ def _theta_defect_norms(
     U(t)[Gamma_ref - i*mu int_0^t U(-s) Theta(s) ds]: a Volterra integral
     where Theta has level m, the free evolution of the reference otherwise.
     A level the reference lacks is zero: no base for a Volterra integral,
-    the zero product level for a free one.
+    the zero product level for a free one.  Each level is one stream of its
+    nodes, and every step reads one node of each.
     """
     if not thetas[0]:
         raise ValueError("trajectory has no coupled levels")
     half = spec.half
     rule = rule.on(len(thetas) - 1)
     res_levels = range(1, max(len(thetas[0]), max(ref_hat, default=0) - half) + 1)
-    base = {lv + half: ref_hat.get(lv + half) for lv in res_levels}
-    vols = {
-        m: _Volterra(grid, m, spec, dt, rule, None if b is None else _dense_hat(b))
-        for m, b in base.items()
-        if m in thetas[0]
-    }
     zero = np.zeros((grid.M,) * grid.d, dtype=np.complex128)
-    free = {
-        m: _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
-        for m, b in base.items()
-        if m not in vols
-    }
-    norms: list[float] = []
-    states: dict[int, dict] = {}
-    for i, theta in enumerate(thetas):
-        for m, vol in vols.items():
-            for s, x in vol.push(theta[m]):
-                states.setdefault(s, {})[m] = x
-        for m, nodes in free.items():
-            states.setdefault(i, {})[m] = next(nodes)
-        while len(states.get(len(norms), ())) == len(base):
-            s = len(norms)
-            x = states.pop(s)
-            total = 0.0
-            for lv in res_levels:
-                r = -fourier_collapse(x[lv + half], grid, lv + half, half)
-                if lv in thetas[s]:
-                    r = r + thetas[s][lv]
-                total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
-            norms.append(total)
-    return norms
+
+    def level_nodes(m: int):
+        b = ref_hat.get(m)
+        if m in thetas[0]:
+            base = None if b is None else _dense_hat(b)
+            return _Volterra(grid, m, spec, dt, rule, base).stream(theta[m] for theta in thetas)
+        return _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
+
+    def defect_norm(theta: dict[int, np.ndarray], *xs) -> float:
+        total = 0.0
+        for lv, x in zip(res_levels, xs):
+            r = -fourier_collapse(x, grid, lv + half, half)
+            if lv in theta:
+                r = r + theta[lv]
+            total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
+        return total
+
+    # map drops the nodes of step s before it pulls those of step s+1
+    return list(map(defect_norm, thetas, *(level_nodes(lv + half) for lv in res_levels)))

@@ -40,7 +40,6 @@ from .solver import (
     _initial_hats,
     _level_hat,
     _march,
-    _reference_hats,
     _resolve_steps,
     _theta_defect_norms,
     _theta_hats,
@@ -485,12 +484,11 @@ def km_report(
     trajectory: Trajectory,
     params: NormParams,
     quadrature="trapezoid",
-    reference_data: HierarchyState | None = None,
 ) -> StudyReport:
     """A posteriori spacetime bound: sup-in-time state norm, L2-in-time
     norm of B Gamma, and the Theta fixed-point residual."""
     nodes = zip(trajectory.times, trajectory.hats)
-    return _km_report(nodes, trajectory.grid, trajectory.spec, params, quadrature, reference_data)
+    return _km_report(nodes, trajectory.grid, trajectory.spec, params, quadrature)
 
 
 def _km_report(
@@ -499,7 +497,6 @@ def _km_report(
     spec: InteractionSpec,
     params: NormParams,
     quadrature="trapezoid",
-    reference_data: HierarchyState | None = None,
 ) -> StudyReport:
     """km_report over streamed nodes (t, {level: mode tensor}).
 
@@ -525,18 +522,12 @@ def _km_report(
     S = len(rows) - 1
     dt = rows[1]["t"] - rows[0]["t"]
     w = rule.weights(S, dt)
-
-    def residual(ref_hat: dict[int, np.ndarray]) -> float:
-        return l2_in_time(w, _theta_defect_norms(thetas, ref_hat, grid, spec, dt, rule, xi, alpha))
-
     fitted = {
         "sup_t_hxi_norm": max(r["hxi_norm"] for r in rows),
         "l2_t_bhat_norm": l2_in_time(w, [r["bhat_hxi_norm"] for r in rows]),
-        "theta_residual": residual(hat0),
+        "theta_residual": l2_in_time(w, _theta_defect_norms(thetas, hat0, grid, spec, dt, rule, xi, alpha)),
         "samples": float(len(rows)),
     }
-    if reference_data is not None:
-        fitted["theta_residual_vs_reference"] = residual(_reference_hats(reference_data, spec))
     return StudyReport(
         study="km-report",
         inputs={

@@ -526,11 +526,25 @@ def test_simpson_single_step_runs(tmp_path, command):
     assert main(args + ["--out-dir", str(tmp_path)]) == 0
 
 
-@pytest.mark.parametrize("command", ["strichartz", "km-report"])
-def test_uncoupled_truncation_rejected_with_manifest(tmp_path, capsys, command):
-    assert main([command, "--set", "M=4", "--set", "N=1", "--out-dir", str(tmp_path)]) == 1
+_STRIDE = ["store_every=7", "T=0.01", "M=4", "N=3", "solver=volterra"]
+
+
+@pytest.mark.parametrize(
+    "command, settings, message",
+    [
+        pytest.param("strichartz", ["M=4", "N=1"], "N >= 2", id="strichartz"),
+        pytest.param("km-report", ["M=4", "N=1"], "N >= 2", id="km-report"),
+        # store_every must divide S = 10: caught before the run, not by its traceback
+        pytest.param("evolve", _STRIDE, "store_every=7 must divide the step count S=10", id="evolve-stride"),
+        pytest.param("km-report", _STRIDE, "store_every=7 must divide the step count S=10", id="km-report-stride"),
+        pytest.param("nls-compare", _STRIDE, "store_every=7 must divide the step count S=10", id="nls-compare-stride"),
+    ],
+)
+def test_uncoupled_truncation_rejected_with_manifest(tmp_path, capsys, command, settings, message):
+    args = [command] + [arg for s in settings for arg in ("--set", s)]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: constraint violated: N >= 2")
+    assert len(err) == 1 and err[0].startswith(f"error: constraint violated: {message}")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == 1
     assert manifest["error"].startswith("ConfigError:")

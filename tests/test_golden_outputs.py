@@ -1,14 +1,17 @@
 """Golden outputs: every CSV/JSON result file of the six commands, byte for byte.
 
-Each command runs at a tiny pinned configuration (M=4) and its result files
-are compared with the committed copies under tests/golden/<command>/.  The
-manifest is not compared: it records wall time and versions.  The one value
-compared with a tolerance is km-report's fitted theta_residual, which is
-pure rounding noise (about 1e-19) under the trajectory's own reference.
-
-A change that is meant to alter results regenerates the files with
+Each case runs one command at a tiny pinned configuration (M=4) and its
+result files are compared with the committed copies under
+tests/golden/<case>/.  The manifest is not compared: it records wall time
+and versions.  The one value compared with a tolerance is km-report's
+fitted theta_residual, which is pure rounding noise (about 1e-19) under the
+trajectory's own reference.
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+writes the files of every case whose directory does not exist yet and
+leaves the others alone.  A change that is meant to alter the results of
+a case deletes that case's directory first.
 """
 
 import json
@@ -21,22 +24,26 @@ from gphier import parse_config, run_experiment
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
+#: case name -> (command, config); each case's files live in GOLDEN_DIR/<case>
 CONFIGS = {
     # odd S under Simpson runs the 3/8 tail; both solvers add the distance table
-    "evolve": "M = 4\nN = 4\nT = 0.007\ndt = 0.001\nsolver = both\nquadrature = simpson\n",
-    "km-report": "M = 4\np = 4\nmu = -1\nN = 3\nT = 0.01\ndt = 0.001\n",
-    "cauchy": "M = 4\nN_list = 3,4\nT = 0.01\ndt = 0.001\n",
-    "boardgame": "M = 4\nN = 4\nj_max = 3\nT = 0.009\ndt = 0.001\nquadrature = simpson\n",
-    "strichartz": "M = 4\nN = 3\nT = 0.02\ndt = 0.002\nensemble_size = 2\n",
-    "nls-compare": "M = 4\nmu = -1\nN = 3\nT = 0.01\ndt = 0.001\n",
+    "evolve": ("evolve", "M = 4\nN = 4\nT = 0.007\ndt = 0.001\nsolver = both\nquadrature = simpson\n"),
+    "km-report": ("km-report", "M = 4\np = 4\nmu = -1\nN = 3\nT = 0.01\ndt = 0.001\n"),
+    # odd S: the Theta defect runs the 3/8 tail and Simpson's late node 1
+    "km-report-simpson": ("km-report", "M = 4\nN = 4\nT = 0.009\ndt = 0.001\nquadrature = simpson\n"),
+    "cauchy": ("cauchy", "M = 4\nN_list = 3,4\nT = 0.01\ndt = 0.001\n"),
+    "boardgame": ("boardgame", "M = 4\nN = 4\nj_max = 3\nT = 0.009\ndt = 0.001\nquadrature = simpson\n"),
+    "strichartz": ("strichartz", "M = 4\nN = 3\nT = 0.02\ndt = 0.002\nensemble_size = 2\n"),
+    "nls-compare": ("nls-compare", "M = 4\nmu = -1\nN = 3\nT = 0.01\ndt = 0.001\n"),
 }
 
 #: (file, key in "fitted") compared at an absolute tolerance instead of bytes
 NOISE = {("km_summary.json", "theta_residual"): 1e-15}
 
 
-def _run(command: str, out_dir: str) -> dict[str, bytes]:
-    assert run_experiment(parse_config(CONFIGS[command]), command, out_dir=out_dir) == 0
+def _run(case: str, out_dir: str) -> dict[str, bytes]:
+    command, text = CONFIGS[case]
+    assert run_experiment(parse_config(text), command, out_dir=out_dir) == 0
     return {
         name: open(os.path.join(out_dir, name), "rb").read()
         for name in sorted(os.listdir(out_dir))
@@ -55,10 +62,10 @@ def _assert_same(name: str, got: bytes, want: bytes) -> None:
     assert got_obj == want_obj, f"{name} differs from its golden copy"
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_golden_outputs(command, tmp_path):
-    got = _run(command, str(tmp_path))
-    golden = os.path.join(GOLDEN_DIR, command)
+@pytest.mark.parametrize("case", sorted(CONFIGS))
+def test_golden_outputs(case, tmp_path):
+    got = _run(case, str(tmp_path))
+    golden = os.path.join(GOLDEN_DIR, case)
     want = {name: open(os.path.join(golden, name), "rb").read() for name in sorted(os.listdir(golden))}
     assert sorted(got) == sorted(want)
     for name in want:
@@ -66,11 +73,11 @@ def test_golden_outputs(command, tmp_path):
 
 
 if __name__ == "__main__":
-    for command in sorted(CONFIGS):
-        out = os.path.join(GOLDEN_DIR, command)
-        os.makedirs(out, exist_ok=True)
-        for name in os.listdir(out):
-            os.remove(os.path.join(out, name))
-        files = _run(command, out)
+    for case in sorted(CONFIGS):
+        out = os.path.join(GOLDEN_DIR, case)
+        if os.path.exists(out):
+            continue
+        os.makedirs(out)
+        files = _run(case, out)
         os.remove(os.path.join(out, "manifest.json"))
-        print(f"{command}: {', '.join(files)}", file=sys.stderr)
+        print(f"{case}: {', '.join(files)}", file=sys.stderr)

@@ -169,7 +169,7 @@ def test_b_collapse_antihermitean_on_hermitean_input():
 def test_b_collapse_symmetrize_pass():
     gam = symmetrize(hermitize(_random_marginal(make_grid(1, 4, 2 * np.pi), 3, seed=31)))
     plain = b_collapse(gam, CUBIC)
-    symd = b_collapse(gam, CUBIC, symmetrize_output=True)
+    symd = symmetrize(b_collapse(gam, CUBIC))
     np.testing.assert_allclose(plain.data, symd.data, atol=1e-12)
 
 

@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,10 +31,14 @@ from gphier._kernels import phase_stream, phase_tensor
 from gphier.marginal import _dense_hat
 from gphier.solver import (
     _Cumulative,
+    _duhamel_nodes,
     _initial_hats,
+    _level_hat,
     _march,
     _materialize,
     _oracle_nodes,
+    _theta_defect_norms,
+    _theta_hats,
     _Volterra,
     l2_in_time,
 )
@@ -110,9 +117,9 @@ def test_volterra_matches_direct_weighted_sum():
             g = rng.standard_normal((S + 1,) + shape) + 1j * rng.standard_normal((S + 1,) + shape)
             for base, mu in ((None, 1), (rng.standard_normal(shape) + 0j, -1)):
                 vol = _Volterra(GRID, 1, InteractionSpec(2, mu), dt, rule, base=base)
-                nodes = [fin for i in range(S + 1) for fin in vol.push(g[i])]
-                assert [s for s, _ in nodes] == list(range(S + 1))
-                for s, x in nodes:
+                nodes = list(vol.stream(iter(g)))
+                assert len(nodes) == S + 1
+                for s, x in enumerate(nodes):
                     want = _direct_volterra(g, 0 if base is None else base, rule, s, dt, mu)
                     np.testing.assert_allclose(x, want, rtol=0, atol=1e-13, err_msg=f"{kind} S={S} s={s}")
 
@@ -298,6 +305,39 @@ def test_trajectory_state_matches_materialized_march():
         for k in (1, 2, 3):
             assert np.array_equal(traj.state(i).level(k).data, ref.level(k).data)
     assert np.array_equal(traj.state(-1).level(3).data, built[-1].level(3).data)
+
+
+def _drain_peak(nodes) -> int:
+    """Peak traced bytes above those live at the start while building and draining nodes()."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        collections.deque(nodes(), maxlen=0)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_streams_keep_no_past_nodes():
+    # a stream that keeps finalized nodes alive (itertools.tee holds them
+    # in blocks of 57) peaks higher as S grows; these streams hold a fixed
+    # number of nodes, so quadrupling S may not add even one level-3 tensor
+    grid = make_grid(1, 6, 2 * np.pi)
+    g0 = HierarchyState.factorized(cosine_field(grid).values, 4, grid)
+    hat0 = _initial_hats(g0, CUBIC)
+    deep_hat = _level_hat(g0, 4, free=True)
+    theta = _theta_hats(hat0, grid, CUBIC)
+    rule, dt = QuadratureRule("simpson"), 1e-3
+    runs = {
+        "march": lambda S: _march(grid, hat0, CUBIC, S, dt, rule),
+        "duhamel": lambda S: _duhamel_nodes(3, 1, grid, deep_hat, CUBIC, S, dt, rule),
+        # the same Theta sample at every node keeps the live input small
+        "theta": lambda S: _theta_defect_norms([theta] * (S + 1), hat0, grid, CUBIC, dt, rule, 0.02, 1.0),
+    }
+    level3 = 16 * grid.M**6
+    for name, run in runs.items():
+        peaks = [_drain_peak(lambda: run(S)) for S in (20, 80)]
+        assert peaks[1] - peaks[0] < level3, (name, peaks)
 
 
 def test_oracle_nodes_collect_into_solve_oracle():
