@@ -10,7 +10,9 @@ ensemble_size, j_max and store_every >= 1 are kept here.  check_command adds
 the rules of one command: strichartz and km-report collapse the state, so
 they ask solver._check_coupled for a coupled level, and evolve, km-report
 and nls-compare store every store_every-th node, so they ask
-solver._sampling whether store_every divides the step count.  Regularities
+solver._sampling whether store_every divides the step count; nls-compare,
+and evolve with save_state, build every level in real space, so they ask
+the memory guard for level N before anything is allocated.  Regularities
 outside the admissible range are errors unless allow_inadmissible_alpha is
 set, in which case a warning is recorded and the run proceeds.
 """
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .grid import make_grid
-from .marginal import NormParams
+from .marginal import NormParams, _check_memory_guard
 from .operators import InteractionSpec, admissible_alpha_range
 from .solver import QuadratureRule, _check_coupled, _resolve_steps, _sampling
 from .studies import _check_truncations
@@ -98,6 +100,9 @@ class ExperimentConfig:
                 _check_coupled(self.N, InteractionSpec(self.p, self.mu))
             if command in ("evolve", "km-report", "nls-compare"):
                 _sampling(self.T, self.dt, self.store_every)
+            if command == "nls-compare" or (command == "evolve" and self.save_state):
+                # both build every level 1..N in real space
+                _check_memory_guard(make_grid(self.d, self.M, self.L), self.N)
         except ValueError as exc:
             raise ConfigError(f"constraint violated: {exc}") from exc
 

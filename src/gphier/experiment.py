@@ -12,9 +12,11 @@ levels (marginal.ProductLevel), held by one M^d factor.  Norms and traces
 come from the mode tensors: the H^alpha norm of each level once per node
 (norm_Hxi_alpha is the xi-weighted sum of those numbers), the trace as
 h^(dk) * sum_r hat[r; -r] (closed forms on a product level), and
-Theta = B Gamma by the mode-space collapse, once per node.  Only the
-structural invariants of the dense levels and the NLS comparison work in
-real space: each level is built, used and dropped.
+Theta = B Gamma by the mode-space collapse, once per node, with its
+fixed-point defect in the same pass (km-report keeps no Theta sample).
+Only the structural invariants of the dense levels and the NLS comparison
+work in real space: each level is built, used and dropped.  A non-finite
+H^alpha norm stops the run with status 2 (marginal._h_alpha_norm_hat).
 
 Column dictionary (CSV headers follow the estimate symbols):
   norm_Halpha      per-level H^alpha norm of gamma^(k)
@@ -43,6 +45,7 @@ from .config import ConfigError, ExperimentConfig
 from .grid import make_grid
 from .marginal import (
     HierarchyState,
+    InvariantFailure,
     NormParams,
     ProductLevel,
     _h_alpha_norm_hat,
@@ -53,14 +56,10 @@ from .marginal import (
 from .nls import BUILTIN_FIELDS, WaveFunction, _compare_nodes, nls_solve
 from .operators import InteractionSpec
 from .snapshots import snapshot_read, snapshot_write
-from .solver import QuadratureRule, _initial_hats, _materialize, _oracle_nodes, _volterra_nodes
+from .solver import QuadratureRule, _initial_hats, _materialize, _oracle_nodes, _sampling, _volterra_nodes
 from .studies import StudyReport, _km_report, boardgame_probe, cauchy_study, strichartz_study
 
 COMMANDS = ("evolve", "nls-compare", "cauchy", "strichartz", "boardgame", "km-report")
-
-
-class InvariantFailure(RuntimeError):
-    pass
 
 
 def _fmt(value) -> str:
@@ -327,7 +326,8 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)
-            report = _km_report(check.watch(nodes), grid, spec, params, rule)
+            S, stride = _sampling(config.T, config.dt, config.store_every)
+            report = _km_report(check.watch(nodes), grid, spec, params, S // stride, stride * config.dt, rule)
             _report_to_files(report, out_dir, "km")
             check.rows()
     except InvariantFailure as exc:

@@ -43,6 +43,10 @@ class MemoryGuardError(MemoryError):
     """Raised when a marginal would exceed the dense-tensor memory guard."""
 
 
+class InvariantFailure(RuntimeError):
+    """Raised when a run's numbers break an invariant (run_experiment exits 2)."""
+
+
 def _check_memory_guard(grid: TorusGrid, k: int) -> None:
     n_elements = grid.M ** (2 * grid.d * k)
     if n_elements > MEMORY_GUARD_ELEMENTS:
@@ -363,10 +367,18 @@ def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) 
 
 
 def _h_alpha_norm_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, alpha: float) -> float:
-    """H^alpha norm from the Fourier representation (internal fast path)."""
+    """H^alpha norm from the Fourier representation (internal fast path).
+
+    Every reported H^alpha norm passes through here, so a non-finite one
+    (the Bessel weights overflow at large alpha) raises InvariantFailure.
+    """
     if isinstance(hat, ProductLevel):
-        return hat.h_alpha_norm(alpha)
-    return float(np.sqrt(_weighted_square_sum(hat, grid, alpha)) * grid.h ** (grid.d * k))
+        norm = hat.h_alpha_norm(alpha)
+    else:
+        norm = float(np.sqrt(_weighted_square_sum(hat, grid, alpha)) * grid.h ** (grid.d * k))
+    if not math.isfinite(norm):
+        raise InvariantFailure(f"invariant 'finite norms' failed: level-{k} H^{alpha} norm is {norm}")
+    return norm
 
 
 def _trace_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> complex:

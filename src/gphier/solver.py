@@ -7,6 +7,9 @@ advancing one array in place, and _Volterra.stream pushes g at each node
 and yields every node x(t_i) once, in order.  Simpson's rule finalizes
 node 1 only with node 2; _Cumulative and _Volterra are the only places
 that know it, so every consumer reads one node of each level per step.
+_theta_defects pushes each node's Theta = B Gamma into several Volterra
+levels and holds the node in one deque until they finalize it, so Theta
+and its fixed-point defect take one pass over the stored nodes.
 
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
@@ -578,17 +581,18 @@ def theta_residual(
     With Theta(t) := B Gamma(t) sampled on the trajectory grid, returns the
     L2_t H^alpha_xi norm of
         Theta(t) - B U(t) Gamma_ref - (-i*mu) int_0^t B U(t-s) Theta(s) ds,
-    all time integrals by the composite rule on the stored grid.  By
-    default Gamma_ref is the trajectory's own initial state (the residual
-    is then pure quadrature error); passing deeper reference data measures
-    the truncation tail instead.
+    all time integrals by the composite rule on the stored grid, in one
+    pass over the stored nodes (_theta_defects).  By default Gamma_ref is
+    the trajectory's own initial state (the residual is then pure
+    quadrature error); passing deeper reference data measures the
+    truncation tail instead.
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    spec, grid = trajectory.spec, trajectory.grid
-    ref_hat = trajectory.hats[0] if reference_data is None else _reference_hats(reference_data, spec)
-    thetas = [_theta_hats(hats, grid, spec) for hats in trajectory.hats]
-    norms = _theta_defect_norms(thetas, ref_hat, grid, spec, trajectory.dt, rule, xi, alpha)
-    return l2_in_time(rule.weights(len(thetas) - 1, trajectory.dt), norms)
+    ref_hat = None if reference_data is None else _reference_hats(reference_data, trajectory.spec)
+    S, dt = len(trajectory.times) - 1, trajectory.dt
+    nodes = zip(trajectory.times, trajectory.hats)
+    defects = _theta_defects(nodes, ref_hat, trajectory.grid, trajectory.spec, S, dt, rule, xi, alpha)
+    return l2_in_time(rule.weights(S, dt), [defect for *_, defect in defects])
 
 
 def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray | ProductLevel]:
@@ -597,57 +601,55 @@ def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> di
     return {m: _level_hat(reference_data, m, free=m + spec.half > N) for m in range(1 + spec.half, N + 1)}
 
 
-def _theta_hats(
-    hats: dict[int, np.ndarray | ProductLevel], grid: TorusGrid, spec: InteractionSpec
-) -> dict[int, np.ndarray]:
-    """Theta = B Gamma at one node, in mode space: level n collapses level n + p/2."""
-    half = spec.half
-    return {n: fourier_collapse(hats[n + half], grid, n + half, half) for n in range(1, max(hats) - half + 1)}
+def _theta_defects(
+    nodes, ref_hat, grid: TorusGrid, spec: InteractionSpec, S: int, dt: float, rule: QuadratureRule, xi, alpha
+):
+    """Theta = B Gamma and its fixed-point defect at each of the S + 1 nodes, in one pass.
 
-
-def _theta_defect_norms(
-    thetas: list[dict[int, np.ndarray]],
-    ref_hat: dict[int, np.ndarray],
-    grid: TorusGrid,
-    spec: InteractionSpec,
-    dt: float,
-    rule: QuadratureRule,
-    xi: float,
-    alpha: float,
-) -> list[float]:
-    """Per-node H^alpha_xi norms of the Theta fixed-point defect (see theta_residual).
-
-    thetas[i] maps level n to the mode tensor of Theta^(n) at node i;
+    nodes yields the stored nodes (t, {level: mode tensor}) of a dt grid;
+    this yields (t, hats, theta, defect) once per node, in order: theta
+    maps level n = 1..N - p/2 to the mode tensor of Theta^(n), and defect
+    is the H^alpha_xi norm of the node's defect (see theta_residual).
     ref_hat maps level m to the mode tensor (or product level) of
-    Gamma_ref^(m).  The defect of level n collapses level m = n + p/2 of
-    U(t)[Gamma_ref - i*mu int_0^t U(-s) Theta(s) ds]: a Volterra integral
+    Gamma_ref^(m); None stands for the first node's levels.  The defect of
+    level n collapses level m = n + p/2 of U(t)[Gamma_ref - i*mu int_0^t
+    U(-s) Theta(s) ds]: a Volterra integral pushed each node's Theta^(m)
     where Theta has level m, the free evolution of the reference otherwise.
     A level the reference lacks is zero: no base for a Volterra integral,
-    the zero product level for a free one.  Each level is one stream of its
-    nodes, and every step reads one node of each.
+    the zero product level for a free one.  Every Volterra level finalizes
+    the same nodes, so a node waits with its Theta in one deque until they
+    do (only Simpson's node 1 waits).
     """
-    if not thetas[0]:
-        raise ValueError("trajectory has no coupled levels")
     half = spec.half
-    rule = rule.on(len(thetas) - 1)
-    res_levels = range(1, max(len(thetas[0]), max(ref_hat, default=0) - half) + 1)
+    rule = rule.on(S)
+    nodes = iter(nodes)
+    first = next(nodes)
+    N = max(first[1])
+    if N <= half:
+        raise ValueError("trajectory has no coupled levels")
+    ref_hat = first[1] if ref_hat is None else ref_hat
+    res_levels = range(1, max(N, max(ref_hat, default=0)) - half + 1)
     zero = np.zeros((grid.M,) * grid.d, dtype=np.complex128)
-
-    def level_nodes(m: int):
-        b = ref_hat.get(m)
-        if m in thetas[0]:
-            base = None if b is None else _dense_hat(b)
-            return _Volterra(grid, m, spec, dt, rule, base).stream(theta[m] for theta in thetas)
-        return _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
-
-    def defect_norm(theta: dict[int, np.ndarray], *xs) -> float:
-        total = 0.0
-        for lv, x in zip(res_levels, xs):
-            r = -fourier_collapse(x, grid, lv + half, half)
-            if lv in theta:
-                r = r + theta[lv]
-            total += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
-        return total
-
-    # map drops the nodes of step s before it pulls those of step s+1
-    return list(map(defect_norm, thetas, *(level_nodes(lv + half) for lv in res_levels)))
+    integrals, free = {}, {}
+    for lv in res_levels:
+        m, b = lv + half, ref_hat.get(lv + half)
+        if m <= N - half:
+            integrals[lv] = _Volterra(grid, m, spec, dt, rule, None if b is None else _dense_hat(b))
+        else:
+            free[lv] = _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
+    waiting = deque()
+    for t, hats in itertools.chain([first], nodes):
+        theta = {n: fourier_collapse(hats[n + half], grid, n + half, half) for n in range(1, N - half + 1)}
+        waiting.append((t, hats, theta))
+        pushed = [v.push(theta[lv + half]) for lv, v in integrals.items()]
+        # with no Volterra level, every node is final at once
+        for xs in zip(*pushed) if pushed else [()]:
+            t, hats, theta = waiting.popleft()
+            x = dict(zip(integrals, xs))
+            defect = 0.0
+            for lv in res_levels:
+                r = -fourier_collapse(x[lv] if lv in x else next(free[lv]), grid, lv + half, half)
+                if lv in theta:
+                    r = r + theta[lv]
+                defect += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
+            yield t, hats, theta, defect

@@ -41,8 +41,7 @@ from .solver import (
     _level_hat,
     _march,
     _resolve_steps,
-    _theta_defect_norms,
-    _theta_hats,
+    _theta_defects,
     l2_in_time,
 )
 
@@ -488,29 +487,23 @@ def km_report(
     """A posteriori spacetime bound: sup-in-time state norm, L2-in-time
     norm of B Gamma, and the Theta fixed-point residual."""
     nodes = zip(trajectory.times, trajectory.hats)
-    return _km_report(nodes, trajectory.grid, trajectory.spec, params, quadrature)
+    S = len(trajectory.times) - 1
+    return _km_report(nodes, trajectory.grid, trajectory.spec, params, S, trajectory.dt, quadrature)
 
 
 def _km_report(
-    nodes,
-    grid: TorusGrid,
-    spec: InteractionSpec,
-    params: NormParams,
-    quadrature="trapezoid",
+    nodes, grid: TorusGrid, spec: InteractionSpec, params: NormParams, S: int, dt: float, quadrature="trapezoid"
 ) -> StudyReport:
-    """km_report over streamed nodes (t, {level: mode tensor}).
+    """km_report over the S + 1 streamed nodes (t, {level: mode tensor}) of a dt grid.
 
-    Each node's state norm and Theta = B Gamma are computed once; only the
-    Theta samples (levels 1..N - p/2) and the initial node are kept, for the
-    residual.
+    One pass: each node's state norm, Theta = B Gamma and its fixed-point
+    defect are computed as the node streams by (_theta_defects), and no
+    node or Theta sample is kept past its step.
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
     alpha, xi = params.alpha, params.xi
-    rows, thetas, hat0 = [], [], None
-    for t, hats in nodes:
-        hat0 = hats if hat0 is None else hat0
-        theta = _theta_hats(hats, grid, spec)
-        thetas.append(theta)
+    rows, defects = [], []
+    for t, hats, theta, defect in _theta_defects(nodes, None, grid, spec, S, dt, rule, xi, alpha):
         rows.append(
             {
                 "t": float(t),
@@ -518,14 +511,12 @@ def _km_report(
                 "bhat_hxi_norm": _hxi_norm_hat(theta, grid, xi, alpha),
             }
         )
-    N = len(hat0)
-    S = len(rows) - 1
-    dt = rows[1]["t"] - rows[0]["t"]
+        defects.append(defect)
     w = rule.weights(S, dt)
     fitted = {
         "sup_t_hxi_norm": max(r["hxi_norm"] for r in rows),
         "l2_t_bhat_norm": l2_in_time(w, [r["bhat_hxi_norm"] for r in rows]),
-        "theta_residual": l2_in_time(w, _theta_defect_norms(thetas, hat0, grid, spec, dt, rule, xi, alpha)),
+        "theta_residual": l2_in_time(w, defects),
         "samples": float(len(rows)),
     }
     return StudyReport(
@@ -533,7 +524,7 @@ def _km_report(
         inputs={
             "alpha": alpha,
             "xi": xi,
-            "N": N,
+            "N": len(hats),
             "M": grid.M,
             "T": rows[-1]["t"],
             "dt": dt,

@@ -416,6 +416,37 @@ def test_cli_strichartz_draw_checks_memory_guard(tmp_path, capsys, monkeypatch):
     assert manifest["error"].startswith("MemoryGuardError:")
 
 
+@pytest.mark.parametrize(
+    "command,settings",
+    [("evolve", ["save_state=true", "solver=volterra"]), ("nls-compare", [])],
+    ids=["evolve", "nls-compare"],
+)
+def test_cli_real_space_output_checks_memory_guard_first(tmp_path, capsys, monkeypatch, command, settings):
+    # both commands build level 3 (4^6 entries) in real space: with the
+    # guard at 1000 entries the run is refused before it marches
+    monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 1000)
+    out = tmp_path / "out"
+    argv = [command, "--set", "M=4", "--set", "N=3", "--set", "T=0.004", "--out-dir", str(out)]
+    assert main(argv + [arg for s in settings for arg in ("--set", s)]) == 3
+    assert capsys.readouterr().err.startswith("error: level-3 marginal")
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["error"].startswith("MemoryGuardError:")
+
+
+@pytest.mark.parametrize("command", ["evolve", "km-report", "nls-compare", "cauchy", "boardgame"])
+def test_non_finite_norms_refused_before_tables(tmp_path, capsys, command):
+    # the Bessel weights of alpha=300 overflow: the first reported norm stops the run
+    text = "M = 4\nN = 4\nT = 0.002\nalpha = 300\nsolver = volterra\n"
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_experiment(parse_config(text), command, out_dir=str(out)) == 2
+    assert capsys.readouterr().err.startswith("FAILED: invariant 'finite norms' failed: level-")
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == 2
+    assert manifest["error"].startswith("InvariantFailure: invariant 'finite norms' failed")
+
+
 def _read_csv(path):
     header, *lines = path.read_text().splitlines()
     return [dict(zip(header.split(","), line.split(","))) for line in lines]

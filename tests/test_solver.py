@@ -7,6 +7,7 @@ import pytest
 from gphier import (
     HierarchyState,
     InteractionSpec,
+    NormParams,
     QuadratureRule,
     Trajectory,
     b_collapse,
@@ -37,11 +38,12 @@ from gphier.solver import (
     _march,
     _materialize,
     _oracle_nodes,
-    _theta_defect_norms,
-    _theta_hats,
+    _theta_defects,
     _Volterra,
+    _volterra_nodes,
     l2_in_time,
 )
+from gphier.studies import _km_report
 
 GRID = make_grid(1, 8, 2 * np.pi)
 CUBIC = InteractionSpec(2, 1)
@@ -326,13 +328,19 @@ def test_streams_keep_no_past_nodes():
     g0 = HierarchyState.factorized(cosine_field(grid).values, 4, grid)
     hat0 = _initial_hats(g0, CUBIC)
     deep_hat = _level_hat(g0, 4, free=True)
-    theta = _theta_hats(hat0, grid, CUBIC)
     rule, dt = QuadratureRule("simpson"), 1e-3
+    params = NormParams(1.0, 0.02, 0.06, 0.2, 0.3)
     runs = {
         "march": lambda S: _march(grid, hat0, CUBIC, S, dt, rule),
         "duhamel": lambda S: _duhamel_nodes(3, 1, grid, deep_hat, CUBIC, S, dt, rule),
-        # the same Theta sample at every node keeps the live input small
-        "theta": lambda S: _theta_defect_norms([theta] * (S + 1), hat0, grid, CUBIC, dt, rule, 0.02, 1.0),
+        # the same node at every time keeps the live input small
+        "theta": lambda S: _theta_defects(
+            ((i * dt, hat0) for i in range(S + 1)), None, grid, CUBIC, S, dt, rule, 0.02, 1.0
+        ),
+        # a whole km-report: the march, the per-node rows and the residual in one pass
+        "km-report": lambda S: [
+            _km_report(_volterra_nodes(grid, hat0, CUBIC, S * dt, dt, rule), grid, CUBIC, params, S, dt, rule)
+        ],
     }
     level3 = 16 * grid.M**6
     for name, run in runs.items():
