@@ -16,6 +16,15 @@ variable: (p - 1) * M^d shift-adds, with one code path for every p and
 d.  Cross-checked elementwise against the real-space operators in the
 test suite.
 
+The free collapse B U(t) hat of a dense level at many times (the
+Strichartz probe) is linear in the one tensor hat, and only phases depend
+on t.  The phase of U(t) splits into a part on the retained modes and a
+part on the pinned modes, so for each sigma one gather of the pinned rows
+of hat and one matrix product with their phases give the sigma slab at
+every time at once; the j-sum is then the fold's, over a leading time
+axis.  One tensor at one time keeps the fold, which is faster there
+(p=4, M=8, kappa=3: 1.55 against 2.71 ms).
+
 A product level, the level-k mode tensor of a product state
 prod_j psi(x_j) conj(psi(x'_j)), is held by its M^d factor psi_hat (see
 marginal.ProductLevel), and fourier_collapse hands it to product_collapse,
@@ -140,13 +149,21 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtrac
             view += part
 
 
-def fourier_collapse(hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
+def fourier_collapse(
+    hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int, times=None
+) -> np.ndarray:
     """Mode-space B_{k+p/2}: collapse a level-kappa mode tensor to level kappa-half.
 
     `half` is p/2.  Output axes follow the standard (unprimed block, primed
     block) order of the retained k = kappa - half variables; `hat` is not
     modified.  A product level (marginal.ProductLevel) in place of the
     tensor is collapsed from its factor by product_collapse.
+
+    With `times`, the result is B U(t) hat stacked over t in times, a
+    leading axis of len(times): a dense level by _free_evolution_collapse,
+    a product level by collapsing hat.evolved(t), and hat itself at t = 0.
+    Without, one tensor is collapsed by the fold below, which is faster
+    than a gather and a matrix product when there is one time to serve.
 
     The p pinned variables are folded one at a time into the first pinned
     unprimed variable, which thereby comes to hold sigma:
@@ -157,12 +174,16 @@ def fourier_collapse(hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int
     unprimed (+) and primed (-) variable.  In all: (p - 1) * M^d fold
     shift-adds and 2k * M^d output shift-adds, each at most 2^d slice adds.
     """
-    if not isinstance(hat, np.ndarray):
-        return hat.collapse(half)
-    d, M = grid.d, grid.M
     k = kappa - half
     if k < 1:
         raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
+    if times is not None:
+        if isinstance(hat, np.ndarray):
+            return _free_evolution_collapse(hat, grid, kappa, half, np.asarray(times, dtype=float))
+        return np.stack([(hat if t == 0 else hat.evolved(t)).collapse(half) for t in times])
+    if not isinstance(hat, np.ndarray):
+        return hat.collapse(half)
+    d, M = grid.d, grid.M
     modes = list(np.ndindex(*(M,) * d))
     # acc variables, d axes each: k retained unprimed, sigma, the unprimed
     # pinned ones not yet folded, k retained primed, the primed pinned ones
@@ -182,5 +203,51 @@ def fourier_collapse(hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int
         for j in range(k):
             _shift_add(out, slab, j * d, sigma)
             _shift_add(out, slab, (k + j) * d, sigma, subtract=True)
+    out *= float(M) ** (-half * d)
+    return out
+
+
+def _free_evolution_collapse(hat: np.ndarray, grid: TorusGrid, kappa: int, half: int, times: np.ndarray) -> np.ndarray:
+    """B U(t) hat for every t in times, stacked on a leading time axis.
+
+    Write n = M^d, sigma for the sum of the pinned modes, q for the other
+    p - 1 pinned modes and A, B for the retained unprimed and primed modes.
+    The phase of U(t) splits into the retained part lambda_k(A, B) and
+    omega_sigma(q), the kinetic multiplier of the pinned modes, so the fold
+    of U(t) hat is
+        acc_t[A, sigma, B] = exp(-i t lambda_k) * sum_q exp(-i t omega_sigma(q)) X_sigma[q, (A, B)]
+    with X_sigma[q] = hat[A, sigma - sum q, q_unprimed, B, q_primed]: per sigma,
+    one gather of n^(p-1) rows and one matrix product serve every time.
+    The j-sum then shift-adds each sigma slab as the fold does, one axis
+    further in.  Every phase is exp(-i t x) of its own time, none streamed.
+    """
+    d, M = grid.d, grid.M
+    k = kappa - half
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times}")
+    n, n_other = M**d, M ** (d * (2 * half - 1))
+    shape = (M,) * d
+    modes = np.indices(shape).reshape(d, n)
+    p2 = (grid.wavenumbers[modes] ** 2).sum(axis=0)  # |p|^2 of each one-particle mode
+    # the other pinned modes, half - 1 unprimed then half primed, in C order:
+    # row c is unprimed combination c // n^half and primed combination c % n^half
+    q = np.indices((n,) * (2 * half - 1)).reshape(2 * half - 1, n_other)
+    omega_rest = p2[q[: half - 1]].sum(axis=0) - p2[q[half - 1 :]].sum(axis=0)
+    q_sum = modes[:, q].sum(axis=1)
+    rows_u, rows_p = np.divmod(np.arange(n_other), n**half)
+    H = hat.reshape(n**k, n, n ** (half - 1), n**k, n**half)
+    retained = np.multiply.outer(-1j * times, multiplier_tensor(grid, k))
+    np.exp(retained, out=retained)
+    slab = np.empty_like(retained)
+    out = np.zeros_like(retained)
+    for s in range(n):
+        first = np.ravel_multi_index(tuple((modes[:, s : s + 1] - q_sum) % M), shape)
+        phases = np.exp(np.multiply.outer(-1j * times, p2[first] + omega_rest))
+        np.matmul(phases, H[:, first, rows_u, :, rows_p].reshape(n_other, -1), out=slab.reshape(len(times), -1))
+        slab *= retained
+        sigma = tuple(modes[:, s])
+        for j in range(k):
+            _shift_add(out, slab, 1 + j * d, sigma)
+            _shift_add(out, slab, 1 + (k + j) * d, sigma, subtract=True)
     out *= float(M) ** (-half * d)
     return out

@@ -29,6 +29,10 @@ Column dictionary (CSV headers follow the estimate symbols):
   bdiff_l2         L2-in-time H_xi norm of B(Gamma_N1 - Gamma_N2)
   traj_diff_sup    sup-in-time H_xi norm of Gamma_N1 - Gamma_N2
   ratio_l2_over_tail, ratio_sup_over_tail   the Cauchy-property ratios
+
+An undefined ratio is an empty cell: a Cauchy pair with no tail (N1 is
+the deepest level of the data) and a boardgame row whose normalizer
+vanishes (its `degenerate` column is true).
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ COMMANDS = ("evolve", "nls-compare", "cauchy", "strichartz", "boardgame", "km-re
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

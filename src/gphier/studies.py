@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import conj_negated, fourier_collapse, ifftn_level, phase_stream
+from ._kernels import conj_negated, fourier_collapse, ifftn_level
 from .grid import TorusGrid, sobolev_weights
 from .marginal import (
     HierarchyState,
@@ -24,7 +24,6 @@ from .marginal import (
     NormParams,
     ProductLevel,
     _check_memory_guard,
-    _free_nodes,
     _h_alpha_norm_hat,
     _hat_difference,
     _hxi_norm_hat,
@@ -125,21 +124,23 @@ def _free_collapse_norms(
     """Per-level H^alpha norms of (B U(t) Gamma0)^(n) on the node grid.
 
     Level n collapses level n + p/2 of hats0; rows come in the order of hats0.
+    Each fourier_collapse call evolves and collapses one block of nodes at
+    their exact times.  A block holds at most M^((p-1)d) nodes, so its
+    output is no larger than one sigma slab of the source level and the
+    memory held does not grow with S.
     """
     half = spec.half
+    times = dt * np.arange(S + 1)
+    block = grid.M ** ((spec.p - 1) * grid.d)
     rows = {}
     for m, hat in hats0.items():
         if m <= half:
             continue
-        if isinstance(hat, ProductLevel):
-            nodes = _free_nodes(grid, m, hat, dt)
-        else:
-            # every node goes into one buffer: fourier_collapse keeps no reference to its input
-            buf = np.empty_like(hat)
-            nodes = (np.multiply(P, hat, out=buf) for P in phase_stream(grid, m, dt))
         row = rows[m - half] = np.zeros(S + 1)
-        for i, node in zip(range(S + 1), nodes):
-            row[i] = _h_alpha_norm_hat(fourier_collapse(node, grid, m, half), grid, m - half, alpha)
+        for start in range(0, S + 1, block):
+            nodes = fourier_collapse(hat, grid, m, half, times[start : start + block])
+            for i, node in enumerate(nodes, start):
+                row[i] = _h_alpha_norm_hat(node, grid, m - half, alpha)
     return rows
 
 
@@ -328,19 +329,21 @@ def cauchy_study(
                 "bdiff_l2": l2_bdiff,
                 "traj_diff_sup": sup_diff[N1, N2],
                 "tail_xi_prime": tail,
-                "ratio_l2_over_tail": l2_bdiff / tail if tail > 0 else np.nan,
-                "ratio_sup_over_tail": sup_diff[N1, N2] / tail if tail > 0 else np.nan,
+                # no tail (N1 is the deepest level of the data): the ratios are undefined
+                "ratio_l2_over_tail": l2_bdiff / tail if tail > 0 else None,
+                "ratio_sup_over_tail": sup_diff[N1, N2] / tail if tail > 0 else None,
                 "shared_levels_equal": shared_equal,
             }
         )
         bnorm_store[(N1, N2)] = (bnorms[N1, N2], tail)
     report.tables["pairs"] = pair_rows
 
-    finite = [r["ratio_l2_over_tail"] for r in pair_rows if np.isfinite(r["ratio_l2_over_tail"])]
+    finite = [r["ratio_l2_over_tail"] for r in pair_rows if r["ratio_l2_over_tail"] is not None]
     if finite:
         report.fitted["max_ratio"] = float(max(finite))
         report.fitted["min_ratio"] = float(min(finite))
-        report.fitted["ratio_spread"] = float(max(finite) / min(finite)) if min(finite) > 0 else np.nan
+        if min(finite) > 0:
+            report.fitted["ratio_spread"] = float(max(finite) / min(finite))
 
     if fit_eta and finite:
         def max_ratio_at(xi_test: float) -> float:
@@ -422,9 +425,9 @@ def boardgame_probe(
             deep_norm = _h_alpha_norm_hat(deep_hat, grid, deepest, alpha)
             rhs = l2_in_time(w, _free_collapse_norms({deepest: deep_hat}, grid, spec, S, dt, alpha)[deepest - half])
             # normalizers at the rounding floor mean a vanishing collapse
-            # (constant-modulus data); the ratio is then 0/0
+            # (constant-modulus data); the ratio is then 0/0, undefined
             degenerate = rhs <= 1e-11 * max(deep_norm, 1.0) * np.sqrt(T)
-            ratio = np.nan if degenerate else lhs / rhs
+            ratio = None if degenerate else lhs / rhs
             rows.append(
                 {"n": nv, "j": j, "lhs": lhs, "rhs": rhs, "ratio": ratio, "degenerate": degenerate}
             )

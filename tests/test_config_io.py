@@ -1,13 +1,17 @@
+import cmath
+import contextlib
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gphier import (
@@ -37,6 +41,7 @@ from gphier import (
 )
 from gphier import marginal
 from gphier.cli import main
+from gphier.experiment import COMMANDS
 from gphier.marginal import ProductLevel
 from gphier.solver import _resolve_steps
 
@@ -579,3 +584,75 @@ def test_uncoupled_truncation_rejected_with_manifest(tmp_path, capsys, command, 
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == 1
     assert manifest["error"].startswith("ConfigError:")
+
+
+#: inputs that steer a run, at M=4 and N <= 3; T is steps * dt
+RUN_INPUTS = st.fixed_dictionaries(
+    {
+        "p": st.sampled_from([2, 4]),
+        "mu": st.sampled_from([-1, 1]),
+        "N": st.integers(1, 3),
+        "N_list": st.sampled_from(["2,3", "3,2", "1,3", "3,3", "2,2,3"]),
+        "steps": st.integers(1, 4),
+        "dt": st.sampled_from([1e-3, 2e-3]),
+        "store_every": st.integers(1, 3),
+        "quadrature": st.sampled_from(["trapezoid", "simpson"]),
+        "solver": st.sampled_from(["volterra", "oracle", "both"]),
+        "phi0": st.sampled_from(["cosine", "plane_wave"]),
+        "alpha": st.sampled_from([0.75, 1.0, 3.0, 300.0]),
+        "L": st.sampled_from([2 * math.pi, 1.0, 40.0]),
+        "j_max": st.integers(1, 3),
+        "ensemble_size": st.integers(1, 2),
+    }
+)
+
+
+def _non_finite_numbers(path: str) -> list:
+    """The numbers in a CSV or JSON result file that are not finite."""
+
+    def numbers(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            return [x for item in obj for x in numbers(item)]
+        if isinstance(obj, str):  # a CSV cell: a real or complex number, a flag or empty
+            try:
+                return [complex(obj)]
+            except ValueError:
+                return []
+        return [obj] if isinstance(obj, (int, float)) else []
+
+    with open(path) as fh:
+        if path.endswith(".json"):
+            values = numbers(json.load(fh))
+        else:
+            values = numbers([line.split(",") for line in fh.read().splitlines()[1:]])
+    return [x for x in values if not cmath.isfinite(x)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS), inputs=RUN_INPUTS)
+def test_every_parsed_run_succeeds_finite_or_fails_named(command, inputs):
+    # a run exits 0 with finite numbers in every table, or exits non-zero
+    # with one named error line and a manifest that records it
+    inputs = dict(inputs, T=repr(inputs["steps"] * inputs["dt"]), M=4)
+    del inputs["steps"]
+    try:
+        parse_config("", inputs)
+    except ConfigError:
+        assume(False)
+    argv = [command] + [arg for key, v in inputs.items() for arg in ("--set", f"{key}={v}")]
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), np.errstate(over="ignore", invalid="ignore"):
+            status = main(argv + ["--out-dir", out])
+        lines = err.getvalue().splitlines()
+        files = sorted(os.listdir(out))
+        if status == 0:
+            assert lines == []
+            assert {name: _non_finite_numbers(os.path.join(out, name)) for name in files} == dict.fromkeys(files, [])
+        else:
+            assert len(lines) == 1 and lines[0].startswith(("error: ", "FAILED: ")), lines
+            with open(os.path.join(out, "manifest.json")) as fh:
+                manifest = json.load(fh)
+            assert manifest["status"] == status and manifest["error"]

@@ -39,6 +39,9 @@ CONFIGS = {
     "cauchy": ("cauchy", "M = 4\nN_list = 3,4\nT = 0.01\ndt = 0.001\n"),
     "boardgame": ("boardgame", "M = 4\nN = 4\nj_max = 3\nT = 0.009\ndt = 0.001\nquadrature = simpson\n"),
     "strichartz": ("strichartz", "M = 4\nN = 3\nT = 0.02\ndt = 0.002\nensemble_size = 2\n"),
+    # the free collapse gathers three pinned modes per row (p=4) and two-axis modes (d=2)
+    "strichartz-quintic": ("strichartz", "M = 4\np = 4\nN = 3\nT = 0.02\ndt = 0.002\nensemble_size = 2\n"),
+    "strichartz-d2": ("strichartz", "d = 2\nM = 4\nN = 2\nT = 0.02\ndt = 0.002\nensemble_size = 2\n"),
     "nls-compare": ("nls-compare", "M = 4\nmu = -1\nN = 3\nT = 0.01\ndt = 0.001\n"),
 }
 

@@ -27,7 +27,7 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
-from gphier._kernels import fftn_level, fourier_collapse, ifftn_level
+from gphier._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
 
 GRID = make_grid(1, 8, 2 * np.pi)
 CUBIC = InteractionSpec(2, 1)
@@ -215,6 +215,22 @@ SMALL_COLLAPSE_SHAPES = [
 @given(shape=st.sampled_from(SMALL_COLLAPSE_SHAPES), seed=st.integers(0, 2**32 - 1))
 def test_fourier_collapse_property(shape, seed):
     _check_fourier_collapse(*shape, seed=seed)
+
+
+@pytest.mark.parametrize("shape", SMALL_COLLAPSE_SHAPES)
+def test_fourier_collapse_over_times_matches_phased_fold(shape):
+    # B U(t) hat at many times at once against the fold of each phased tensor
+    d, M, kappa, p = shape
+    grid = make_grid(d, M, 2 * np.pi)
+    hat = fftn_level(_random_marginal(grid, kappa, seed=d * M * kappa * p).data)
+    hat_before = hat.copy()
+    times = np.array([0.0, 1e-3, 0.37, 2.5, -0.8])
+    got = fourier_collapse(hat, grid, kappa, p // 2, times)
+    assert np.array_equal(hat, hat_before)
+    assert got.shape == (len(times),) + (M,) * (2 * (kappa - p // 2) * d)
+    for t, node in zip(times, got):
+        want = fourier_collapse(phase_tensor(grid, kappa, t) * hat, grid, kappa, p // 2)
+        assert np.max(np.abs(node - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_b_hat_levels_and_cancellation():

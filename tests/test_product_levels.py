@@ -72,6 +72,18 @@ def test_product_evolution_matches_dense_phases(shape, seed, t):
     assert _rel(level.evolved(t).dense(), phase_tensor(level.grid, kappa, t) * level.dense()) <= 1e-13
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_product_collapse_over_times_is_node_by_node(shape):
+    # bit for bit the collapse of each evolved level, and the level itself at t = 0
+    d, M, kappa, p = shape
+    level = _product(d, M, kappa, seed=kappa, t=0.3)
+    times = np.array([0.0, 2e-3, 4e-3, 0.5])
+    got = fourier_collapse(level, level.grid, kappa, p // 2, times)
+    assert np.array_equal(got[0], level.collapse(p // 2))
+    for t, node in zip(times[1:], got[1:]):
+        assert np.array_equal(node, level.evolved(t).collapse(p // 2))
+
+
 def test_d2_quintic_product_level_matches_dense():
     # the smallest d=2, p=4 collapse, kappa=3 at M=4, has 4^12 dense
     # entries (268 MB), beyond SHAPES: one fixed case

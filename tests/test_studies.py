@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ from gphier import (
     spacetime_norm,
     strichartz_study,
 )
-from gphier._kernels import fftn_level, fourier_collapse, phase_stream, phase_tensor
-from gphier.marginal import Marginal, _h_alpha_norm_hat, hermitize, symmetrize
+from gphier._kernels import fftn_level, fourier_collapse, phase_tensor
+from gphier.marginal import Marginal, ProductLevel, _free_nodes, _h_alpha_norm_hat, hermitize, symmetrize
 from gphier.studies import _free_collapse_norms, _random_hat
 from gphier.solver import QuadratureRule
 
@@ -94,19 +96,45 @@ def test_strichartz_study_transforms_no_dense_level(monkeypatch):
     assert all(n <= grid.M**grid.d for n in sizes), sizes
 
 
-@pytest.mark.parametrize("M", [4, 6])
-def test_free_collapse_norms_match_unbuffered_loop(M):
-    # the reused node buffer keeps every bit and leaks into no row
+@pytest.mark.parametrize("p, M", [(2, 4), (2, 6), (4, 4)])
+def test_free_collapse_norms_match_node_by_node_collapse(p, M):
+    # S spans two blocks of M^(p-1) nodes and a part of a third; a dense row
+    # follows the fold of the phased tensor at every node, and a product row
+    # keeps every bit of the node-by-node collapse of its free nodes
     grid = make_grid(1, M, 2 * np.pi)
-    rng = np.random.default_rng(M)
-    hats = {k: _random_hat(grid, k, rng, 1.0) for k in (1, 2, 3)}
-    S, dt = 4, 3e-3
-    rows = _free_collapse_norms(hats, grid, CUBIC, S, dt, 1.0)
-    for m in (2, 3):
-        want = np.zeros(S + 1)
-        for i, P in zip(range(S + 1), phase_stream(grid, m, dt)):
-            want[i] = _h_alpha_norm_hat(fourier_collapse(P * hats[m], grid, m, 1), grid, m - 1, 1.0)
-        assert np.array_equal(rows[m - 1], want)
+    spec, half = InteractionSpec(p, 1), p // 2
+    rng = np.random.default_rng(M + p)
+    hats = {k: _random_hat(grid, k, rng, 1.0) for k in range(1, half + 3)}
+    S, dt = 2 * M ** (p - 1) + 1, 3e-3
+    rows = _free_collapse_norms(hats, grid, spec, S, dt, 1.0)
+    for m in (half + 1, half + 2):
+        want = [
+            _h_alpha_norm_hat(fourier_collapse(phase_tensor(grid, m, i * dt) * hats[m], grid, m, half), grid, m - half, 1.0)
+            for i in range(S + 1)
+        ]
+        np.testing.assert_allclose(rows[m - half], want, rtol=1e-13, atol=0)
+    level = ProductLevel(grid, half + 2, fftn_level(cosine_field(grid).values))
+    nodes = _free_nodes(grid, half + 2, level, dt)
+    want = [_h_alpha_norm_hat(fourier_collapse(next(nodes), grid, half + 2, half), grid, 2, 1.0) for _ in range(S + 1)]
+    assert np.array_equal(_free_collapse_norms({half + 2: level}, grid, spec, S, dt, 1.0)[2], want)
+
+
+def test_free_collapse_memory_is_flat_in_steps():
+    # one block's output is no larger than one sigma slab of the level, so
+    # the peak does not grow with S; the node-by-node loop held the phase
+    # stream, its step and a node buffer, three copies of the level
+    grid = make_grid(1, 6, 2 * np.pi)
+    hat = _random_hat(grid, 3, np.random.default_rng(0), 1.0)
+    peaks = {}
+    for S in (20, 2000):
+        tracemalloc.start()
+        try:
+            _free_collapse_norms({3: hat}, grid, CUBIC, S, 1e-3, 1.0)
+            peaks[S] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] <= 1.25 * peaks[20], peaks
+    assert max(peaks.values()) < 2 * hat.nbytes, peaks
 
 
 def test_strichartz_single_mode_closed_form():
@@ -118,14 +146,8 @@ def test_strichartz_single_mode_closed_form():
     hat[1, 2, 3, 0] = 1.0 + 0.5j
     T, dt = 0.08, 2e-3
     S = round(T / dt)
-    rows_norm = np.zeros(S + 1)
-    P = np.ones_like(hat)
-    step = phase_tensor(grid, 2, dt)
-    for i in range(S + 1):
-        if i > 0:
-            P = P * step
-        g = fourier_collapse(P * hat, grid, 2, 1)
-        rows_norm[i] = _h_alpha_norm_hat(g, grid, 1, 1.0)
+    nodes = fourier_collapse(hat, grid, 2, 1, dt * np.arange(S + 1))
+    rows_norm = np.array([_h_alpha_norm_hat(g, grid, 1, 1.0) for g in nodes])
     base = rows_norm[0]
     np.testing.assert_allclose(rows_norm, base, rtol=1e-12)
     w = QuadratureRule("trapezoid").weights(S, dt)
