@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import TorusGrid
+from .grid import TorusGrid, phase_weights
 
 if TYPE_CHECKING:
     from .marginal import ProductLevel
@@ -60,23 +60,21 @@ def multiplier_tensor(grid: TorusGrid, k: int) -> np.ndarray:
 
 
 def phase_tensor(grid: TorusGrid, k: int, t: float) -> np.ndarray:
-    """Dense free-propagator phases exp(-i t lambda) on level-k modes."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    return np.exp(-1j * t * multiplier_tensor(grid, k))
+    """Dense free-propagator phases exp(-i t lambda) on level-k modes.
 
-
-def phase_stream(grid: TorusGrid, k: int, dt: float):
-    """U(i*dt) on level-k modes for i = 0, 1, 2, ...
-
-    One array is advanced in place by the phases of one step, so each
-    yielded value is overwritten by the next; copy it to keep it.
+    U(t) of a dense level has this one form: every node of every march
+    builds the phases of its own time here, exact to rounding, so no phase
+    drifts with the step count.  A is the outer product of the k*d
+    per-axis phases exp(-i t p^2) of the unprimed block (d axes per
+    variable); the primed block carries conj(A), so the tensor is one
+    outer product of A with its conjugate.  The M^(2kd) tensor is written
+    once, by that last product.
     """
-    step = phase_tensor(grid, k, dt)
-    P = np.ones_like(step)
-    while True:
-        yield P
-        np.multiply(P, step, out=P)
+    ph = phase_weights(grid, t, "unprimed")
+    A = ph
+    for _ in range(k * grid.d - 1):
+        A = np.multiply.outer(A, ph)
+    return np.multiply.outer(A, A.conj())
 
 
 def fftn_level(data: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import conj_negated, ifftn_level, phase_stream, phase_tensor, product_collapse
+from ._kernels import conj_negated, ifftn_level, phase_tensor, product_collapse
 from .grid import TorusGrid, phase_weights, sobolev_weights, transform
 
 #: Dense tensors above this element count are refused
@@ -323,33 +323,26 @@ def _dense_hat(hat: np.ndarray | ProductLevel) -> np.ndarray:
     return hat.dense() if isinstance(hat, ProductLevel) else hat
 
 
-def _evolved_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, t: float, phases: np.ndarray | None = None):
-    """U(t) of a level-k mode tensor or product level; t need not be a node.
+def _evolved_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, t: float):
+    """U(t) of a level-k mode tensor or product level, with the exact phases of t.
 
-    A product level takes the exact phases of t on its factor.  A dense
-    level is multiplied by phases, the level-k phase tensor of t, computed
-    here unless the caller passes the one it holds (the oracle's stage
-    phases).
+    A product level evolves its factor (ProductLevel.evolved); a dense
+    level is multiplied by the level-k phase tensor of t (phase_tensor).
     """
     if isinstance(hat, ProductLevel):
         return hat.evolved(t)
-    return (phase_tensor(grid, k, t) if phases is None else phases) * hat
+    return phase_tensor(grid, k, t) * hat
 
 
 def _free_nodes(grid: TorusGrid, k: int, hat: np.ndarray | ProductLevel, dt: float):
     """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself.
 
-    A product level takes the exact phases of each node on its factor;
-    a dense level is advanced by one phase stream.
+    Every later node is _evolved_hat at its own time t_i = i*dt, so node i
+    is as exact as node 1 for a dense level and a product level alike.
     """
     yield hat
-    if isinstance(hat, ProductLevel):
-        for i in itertools.count(1):
-            yield hat.evolved(i * dt)
-    phases = phase_stream(grid, k, dt)
-    next(phases)
-    for P in phases:
-        yield P * hat
+    for i in itertools.count(1):
+        yield _evolved_hat(hat, grid, k, i * dt)
 
 
 def _marginal_of(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> Marginal:

@@ -2,14 +2,17 @@
 
 Every time integral here is one Volterra integral on a level's modes,
 x(t) = U(t)[x0 - i*mu int_0^t U(-s) g(s) ds], evaluated on the node grid
-t_i = i*dt by two primitives: _kernels.phase_stream streams U(i*dt),
-advancing one array in place, and _Volterra.stream pushes g at each node
-and yields every node x(t_i) once, in order.  Simpson's rule finalizes
-node 1 only with node 2; _Cumulative and _Volterra are the only places
-that know it, so every consumer reads one node of each level per step.
-_theta_defects pushes each node's Theta = B Gamma into several Volterra
-levels and holds the node in one deque until they finalize it, so Theta
-and its fixed-point defect take one pass over the stored nodes.
+t_i = i*dt.  U(t) has one form: _kernels.phase_tensor builds the dense
+phases of a level at any t from the per-axis phases of t, so U(t_i) is
+exact to rounding at every node, its error does not grow with i, and no
+phase is streamed, advanced in place or held between nodes.
+_Volterra.stream pushes g at each node and yields every node x(t_i)
+once, in order.  Simpson's rule finalizes node 1 only with node 2;
+_Cumulative and _Volterra are the only places that know it, so every
+consumer reads one node of each level per step.  _theta_defects pushes
+each node's Theta = B Gamma into several Volterra levels and holds the
+node in one deque until they finalize it, so Theta and its fixed-point
+defect take one pass over the stored nodes.
 
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
@@ -17,11 +20,12 @@ source is the collapse of the already-solved level p/2 above,
 
     gamma^(n)(t) = U(t) gamma0^(n) - i*mu * int_0^t U(t-s) B gamma^(n+p/2)(s) ds.
 
-_march solves it top-down with phase streams for the free levels (so all
-quadrature error sits in the coupling term) and one Volterra stream per
-coupled level, fed by the stream of the level p/2 above; solve_oracle integrates the same linear system with a classical
-4-stage integrating-factor Runge-Kutta step and serves as the cross-check
-route.  Both collect the stored nodes of a generator (_volterra_nodes,
+_march solves it top-down with the exact free evolution of the free levels
+(so all quadrature error sits in the coupling term) and one Volterra
+stream per coupled level, fed by the stream of the level p/2 above;
+solve_oracle integrates the same linear system with a classical 4-stage
+integrating-factor Runge-Kutta step and serves as the cross-check route.
+Both collect the stored nodes of a generator (_volterra_nodes,
 _oracle_nodes) that yields each node as a {level: mode tensor} dict; a
 Trajectory keeps those dicts and builds real space one node at a time.
 
@@ -33,7 +37,7 @@ rank-one product_collapse.  _level_hat makes that choice, for the free top
 p/2 levels of the truncated system, the deepest level of a Duhamel term
 and the free levels of the oracle and of the Theta residual; every coupled
 level stays a dense mode tensor.  U(t) of a level of either kind is
-marginal._evolved_hat, and marginal._free_nodes streams it on the nodes.
+marginal._evolved_hat, and marginal._free_nodes yields it at each node.
 
 Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
@@ -49,11 +53,11 @@ import functools
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_stream, phase_tensor
+from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
 from .grid import TorusGrid
 from .marginal import (
     HierarchyState,
@@ -193,35 +197,33 @@ class _Volterra:
     base=None stands for zero.  Under Simpson push(g_1) returns no node and
     push(g_2) returns nodes 1 and 2.  stream(sources) hides that: it pushes
     each integrand and yields every node once, in order, so no consumer
-    tracks node indices.
+    tracks node indices.  Each node's phases are phase_tensor at its own
+    time t_s = s*dt, built when the node is pushed or finalized, so no phase
+    is held between pushes.
     """
 
     def __init__(self, grid: TorusGrid, level: int, spec: InteractionSpec, dt: float, rule: QuadratureRule, base=None):
         self._cum = _Cumulative(rule, dt)
-        self._phases = phase_stream(grid, level, dt)
-        self._held: dict[int, np.ndarray] = {}
+        self._grid, self._level, self._dt = grid, level, dt
         self._base = base
         self._mu_coef = -1j * spec.mu
 
     def push(self, g: np.ndarray) -> list[np.ndarray]:
-        P = next(self._phases)
         i = self._cum.i + 1
         if i == 0:
             # the phases are unity at node 0
             self._cum.push(g)
             return [np.zeros_like(g) if self._base is None else self._base]
+        P = phase_tensor(self._grid, self._level, i * self._dt)
         out = []
         for s, Q in self._cum.push(np.conj(P) * g):
             # keep the phase a named operand: numpy writes `a * (b + c)` into
             # whichever operand is a temporary, and that choice moves the last bit
-            ph = P if s == i else self._held.pop(s)
+            ph = P if s == i else phase_tensor(self._grid, self._level, s * self._dt)
             if self._base is None:
                 out.append(ph * (self._mu_coef * Q))
             else:
                 out.append(ph * (self._base + self._mu_coef * Q))
-        if not out:
-            # node i is finalized late (Simpson's node 1): keep its phase
-            self._held[i] = P.copy()
         return out
 
     def stream(self, sources):
@@ -273,7 +275,7 @@ def _march(
             fifo[n].append(next(streams[n]))
         if i == S:
             # consumers of the last nodes run while this generator is
-            # suspended; no later step needs the phases or accumulators
+            # suspended; no later step needs the streams or accumulators
             streams.clear()
         yield i, {n: fifo[n].popleft() for n in sorted(hat0)}
 
@@ -299,7 +301,6 @@ class Trajectory:
     hats: list[dict[int, np.ndarray]]
     grid: TorusGrid
     spec: InteractionSpec
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.times) != len(self.hats):
@@ -394,28 +395,21 @@ def _oracle_nodes(
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
     Runge-Kutta step to this coupling (4th order in dt).  A free level is
-    constant in this frame; a product level takes its exact phases at each
-    stage time, and only dense levels carry phase tensors E.
+    constant in this frame.  Every stage evaluates U at its own stage time
+    by _evolved_hat and phase_tensor, so no phase is carried from one step
+    to the next.
     """
     S, store_every = _sampling(T, dt, store_every)
     N, half = max(hat0), spec.half
     coupled = [n for n in range(1, N + 1) if n + half <= N]
-    srcs = sorted({n + half for n in coupled})
     w = dict(hat0)
-    dense = [n for n in w if not isinstance(w[n], ProductLevel)]
-    E = {n: np.ones(w[n].shape, dtype=np.complex128) for n in dense}
-    E_half = {n: phase_tensor(grid, n, dt / 2) for n in dense}
     mu_coef = -1j * spec.mu
 
-    def frame(t: float, E_t: dict[int, np.ndarray], w_t: dict, m: int):
-        # U(t) w_t[m]: level m of the state at stage time t
-        return _evolved_hat(w_t[m], grid, m, t, E_t.get(m))
-
-    def F(t: float, E_t: dict[int, np.ndarray], w_t: dict) -> dict[int, np.ndarray]:
+    def F(t: float, w_t: dict) -> dict[int, np.ndarray]:
         out = {}
         for n in coupled:
-            g = fourier_collapse(frame(t, E_t, w_t, n + half), grid, n + half, half)
-            out[n] = mu_coef * np.conj(E_t[n]) * g
+            g = fourier_collapse(_evolved_hat(w_t[n + half], grid, n + half, t), grid, n + half, half)
+            out[n] = mu_coef * np.conj(phase_tensor(grid, n, t)) * g
         return out
 
     def axpy(base: dict[int, np.ndarray], coeff: float, delta: dict[int, np.ndarray]):
@@ -424,17 +418,14 @@ def _oracle_nodes(
     # levels of w are rebound, never written in place, so a yielded dict stays valid
     yield 0.0, dict(w)
     for i in range(1, S + 1):
-        E_mid = {n: E[n] * E_half[n] for n in dense}
-        E_end = {n: E_mid[n] * E_half[n] for n in dense}
-        k1 = F((i - 1) * dt, E, w)
-        k2 = F((i - 0.5) * dt, E_mid, axpy(w, dt / 2, k1))
-        k3 = F((i - 0.5) * dt, E_mid, axpy(w, dt / 2, k2))
-        k4 = F(i * dt, E_end, axpy(w, dt, k3))
+        k1 = F((i - 1) * dt, w)
+        k2 = F((i - 0.5) * dt, axpy(w, dt / 2, k1))
+        k3 = F((i - 0.5) * dt, axpy(w, dt / 2, k2))
+        k4 = F(i * dt, axpy(w, dt, k3))
         for n in coupled:
             w[n] = w[n] + (dt / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
-        E = E_end
         if i % store_every == 0:
-            yield i * dt, {n: frame(i * dt, E, w, n) for n in w}
+            yield i * dt, {n: _evolved_hat(w[n], grid, n, i * dt) for n in w}
 
 
 def solve_truncated(
@@ -454,10 +445,8 @@ def solve_truncated(
     (None stores only the endpoints); it must divide S = T/dt.
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    _, stride = _sampling(T, dt, store_every)
     times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0, spec), spec, T, dt, rule, store_every))
-    meta = {"solver": "volterra", "quadrature": rule.kind, "dt_integration": dt, "store_every": stride}
-    return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
+    return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
 
 
 def solve_oracle(
@@ -469,10 +458,8 @@ def solve_oracle(
 ) -> Trajectory:
     """Independent reference integrator for the same truncated linear system
     (the integrating-factor RK4 of _oracle_nodes)."""
-    _, stride = _sampling(T, dt, store_every)
     times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0, spec), spec, T, dt, store_every))
-    meta = {"solver": "oracle-ifrk4", "quadrature": "rk4", "dt_integration": dt, "store_every": stride}
-    return Trajectory(np.array(times), list(hats), gamma0.grid, spec, meta=meta)
+    return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
 
 
 def duhamel_term(

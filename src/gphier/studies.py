@@ -240,7 +240,6 @@ def cauchy_study(
     T: float,
     dt: float,
     quadrature="trapezoid",
-    fit_eta: bool = True,
 ) -> StudyReport:
     """Truncation-difference ratios against the initial-data tail.
 
@@ -345,7 +344,6 @@ def cauchy_study(
         if min(finite) > 0:
             report.fitted["ratio_spread"] = float(max(finite) / min(finite))
 
-    if fit_eta and finite:
         def max_ratio_at(xi_test: float) -> float:
             vals = []
             for (N1, N2), (bnorms, tail) in bnorm_store.items():

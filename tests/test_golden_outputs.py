@@ -12,11 +12,24 @@ stored grid.
 
 writes the files of every case whose directory does not exist yet and
 leaves the others alone.  A change that is meant to alter the results of
-a case deletes that case's directory first.
+a case deletes that case's directory first, after
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --compare
+
+has run every case and printed, per case, the largest relative and
+absolute deviation of the numeric fields from the committed files.  It
+names each field that moved beyond rel 1e-12 and abs 1e-15 (the
+tolerance of an arithmetic change), and each non-numeric field or file
+that differs, and exits 1 if there is one.
 """
 
+import csv
+import io
+import json
+import math
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -66,7 +79,111 @@ def test_golden_outputs(case, tmp_path):
         assert got[name] == want[name], f"{name} differs from its golden copy"
 
 
+#: a numeric field is within tolerance if it moved by at most REL_TOL
+#: relative or ABS_TOL absolute (the rounding floor of a value near 0)
+REL_TOL, ABS_TOL = 1e-12, 1e-15
+
+
+def _fields(name: str, data: bytes) -> dict[str, object]:
+    """Every cell of a CSV file or leaf of a JSON file, keyed by where it sits."""
+    if name.endswith(".json"):
+        flat = {}
+
+        def walk(value, key):
+            if isinstance(value, (dict, list)):
+                items = value.items() if isinstance(value, dict) else enumerate(value)
+                for sub, v in items:
+                    walk(v, f"{key}[{sub!r}]")
+            else:
+                flat[key] = value
+
+        walk(json.loads(data), name)
+        return flat
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    fields = {f"{name} columns": rows[0]}
+    for r, row in enumerate(rows[1:], start=2):
+        fields[f"{name} row {r} width"] = len(row)
+        fields.update({f"{name} row {r} {col}": cell for col, cell in zip(rows[0], row)})
+    return fields
+
+
+def _number(value) -> float | None:
+    """value as a float; None for a field that is not a number (a bool, a blank cell, a name)."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _deviation(got, want) -> tuple[float, float] | None:
+    """(relative, absolute) deviation of two numeric fields; None if either is not a number."""
+    a, b = _number(got), _number(want)
+    if a is None or b is None:
+        return None
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    diff = abs(a - b)
+    return (diff / abs(b) if b != 0 else math.inf), diff
+
+
+def compare(case: str) -> list[str]:
+    """Run one case, print its largest deviations from the golden files, return the fields out of tolerance."""
+    golden = os.path.join(GOLDEN_DIR, case)
+    want = {name: open(os.path.join(golden, name), "rb").read() for name in sorted(os.listdir(golden))}
+    with tempfile.TemporaryDirectory() as out_dir:
+        got = _run(case, out_dir)
+    bad = [f"file {name} {'missing' if name in want else 'new'}" for name in sorted(set(got) ^ set(want))]
+    worst = {"rel": (0.0, None), "abs": (0.0, None)}
+    for name in sorted(set(got) & set(want)):
+        got_fields, want_fields = _fields(name, got[name]), _fields(name, want[name])
+        for key in sorted(set(got_fields) | set(want_fields)):
+            if key not in got_fields or key not in want_fields:
+                bad.append(f"{key}: present in only one of the outputs")
+                continue
+            dev = _deviation(got_fields[key], want_fields[key])
+            if dev is None:
+                if got_fields[key] != want_fields[key]:
+                    bad.append(f"{key}: {got_fields[key]!r} against golden {want_fields[key]!r}")
+                continue
+            for kind, value in zip(("rel", "abs"), dev):
+                if value > worst[kind][0]:
+                    worst[kind] = (value, key)
+            if dev[0] > REL_TOL and dev[1] > ABS_TOL:
+                bad.append(f"{key}: rel {dev[0]:.2e}, abs {dev[1]:.2e} ({got_fields[key]} against {want_fields[key]})")
+    summary = ", ".join(f"max {kind} {value:.2e}" + (f" ({key})" if key else "") for kind, (value, key) in worst.items())
+    print(f"{case}: {'identical' if got == want else summary}")
+    for line in bad:
+        print(f"  OUTSIDE: {line}")
+    return bad
+
+
+def test_compare_names_each_field_out_of_tolerance(tmp_path, monkeypatch, capsys):
+    # a copy of the km-report golden with one field moved beyond, one
+    # within the tolerance, and one CSV cell that is no longer a number
+    src = os.path.join(GOLDEN_DIR, "km-report")
+    summary = json.load(open(os.path.join(src, "km_summary.json")))
+    summary["fitted"]["l2_t_bhat_norm"] *= 1 + 1e-9
+    summary["fitted"]["sup_t_hxi_norm"] *= 1 + 1e-14
+    os.makedirs(tmp_path / "km-report")
+    json.dump(summary, open(tmp_path / "km-report" / "km_summary.json", "w"))
+    rows = open(os.path.join(src, "km_per_time.csv")).read().split("\n")
+    rows[1] = "0.0,x," + rows[1].split(",", 2)[2]
+    open(tmp_path / "km-report" / "km_per_time.csv", "w").write("\n".join(rows))
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", str(tmp_path))
+    bad = compare("km-report")
+    assert len(bad) == 2
+    assert "['fitted']['l2_t_bhat_norm']: rel 1.00e-09" in bad[1]
+    assert bad[0].startswith("km_per_time.csv row 2 hxi_norm: '0.022727023319615913' against golden 'x'")
+    assert "max rel 1.00e-09" in capsys.readouterr().out
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--compare"]:
+        outside = [line for case in sorted(CONFIGS) for line in compare(case)]
+        print(f"{len(outside)} field(s) outside rel {REL_TOL:g} / abs {ABS_TOL:g}")
+        sys.exit(1 if outside else 0)
     for case in sorted(CONFIGS):
         out = os.path.join(GOLDEN_DIR, case)
         if os.path.exists(out):

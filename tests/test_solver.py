@@ -28,8 +28,8 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
-from gphier._kernels import phase_stream, phase_tensor
-from gphier.marginal import _dense_hat
+from gphier._kernels import multiplier_tensor, phase_tensor
+from gphier.marginal import _dense_hat, _free_nodes
 from gphier.solver import (
     _Cumulative,
     _duhamel_nodes,
@@ -85,15 +85,36 @@ def test_cumulative_matches_weights():
             )
 
 
-def test_phase_stream_is_the_repeated_step_product():
-    dt = 1e-3
-    for k in (1, 2):
-        step = phase_tensor(GRID, k, dt)
-        P = np.ones_like(step)
-        for i, got in zip(range(60), phase_stream(GRID, k, dt)):
-            assert got.tobytes() == P.tobytes(), (k, i)
-            np.testing.assert_allclose(got, phase_tensor(GRID, k, i * dt), rtol=0, atol=1e-13)
-            P = P * step
+@pytest.mark.parametrize("d, M, ks", [(1, 8, (1, 2, 3)), (2, 4, (1, 2))])
+def test_phase_tensor_is_exp_of_the_multiplier(d, M, ks):
+    # unprimed axes first, d per variable: the layout of multiplier_tensor.
+    # |t| is small enough that the rounding of t * lambda in the reference
+    # exp stays inside the bound (at M=8 and t=2.9 the difference is twice it)
+    grid = make_grid(d, M, 2 * np.pi)
+    for k in ks:
+        lam = multiplier_tensor(grid, k)
+        for t in (0.0, 0.37, -1.3):
+            got = phase_tensor(grid, k, t)
+            assert got.shape == lam.shape
+            np.testing.assert_allclose(got, np.exp(-1j * t * lam), rtol=0, atol=1e-15 * 2 * k * d, err_msg=f"k={k} t={t}")
+    with pytest.raises(ValueError, match="finite"):
+        phase_tensor(grid, 1, np.nan)
+
+
+def test_free_nodes_of_a_dense_level_do_not_drift():
+    # every node takes the phases of its own time, so node 2*10^4 is as
+    # close to exp(-i t lambda) hat as node 1; a stream of repeated step
+    # multiplies drifts by about 1e-12 here
+    k, dt, S = 2, 1e-5, 20000
+    rng = np.random.default_rng(3)
+    shape = (GRID.M,) * GRID.axis_count(k)
+    hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lam = multiplier_tensor(GRID, k)
+    scale = np.abs(hat).max()
+    for i, node in zip(range(S + 1), _free_nodes(GRID, k, hat, dt)):
+        if i % 1000 == 0:
+            err = np.abs(node - np.exp(-1j * (i * dt) * lam) * hat).max() / scale
+            assert err <= 1e-14, (i, err)
 
 
 def _direct_volterra(g, base, rule, s, dt, mu):

@@ -263,7 +263,7 @@ def test_cauchy_marches_each_truncation_once(monkeypatch):
 
     grid = make_grid(1, 4, 2 * np.pi)
     g0 = _cosine_hierarchy(grid, 5)
-    study = dict(params=PARAMS, spec=CUBIC, T=0.02, dt=2e-3, fit_eta=False)
+    study = dict(params=PARAMS, spec=CUBIC, T=0.02, dt=2e-3)
     pairs = [cauchy_study(g0, pair, **study).tables["pairs"][0] for pair in ([3, 4], [3, 5], [4, 5])]
     marched = []
     real_march = studies._march
@@ -282,7 +282,7 @@ def test_cauchy_chain_warning():
     grid = make_grid(1, 4, 2 * np.pi)
     g0 = _cosine_hierarchy(grid, 4)
     loose = NormParams(alpha=1.0, xi=0.02, xi2=0.06, xi_prime=0.2, eta=0.3)
-    rep = cauchy_study(g0, [3, 4], loose, CUBIC, T=0.02, dt=2e-3, fit_eta=False)
+    rep = cauchy_study(g0, [3, 4], loose, CUBIC, T=0.02, dt=2e-3)
     assert any("chain" in w for w in rep.warnings)
     with pytest.raises(ValueError):
         cauchy_study(g0, [4], PARAMS, CUBIC, T=0.02, dt=2e-3)
@@ -352,8 +352,8 @@ def test_study_ratio_scale_invariance_cauchy():
     grid = make_grid(1, 4, 2 * np.pi)
     g0 = _cosine_hierarchy(grid, 4)
     doubled = HierarchyState(grid, [2.0 * g for g in g0.levels])
-    r1 = cauchy_study(g0, [3, 4], PARAMS, CUBIC, T=0.05, dt=2.5e-3, fit_eta=False)
-    r2 = cauchy_study(doubled, [3, 4], PARAMS, CUBIC, T=0.05, dt=2.5e-3, fit_eta=False)
+    r1 = cauchy_study(g0, [3, 4], PARAMS, CUBIC, T=0.05, dt=2.5e-3)
+    r2 = cauchy_study(doubled, [3, 4], PARAMS, CUBIC, T=0.05, dt=2.5e-3)
     a = r1.tables["pairs"][0]["ratio_l2_over_tail"]
     b = r2.tables["pairs"][0]["ratio_l2_over_tail"]
     assert a == pytest.approx(b, rel=1e-12)
