@@ -7,8 +7,8 @@ excluded from the byte-identity contract.
 
 evolve, nls-compare and km-report stream the solver's stored nodes
 ({level: mode tensor} dicts) into their consumers and keep no list of
-nodes.  The free top p/2 levels of the factorized initial data are product
-levels (marginal.ProductLevel), held by one M^d factor.  Norms and traces
+nodes.  Factorized initial data are product levels (marginal.ProductLevel);
+a solver densifies the coupled levels it integrates.  Norms and traces
 come from the mode tensors: the H^alpha norm of each level once per node
 (norm_Hxi_alpha is the xi-weighted sum of those numbers), the trace as
 h^(dk) * sum_r hat[r; -r] (closed forms on a product level), and
@@ -255,7 +255,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
         params = NormParams(config.alpha, config.xi, config.xi2, config.xi_prime, config.eta)
         if command == "evolve":
             phi0 = _resolve_phi0(config, grid)
-            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid), spec)
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
             solvers = ["volterra", "oracle"] if config.solver == "both" else [config.solver]
             terminal = {}
             for solver_name in solvers:
@@ -289,7 +289,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                 )
         elif command == "nls-compare":
             phi0 = _resolve_phi0(config, grid)
-            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid), spec)
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
             wave = nls_solve(phi0, spec, config.T, config.dt, config.store_every)
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
@@ -328,7 +328,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
             _report_to_files(report, out_dir, "boardgame")
         elif command == "km-report":
             phi0 = _resolve_phi0(config, grid)
-            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid), spec)
+            hat0 = _initial_hats(HierarchyState.factorized(phi0.values, config.N, grid))
             rule = QuadratureRule(config.quadrature)
             nodes = _volterra_nodes(grid, hat0, spec, config.T, config.dt, rule, config.store_every)
             check = _InvariantCheck(grid, spec)

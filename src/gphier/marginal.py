@@ -9,15 +9,15 @@ All torus integrals are Riemann sums with weight h^d per integrated
 variable, so trace/norm identities are exact for band-limited data.
 
 The solvers hold each level as its mode tensor (unitary DFT of the
-kernel).  A level of factorized data that evolves freely is a product
-level (ProductLevel): the one-particle factor psi_hat stands for the whole
+kernel).  Every level of factorized data is a product level
+(ProductLevel): the one-particle factor psi_hat stands for the whole
 M^(2kd) tensor.  Its H^alpha norm and trace are closed forms in psi_hat,
 it is hermitean and symmetric by construction, and dense() builds the
-tensor for the consumers that need one (marginal() the real-space
-kernel).  The memory guard counts only dense levels.  The mode-space
-helpers below (_h_alpha_norm_hat, _trace_hat, _hat_difference,
-_dense_hat, _marginal_of, and _evolved_hat and _free_nodes for U(t)) accept
-either kind, as does _kernels.fourier_collapse.
+tensor from psi_hat where a solver integrates a coupled level (marginal()
+the real-space kernel).  The memory guard counts only dense levels.  The
+mode-space helpers below (_h_alpha_norm_hat, _trace_hat, _hat_difference,
+_dense_hat, _marginal_of, and _evolved_hat and _free_nodes for U(t))
+accept either kind, as does _kernels.fourier_collapse.
 """
 
 from __future__ import annotations

@@ -29,14 +29,14 @@ Both collect the stored nodes of a generator (_volterra_nodes,
 _oracle_nodes) that yields each node as a {level: mode tensor} dict; a
 Trajectory keeps those dicts and builds real space one node at a time.
 
-For factorized data the free levels are product levels
+For factorized data every level enters as a product level
 (marginal.ProductLevel): U(t) of prod psi(x_j) conj(psi(x'_j)) is the
 product of psi(t), psi_hat(t) = exp(-i t |p|^2) psi_hat, so a free level
 is one M^d factor with exact phases at every node, and its collapse is the
-rank-one product_collapse.  _level_hat makes that choice, for the free top
-p/2 levels of the truncated system, the deepest level of a Duhamel term
-and the free levels of the oracle and of the Theta residual; every coupled
-level stays a dense mode tensor.  U(t) of a level of either kind is
+rank-one product_collapse.  _level_hat makes that choice for every level
+of a factorized state; a coupled level is densified by ProductLevel.dense()
+only where it is integrated, as the base of its _Volterra accumulator or
+in the frame of the oracle.  U(t) of a level of either kind is
 marginal._evolved_hat, and marginal._free_nodes yields it at each node.
 
 Iterated Duhamel terms are built by the recursion
@@ -199,13 +199,13 @@ class _Volterra:
     each integrand and yields every node once, in order, so no consumer
     tracks node indices.  Each node's phases are phase_tensor at its own
     time t_s = s*dt, built when the node is pushed or finalized, so no phase
-    is held between pushes.
+    is held between pushes.  A product-level base is densified here.
     """
 
     def __init__(self, grid: TorusGrid, level: int, spec: InteractionSpec, dt: float, rule: QuadratureRule, base=None):
         self._cum = _Cumulative(rule, dt)
         self._grid, self._level, self._dt = grid, level, dt
-        self._base = base
+        self._base = None if base is None else _dense_hat(base)
         self._mu_coef = -1j * spec.mu
 
     def push(self, g: np.ndarray) -> list[np.ndarray]:
@@ -246,9 +246,9 @@ def _march(
     """Lockstep Fourier-space march of all levels; yields (node, states) in order.
 
     Each level is one stream of its nodes.  The top p/2 levels are free
-    streams (hat0 may hold them as product levels); each coupled level n is
-    the stream of a _Volterra accumulator started from its dense hat0[n] and
-    fed the collapse of each node of level n + p/2.  Every node passes
+    streams; each coupled level n is the stream of a _Volterra accumulator
+    started from hat0[n] (densified there if it is a product level) and fed
+    the collapse of each node of level n + p/2.  Every node passes
     through its level's FIFO: a level that feeds the one below queues each
     node as it is collapsed, the bottom p/2 levels are pulled here, and the
     output pops one node of every level per step.  Yielded dicts map
@@ -331,21 +331,17 @@ class Trajectory:
         return [self.state(i) for i in range(len(self.times))]
 
 
-def _level_hat(state: HierarchyState, n: int, free: bool) -> np.ndarray | ProductLevel:
-    """Mode representation of level n of state.
-
-    This is where a level becomes a product level: when the state is
-    factorized and the caller only evolves the level freely (or reads its
-    norms).  Every other level is the dense mode tensor.
-    """
-    if free and state.phi is not None:
+def _level_hat(state: HierarchyState, n: int) -> np.ndarray | ProductLevel:
+    """Mode representation of level n of state: the product level of a factorized
+    state (no kernel is built), else the DFT of the level's kernel."""
+    if state.phi is not None:
         return ProductLevel(state.grid, n, fftn_level(state.phi))
     return fftn_level(state.level(n).data)
 
 
-def _initial_hats(state: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray | ProductLevel]:
-    """Initial data of the truncated system; the free top p/2 levels of a factorized state are product levels."""
-    return {n: _level_hat(state, n, free=n + spec.half > state.N) for n in range(1, state.N + 1)}
+def _initial_hats(state: HierarchyState) -> dict[int, np.ndarray | ProductLevel]:
+    """Mode representations of the levels 1..N of state (_level_hat)."""
+    return {n: _level_hat(state, n) for n in range(1, state.N + 1)}
 
 
 def _materialize(grid: TorusGrid, hats: dict[int, np.ndarray | ProductLevel]) -> HierarchyState:
@@ -395,21 +391,30 @@ def _oracle_nodes(
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
     Runge-Kutta step to this coupling (4th order in dt).  A free level is
-    constant in this frame.  Every stage evaluates U at its own stage time
-    by _evolved_hat and phase_tensor, so no phase is carried from one step
-    to the next.
+    constant in this frame; a coupled level is densified when w is built.
+    phases(t) holds one set, the phases of the dense levels at the last
+    stage time: k2 and k3 share the mid-step set, and the set at t_i serves
+    k4, the stored node and the next step's k1.
     """
     S, store_every = _sampling(T, dt, store_every)
     N, half = max(hat0), spec.half
     coupled = [n for n in range(1, N + 1) if n + half <= N]
-    w = dict(hat0)
+    w = {n: _dense_hat(hat) if n in coupled else hat for n, hat in hat0.items()}
     mu_coef = -1j * spec.mu
+
+    @functools.lru_cache(maxsize=1)
+    def phases(t: float) -> dict[int, np.ndarray]:
+        return {n: phase_tensor(grid, n, t) for n, hat in w.items() if not isinstance(hat, ProductLevel)}
+
+    def U(t: float, n: int, hat):
+        # the operands of _evolved_hat, so the same bits
+        return phases(t)[n] * hat if n in phases(t) else hat.evolved(t)
 
     def F(t: float, w_t: dict) -> dict[int, np.ndarray]:
         out = {}
         for n in coupled:
-            g = fourier_collapse(_evolved_hat(w_t[n + half], grid, n + half, t), grid, n + half, half)
-            out[n] = mu_coef * np.conj(phase_tensor(grid, n, t)) * g
+            g = fourier_collapse(U(t, n + half, w_t[n + half]), grid, n + half, half)
+            out[n] = mu_coef * np.conj(phases(t)[n]) * g
         return out
 
     def axpy(base: dict[int, np.ndarray], coeff: float, delta: dict[int, np.ndarray]):
@@ -425,7 +430,7 @@ def _oracle_nodes(
         for n in coupled:
             w[n] = w[n] + (dt / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
         if i % store_every == 0:
-            yield i * dt, {n: _evolved_hat(w[n], grid, n, i * dt) for n in w}
+            yield i * dt, {n: U(i * dt, n, w[n]) for n in w}
 
 
 def solve_truncated(
@@ -445,7 +450,7 @@ def solve_truncated(
     (None stores only the endpoints); it must divide S = T/dt.
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0, spec), spec, T, dt, rule, store_every))
+    times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, rule, store_every))
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
 
 
@@ -458,7 +463,7 @@ def solve_oracle(
 ) -> Trajectory:
     """Independent reference integrator for the same truncated linear system
     (the integrating-factor RK4 of _oracle_nodes)."""
-    times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0, spec), spec, T, dt, store_every))
+    times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, store_every))
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
 
 
@@ -497,7 +502,7 @@ def _duhamel_hat(
     The deepest level n + j*p/2 only evolves freely, so factorized data
     keeps it as a product level.
     """
-    deep_hat = _level_hat(gamma0, n + j * spec.half, free=True)
+    deep_hat = _level_hat(gamma0, n + j * spec.half)
     if j == 1:
         # exact phases: t need not be a node
         return _evolved_hat(deep_hat, gamma0.grid, n + spec.half, t)
@@ -572,20 +577,16 @@ def theta_residual(
     pass over the stored nodes (_theta_defects).  By default Gamma_ref is
     the trajectory's own initial state (the residual is then pure
     quadrature error); passing deeper reference data measures the
-    truncation tail instead.
+    truncation tail instead (on the trajectory's grid).
     """
     rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
-    ref_hat = None if reference_data is None else _reference_hats(reference_data, trajectory.spec)
+    if reference_data is not None and reference_data.grid != trajectory.grid:
+        raise ValueError("reference data and trajectory live on different grids")
+    ref_hat = None if reference_data is None else _initial_hats(reference_data)
     S, dt = len(trajectory.times) - 1, trajectory.dt
     nodes = zip(trajectory.times, trajectory.hats)
     defects = _theta_defects(nodes, ref_hat, trajectory.grid, trajectory.spec, S, dt, rule, xi, alpha)
     return l2_in_time(rule.weights(S, dt), [defect for *_, defect in defects])
-
-
-def _reference_hats(reference_data: HierarchyState, spec: InteractionSpec) -> dict[int, np.ndarray | ProductLevel]:
-    """Mode representations of the reference levels that the Theta residual collapses."""
-    N = reference_data.N
-    return {m: _level_hat(reference_data, m, free=m + spec.half > N) for m in range(1 + spec.half, N + 1)}
 
 
 def _theta_defects(
@@ -615,13 +616,13 @@ def _theta_defects(
     if N <= half:
         raise ValueError("trajectory has no coupled levels")
     ref_hat = first[1] if ref_hat is None else ref_hat
-    res_levels = range(1, max(N, max(ref_hat, default=0)) - half + 1)
+    res_levels = range(1, max(N, max(ref_hat)) - half + 1)
     zero = np.zeros((grid.M,) * grid.d, dtype=np.complex128)
     integrals, free = {}, {}
     for lv in res_levels:
         m, b = lv + half, ref_hat.get(lv + half)
         if m <= N - half:
-            integrals[lv] = _Volterra(grid, m, spec, dt, rule, None if b is None else _dense_hat(b))
+            integrals[lv] = _Volterra(grid, m, spec, dt, rule, b)
         else:
             free[lv] = _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
     waiting = deque()

@@ -282,14 +282,9 @@ def cauchy_study(
             "scale chain xi < eta*xi'' < eta^2*xi' violated; ratios reported anyway"
         )
 
-    hat0_full = _initial_hats(gamma0, spec)
-
-    def initial(N: int) -> dict:
-        # the truncations share the dense coupled levels; each starts its own free top levels
-        return {n: hat0_full[n] if n + half <= N else _level_hat(gamma0, n, free=True) for n in range(1, N + 1)}
-
-    # one march per truncation, all advanced together; every pair reads the shared nodes
-    marches = {N: _march(grid, initial(N), spec, S, dt, rule) for N in set(N_list)}
+    hat0 = _initial_hats(gamma0)
+    # one march per truncation on its first N levels, in lockstep; every pair reads the shared nodes
+    marches = {N: _march(grid, {n: hat0[n] for n in range(1, N + 1)}, spec, S, dt, rule) for N in set(N_list)}
     pairs = list(itertools.combinations(N_list, 2))
     bnorms = {(N1, N2): {n: np.zeros(S + 1) for n in range(1, N2 - half + 1)} for N1, N2 in pairs}
     sup_diff = dict.fromkeys(pairs, 0.0)
@@ -320,7 +315,7 @@ def cauchy_study(
         for n, row in bnorms[N1, N2].items():
             series += xi**n * row
         l2_bdiff = l2_in_time(w, series)
-        tail = sum(xi_p**n * _h_alpha_norm_hat(hat0_full[n], grid, n, alpha) for n in range(N1 + 1, gamma0.N + 1))
+        tail = sum(xi_p**n * _h_alpha_norm_hat(hat0[n], grid, n, alpha) for n in range(N1 + 1, gamma0.N + 1))
         pair_rows.append(
             {
                 "N1": N1,
@@ -414,7 +409,7 @@ def boardgame_probe(
         for j in j_values:
             deepest = nv + j * half
             # the deepest level only evolves freely
-            deep_hat = _level_hat(gamma_test, deepest, free=True)
+            deep_hat = _level_hat(gamma_test, deepest)
             lhs_nodes = [
                 _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
                 for h in _duhamel_nodes(j, nv, grid, deep_hat, spec, S, dt, rule)

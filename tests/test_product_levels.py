@@ -1,10 +1,10 @@
 """Product levels against the dense path they replace.
 
-A free level of factorized data is held by its one-particle factor
-(marginal.ProductLevel).  Its collapse, norm, trace and free evolution must
-agree with the dense mode tensor that dense() builds, which stays the
-oracle; and a march started from product levels must agree with the march
-started from the dense tensors of the same data.
+Every level of factorized data enters the solvers as its one-particle
+factor (marginal.ProductLevel).  Its collapse, norm, trace and free
+evolution must agree with the dense mode tensor that dense() builds, which
+stays the oracle; and a march started from product levels must agree with
+the march started from the dense tensors of the same data.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gphier import HierarchyState, InteractionSpec, MemoryGuardError, cosine_field, make_grid
 from gphier._kernels import fftn_level, fourier_collapse, phase_tensor
 from gphier.experiment import _structural_invariants
-from gphier.marginal import ProductLevel, _h_alpha_norm_hat, _trace_hat
+from gphier.marginal import ProductLevel, _dense_hat, _h_alpha_norm_hat, _trace_hat
 from gphier.solver import QuadratureRule, _initial_hats, _march
 
 #: (d, M, kappa, p) with a collapse (kappa > p/2) and at most 4^8 dense entries
@@ -98,16 +98,19 @@ def test_d2_quintic_product_level_matches_dense():
 def test_march_from_products_matches_dense_march(d, p, N):
     grid = make_grid(d, 4, 2 * np.pi)
     spec = InteractionSpec(p, -1)
-    hat0 = _initial_hats(HierarchyState.factorized(cosine_field(grid).values, N, grid), spec)
-    assert [n for n in hat0 if isinstance(hat0[n], ProductLevel)] == [n for n in hat0 if n + p // 2 > N]
-    dense0 = {n: h.dense() if isinstance(h, ProductLevel) else h for n, h in hat0.items()}
+    hat0 = _initial_hats(HierarchyState.factorized(cosine_field(grid).values, N, grid))
+    assert all(isinstance(h, ProductLevel) for h in hat0.values())
+    # densified before the march: coupled levels bit for bit, since _Volterra densifies
+    # its base the same way; every level, free ones too, within rounding
+    coupled0 = {n: h.dense() if n + p // 2 <= N else h for n, h in hat0.items()}
+    dense0 = {n: h.dense() for n, h in hat0.items()}
     rule = QuadratureRule("trapezoid")
-    marches = zip(_march(grid, hat0, spec, 10, 1e-3, rule), _march(grid, dense0, spec, 10, 1e-3, rule))
-    for (i, prod), (j, dense) in marches:
-        assert i == j
+    marches = zip(*(_march(grid, h0, spec, 10, 1e-3, rule) for h0 in (hat0, coupled0, dense0)))
+    for (i, prod), (_, coupled), (_, dense) in marches:
         for n in range(1, N + 1):
-            got = prod[n].dense() if isinstance(prod[n], ProductLevel) else prod[n]
-            assert _rel(got, dense[n]) <= 1e-12, (i, n)
+            assert isinstance(prod[n], ProductLevel) == (n + p // 2 > N), (i, n)
+            assert np.array_equal(_dense_hat(prod[n]), _dense_hat(coupled[n])), (i, n)
+            assert _rel(_dense_hat(prod[n]), dense[n]) <= 1e-12, (i, n)
 
 
 def test_factorized_state_builds_dense_levels_on_request():
@@ -115,7 +118,7 @@ def test_factorized_state_builds_dense_levels_on_request():
     # it is a product, and only an explicit request for it is refused
     grid = make_grid(1, 8, 2 * np.pi)
     state = HierarchyState.factorized(cosine_field(grid).values, 5, grid)
-    top = _initial_hats(state.truncate(2), InteractionSpec(2, 1))[2]
+    top = _initial_hats(state.truncate(2))[2]
     assert isinstance(top, ProductLevel)
     free5 = ProductLevel(grid, 5, fftn_level(state.phi))
     assert free5.trace() == pytest.approx(1.0, rel=1e-13)
@@ -128,7 +131,9 @@ def test_factorized_state_builds_dense_levels_on_request():
 def test_product_invariant_rows_and_nan_gate():
     grid = make_grid(1, 4, 2 * np.pi)
     spec = InteractionSpec(2, 1)
-    hats = _initial_hats(HierarchyState.factorized(cosine_field(grid).values, 3, grid), spec)
+    hat0 = _initial_hats(HierarchyState.factorized(cosine_field(grid).values, 3, grid))
+    # node 0 of the march: the coupled level 1 is dense, the free levels are products
+    hats = dict(next(_march(grid, hat0, spec, 1, 1e-3, QuadratureRule("trapezoid")))[1])
     rows, traces, failure = _structural_invariants(0.0, hats, grid, spec, None)
     assert failure is None
     assert rows[2]["free"] and rows[2]["herm_defect"] == 0.0 and rows[2]["sym_defect"] == 0.0

@@ -305,7 +305,7 @@ def test_theta_residual_needs_coupled_levels():
 
 def test_trajectory_type_validation():
     phi = cosine_field(GRID).values
-    hats = _initial_hats(HierarchyState.factorized(phi, 2, GRID), CUBIC)
+    hats = _initial_hats(HierarchyState.factorized(phi, 2, GRID))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.1, 0.15]), [hats, hats, hats], GRID, CUBIC)
     with pytest.raises(ValueError):
@@ -321,7 +321,7 @@ def test_trajectory_state_matches_materialized_march():
     phi = cosine_field(GRID).values
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_truncated(g0, CUBIC, T=0.02, dt=1e-3, store_every=5)
-    march = _march(GRID, _initial_hats(g0, CUBIC), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
+    march = _march(GRID, _initial_hats(g0), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
     built = [_materialize(GRID, hats) for i, hats in march if i % 5 == 0]
     assert len(built) == len(traj.times) == 5
     for i, ref in enumerate(built):
@@ -347,8 +347,8 @@ def test_streams_keep_no_past_nodes():
     # number of nodes, so quadrupling S may not add even one level-3 tensor
     grid = make_grid(1, 6, 2 * np.pi)
     g0 = HierarchyState.factorized(cosine_field(grid).values, 4, grid)
-    hat0 = _initial_hats(g0, CUBIC)
-    deep_hat = _level_hat(g0, 4, free=True)
+    hat0 = _initial_hats(g0)
+    deep_hat = _level_hat(g0, 4)
     rule, dt = QuadratureRule("simpson"), 1e-3
     params = NormParams(1.0, 0.02, 0.06, 0.2, 0.3)
     runs = {
@@ -373,7 +373,7 @@ def test_oracle_nodes_collect_into_solve_oracle():
     phi = cosine_field(GRID).values
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_oracle(g0, CUBIC, T=0.02, dt=1e-3, store_every=10)
-    nodes = list(_oracle_nodes(GRID, _initial_hats(g0, CUBIC), CUBIC, 0.02, 1e-3, 10))
+    nodes = list(_oracle_nodes(GRID, _initial_hats(g0), CUBIC, 0.02, 1e-3, 10))
     assert [t for t, _ in nodes] == list(traj.times)
     for (_, hats), ref in zip(nodes, traj.hats):
         for k in (1, 2, 3):
@@ -476,6 +476,47 @@ def test_theta_residual_quadrature_refinement():
         traj = solve_oracle(g0, CUBIC, T=0.1, dt=dt, store_every=1)
         res.append(theta_residual(traj, 0.02, 1.0, "trapezoid"))
     assert res[0] / res[1] == pytest.approx(4.0, rel=0.4)
+
+
+def test_theta_residual_factorized_reference_matches_its_dense_copy():
+    # every level of factorized reference data is a product level; its
+    # dense copy goes the real-space route, the same numbers to rounding
+    grid = make_grid(1, 4, 2 * np.pi)
+    g4 = HierarchyState.factorized(cosine_field(grid).values, 4, grid)
+    traj = solve_truncated(g4.truncate(3), CUBIC, T=0.01, dt=1e-3)
+    got = theta_residual(traj, 0.02, 1.0, reference_data=g4)
+    dense = theta_residual(traj, 0.02, 1.0, reference_data=HierarchyState(grid, g4.levels))
+    assert got > 1e-8
+    assert got == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("ref_grid", [make_grid(1, 4, 4.0), make_grid(1, 6, 2 * np.pi)], ids=["L", "M"])
+def test_theta_residual_rejects_reference_on_another_grid(ref_grid):
+    grid = make_grid(1, 4, 2 * np.pi)
+    traj = solve_truncated(HierarchyState.factorized(cosine_field(grid).values, 3, grid), CUBIC, T=0.01, dt=1e-3)
+    ref = HierarchyState.factorized(cosine_field(ref_grid).values, 4, ref_grid)
+    with pytest.raises(ValueError, match="different grids"):
+        theta_residual(traj, 0.02, 1.0, reference_data=ref)
+
+
+def test_oracle_builds_each_phase_set_once_per_stage_time(monkeypatch):
+    # M=8, N=4: the phases of the dense levels 1..3 at the mid-step and the
+    # end-of-step times, 6 tensors per step (23 if every stage built its own)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return phase_tensor(*args)
+
+    monkeypatch.setattr("gphier.solver.phase_tensor", counted)
+    monkeypatch.setattr("gphier.marginal.phase_tensor", counted)
+    hat0 = _initial_hats(HierarchyState.factorized(cosine_field(GRID).values, 4, GRID))
+    counts = []
+    for S in (4, 8):
+        calls.clear()
+        collections.deque(_oracle_nodes(GRID, hat0, CUBIC, S * 1e-3, 1e-3), maxlen=0)
+        counts.append(len(calls))
+    assert (counts[1] - counts[0]) / 4 <= 6, counts
 
 
 def test_theta_residual_self_consistency_cancellation():
