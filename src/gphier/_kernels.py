@@ -85,11 +85,21 @@ def ifftn_level(hat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(hat, norm="ortho")
 
 
-def conj_negated(hat: np.ndarray) -> np.ndarray:
-    """conj(hat[-r]) on one-particle modes: the unitary DFT of conj(f) when hat is that of f."""
-    axes = tuple(range(hat.ndim))
-    out = np.roll(np.flip(hat, axes), 1, axes)
-    return np.conjugate(out, out=out)
+def conj_negated(hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """conj(hat[-r]) on every axis: the unitary DFT of conj(f) when hat is that of f.
+
+    Written into `out` when given, which must not overlap hat.  On each axis
+    -r keeps index 0 and reverses 1..M-1, so this is 2^ndim slice copies
+    and allocates nothing beyond `out`.
+    """
+    if out is None:
+        out = np.empty_like(hat)
+    # (out piece, hat piece) per axis
+    per_axis = [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))] * hat.ndim
+    for pieces in itertools.product(*per_axis):
+        dst, src = zip(*pieces)
+        np.conjugate(hat[src], out=out[dst])
+    return out
 
 
 def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:

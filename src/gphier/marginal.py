@@ -146,28 +146,38 @@ def _swap_variables(data: np.ndarray, grid: TorusGrid, k: int, i: int, j: int, p
     return data.transpose(perm)
 
 
+def _permutation_sum(src: np.ndarray, spare: np.ndarray, out: np.ndarray, grid: TorusGrid, k: int) -> np.ndarray:
+    """Sum of src over all k! * k! permutations of its unprimed and of its primed variables, into out.
+
+    Transposition chain: S_m is the disjoint union of the cosets (j m) S_(m-1),
+    j = 1..m, so the sum over S_m is sum_j (j m) applied to the sum over
+    S_(m-1).  Each step m = 2..k of a block reads the last partial sum and
+    writes it plus its m - 1 transposes (j m), j < m: k(k-1)/2 transposed
+    adds per block instead of k!.  The 2(k-1) steps write alternately into
+    spare and out, so the sum lands in out.  src is read only by the first
+    step, so it may be out itself, but not spare.
+    """
+    cur, bufs = src, (spare, out)
+    steps = [(primed, m) for primed in (False, True) for m in range(2, k + 1)]
+    for n, (primed, m) in enumerate(steps):
+        nxt = bufs[n % 2]
+        np.add(cur, _swap_variables(cur, grid, k, 1, m, primed), out=nxt)
+        for j in range(2, m):
+            nxt += _swap_variables(cur, grid, k, j, m, primed)
+        cur = nxt
+    if cur is not out:  # k = 1: no step ran
+        out[...] = cur
+    return out
+
+
 def symmetrize(gamma: Marginal) -> Marginal:
-    """Average over all permutations of unprimed slots, then of primed slots."""
-    k, grid = gamma.k, gamma.grid
-    if k == 1:
-        return gamma.copy()
-    # the product group factorizes: average the unprimed block, then the primed
-    out = np.zeros_like(gamma.data)
-    for perm in itertools.permutations(range(1, k + 1)):
-        axes = []
-        for var in perm:
-            axes.extend(_variable_axes(grid, k, var, primed=False))
-        axes.extend(range(k * grid.d, 2 * k * grid.d))
-        out += gamma.data.transpose(axes)
-    out /= math.factorial(k)
-    out2 = np.zeros_like(out)
-    for perm in itertools.permutations(range(1, k + 1)):
-        axes = list(range(k * grid.d))
-        for var in perm:
-            axes.extend(_variable_axes(grid, k, var, primed=True))
-        out2 += out.transpose(axes)
-    out2 /= math.factorial(k)
-    return Marginal(grid, k, out2)
+    """Average over all permutations of unprimed slots, then of primed slots:
+    _permutation_sum divided by (k!)^2 (a draw normalized afterwards,
+    studies._random_hat, calls the sum and skips the division)."""
+    data = gamma.data
+    out = _permutation_sum(data, np.empty_like(data), np.empty_like(data), gamma.grid, gamma.k)
+    out /= math.factorial(gamma.k) ** 2
+    return Marginal(gamma.grid, gamma.k, out)
 
 
 def hermitize(gamma: Marginal) -> Marginal:
@@ -246,16 +256,17 @@ def h_alpha_norm(gamma: Marginal, alpha: float) -> float:
     return _h_alpha_norm_hat(hat, gamma.grid, gamma.k, alpha)
 
 
-def _weighted_square_sum(hat: np.ndarray, grid: TorusGrid, alpha: float) -> float:
-    """sum |hat|^2 times the squared Bessel weight of every axis."""
-    acc = np.abs(hat) ** 2
+def _weighted_squares(hat: np.ndarray, grid: TorusGrid, alpha: float, lead: int = 0) -> np.ndarray:
+    """|hat|^2 times the squared Bessel weight of every axis after the first `lead`."""
+    acc = np.abs(hat)
+    np.square(acc, out=acc)
     if alpha != 0:
         w2 = sobolev_weights(grid, alpha) ** 2
-        for ax in range(acc.ndim):
+        for ax in range(lead, acc.ndim):
             shape = [1] * acc.ndim
             shape[ax] = grid.M
             acc *= w2.reshape(shape)
-    return acc.sum()
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +302,7 @@ class ProductLevel:
     def h_alpha_norm(self, alpha: float) -> float:
         """(h^d sum_r w(r)^2 |psi_hat(r)|^2)^k: the primed factor gives the
         same sum as the unprimed one, because the weights are even in r."""
-        return float((_weighted_square_sum(self.psi_hat, self.grid, alpha) * self.grid.h**self.grid.d) ** self.k)
+        return float((_weighted_squares(self.psi_hat, self.grid, alpha).sum() * self.grid.h**self.grid.d) ** self.k)
 
     def trace(self) -> complex:
         """(h^d sum_r |psi_hat(r)|^2)^k = ||psi||_{L2}^{2k}."""
@@ -360,18 +371,31 @@ def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) 
 
 
 def _h_alpha_norm_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, alpha: float) -> float:
-    """H^alpha norm from the Fourier representation (internal fast path).
-
-    Every reported H^alpha norm passes through here, so a non-finite one
-    (the Bessel weights overflow at large alpha) raises InvariantFailure.
-    """
+    """H^alpha norm from the Fourier representation (internal fast path);
+    a dense level is a stack of one node for _h_alpha_norms_hat."""
     if isinstance(hat, ProductLevel):
-        norm = hat.h_alpha_norm(alpha)
-    else:
-        norm = float(np.sqrt(_weighted_square_sum(hat, grid, alpha)) * grid.h ** (grid.d * k))
-    if not math.isfinite(norm):
-        raise InvariantFailure(f"invariant 'finite norms' failed: level-{k} H^{alpha} norm is {norm}")
-    return norm
+        return _finite_norms(hat.h_alpha_norm(alpha), k, alpha)
+    return float(_h_alpha_norms_hat(hat[np.newaxis], grid, k, alpha)[0])
+
+
+def _h_alpha_norms_hat(nodes: np.ndarray, grid: TorusGrid, k: int, alpha: float) -> np.ndarray:
+    """H^alpha norms of the dense level-k mode tensors nodes[0], nodes[1], ...
+
+    One reduction over the stack: |nodes|^2, the weights of axes 1.., and a
+    sum per row of the flattened stack, bit for bit the sum over one node.
+    """
+    acc = _weighted_squares(nodes, grid, alpha, lead=1)
+    return _finite_norms(np.sqrt(acc.reshape(len(nodes), -1).sum(axis=1)) * grid.h ** (grid.d * k), k, alpha)
+
+
+def _finite_norms(norms: float | np.ndarray, k: int, alpha: float) -> float | np.ndarray:
+    """Every reported H^alpha norm, one or an array of them, passes through
+    here, so a non-finite one (the Bessel weights overflow at large alpha)
+    raises InvariantFailure."""
+    bad = np.asarray(norms)[~np.isfinite(norms)]
+    if bad.size:
+        raise InvariantFailure(f"invariant 'finite norms' failed: level-{k} H^{alpha} norm is {bad[0]}")
+    return norms
 
 
 def _trace_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> complex:

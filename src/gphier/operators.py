@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import fftn_level, ifftn_level, multiplier_tensor, phase_tensor
 from .grid import TorusGrid, transform
-from .marginal import HierarchyState, Marginal, symmetrize
+from .marginal import HierarchyState, Marginal
 
 
 @dataclass(frozen=True)

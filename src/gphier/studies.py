@@ -25,10 +25,11 @@ from .marginal import (
     ProductLevel,
     _check_memory_guard,
     _h_alpha_norm_hat,
+    _h_alpha_norms_hat,
     _hat_difference,
     _hxi_norm_hat,
+    _permutation_sum,
     hxi_norm,
-    symmetrize,
 )
 from .operators import InteractionSpec, admissible_alpha_range
 from .solver import (
@@ -84,28 +85,33 @@ def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float)
     imaginary parts, with per-axis standard deviation (1+p^2)^(-s/2) and
     s = alpha+1 (keeping H^alpha norms balanced across grid sizes).  The
     draw is hermitized in mode space, where the adjoint is
-    conj hat[-r'; -r]: conj_negated on every axis, then the unprimed and
-    primed blocks swapped.  Permuting variables permutes mode axes as it
-    permutes point axes, so symmetrize serves the mode tensor unchanged.
-    Last, the draw is scaled to unit H^alpha norm.  The draw, the
-    hermitization and the scaling work in place on one array.
+    conj hat[-r'; -r] (conj_negated, then the blocks swapped), and summed
+    over permutations of its variables (_permutation_sum: permuting
+    variables permutes mode axes as it permutes point axes).  The profile
+    comes after both, in one pass: the same factor on every axis and even
+    in r (the Nyquist index maps to itself under r -> -r), it commutes with
+    them.  The 1/2 of the hermitean part and the 1/(k!)^2 of the average are
+    left out, since the last step, the scaling to unit H^alpha norm, cancels
+    any constant.  Two level buffers serve it all: the real scratch of the
+    draw and the profile live in the spare's memory.
     """
     _check_memory_guard(grid, k)
-    s = alpha + 1.0
     n_axes = grid.axis_count(k)
     shape = (grid.M,) * n_axes
     hat = np.empty(shape, dtype=np.complex128)
-    hat.real = rng.standard_normal(shape)
-    hat.imag = rng.standard_normal(shape)
-    prof = (1.0 + grid.wavenumbers**2) ** (-s / 2.0)
-    for ax in range(n_axes):
-        sl = [1] * n_axes
-        sl[ax] = grid.M
-        hat *= prof.reshape(sl)
+    spare = np.empty_like(hat)
+    real = spare.view(np.float64).reshape(-1)[: hat.size].reshape(shape)
+    hat.real = rng.standard_normal(out=real)
+    hat.imag = rng.standard_normal(out=real)
     half = n_axes // 2
-    hat += conj_negated(hat).transpose(tuple(range(half, n_axes)) + tuple(range(half)))
-    hat *= 0.5
-    hat = symmetrize(Marginal(grid, k, hat)).data
+    hat += conj_negated(hat, out=spare).transpose(tuple(range(half, n_axes)) + tuple(range(half)))
+    _permutation_sum(hat, spare, hat, grid, k)
+    prof = (1.0 + grid.wavenumbers**2) ** (-(alpha + 1.0) / 2.0)
+    profile = prof
+    for _ in range(n_axes - 2):
+        profile = np.multiply.outer(profile, prof)
+    hat *= np.multiply.outer(profile, prof, out=real)
+    del spare, real  # the norm's squares take their place
     nrm = _h_alpha_norm_hat(hat, grid, k, alpha)
     if nrm == 0:
         raise ValueError("degenerate random draw")
@@ -127,7 +133,9 @@ def _free_collapse_norms(
     Each fourier_collapse call evolves and collapses one block of nodes at
     their exact times.  A block holds at most M^((p-1)d) nodes, so its
     output is no larger than one sigma slab of the source level and the
-    memory held does not grow with S.
+    memory held does not grow with S.  The norms of a dense level's block
+    are one reduction over the stack (_h_alpha_norms_hat); a product
+    level's nodes keep their per-node norms.
     """
     half = spec.half
     times = dt * np.arange(S + 1)
@@ -139,8 +147,10 @@ def _free_collapse_norms(
         row = rows[m - half] = np.zeros(S + 1)
         for start in range(0, S + 1, block):
             nodes = fourier_collapse(hat, grid, m, half, times[start : start + block])
-            for i, node in enumerate(nodes, start):
-                row[i] = _h_alpha_norm_hat(node, grid, m - half, alpha)
+            if isinstance(hat, ProductLevel):
+                row[start : start + len(nodes)] = [_h_alpha_norm_hat(node, grid, m - half, alpha) for node in nodes]
+            else:
+                row[start : start + len(nodes)] = _h_alpha_norms_hat(nodes, grid, m - half, alpha)
     return rows
 
 
@@ -284,7 +294,8 @@ def cauchy_study(
 
     hat0 = _initial_hats(gamma0)
     # one march per truncation on its first N levels, in lockstep; every pair reads the shared nodes
-    marches = {N: _march(grid, {n: hat0[n] for n in range(1, N + 1)}, spec, S, dt, rule) for N in set(N_list)}
+    consumed = {N: {n: hat0[n] for n in range(1, N + 1)} for N in set(N_list)}
+    marches = {N: _march(grid, levels, spec, S, dt, rule) for N, levels in consumed.items()}
     pairs = list(itertools.combinations(N_list, 2))
     bnorms = {(N1, N2): {n: np.zeros(S + 1) for n in range(1, N2 - half + 1)} for N1, N2 in pairs}
     sup_diff = dict.fromkeys(pairs, 0.0)
@@ -307,10 +318,8 @@ def cauchy_study(
     pair_rows = []
     bnorm_store = {}
     for N1, N2 in pairs:
-        shared_equal = all(
-            np.array_equal(gamma0.truncate(N1).level(n).data, gamma0.truncate(N2).level(n).data)
-            for n in range(1, N1 + 1)
-        )
+        # both marches started levels 1..N1 from the same _initial_hats objects
+        shared_equal = all(consumed[N1][n] is consumed[N2][n] for n in range(1, N1 + 1))
         series = np.zeros(S + 1)
         for n, row in bnorms[N1, N2].items():
             series += xi**n * row

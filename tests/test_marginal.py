@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -224,6 +228,28 @@ def test_norm_params_validation():
         NormParams(xi=0.3, xi_prime=0.2)
     with pytest.raises(ValueError):
         NormParams(eta=1.5)
+
+
+@pytest.mark.parametrize("d, M, k", [(1, 4, 1), (1, 4, 2), (1, 4, 3), (1, 4, 4), (2, 3, 1), (2, 3, 2), (2, 3, 3)])
+def test_symmetrize_matches_brute_force_average(d, M, k):
+    # the transposition chain against the average over all k! * k!
+    # permutations of the unprimed and of the primed variables; symmetrize
+    # reads only d and the shape, so d=2 takes a 3-point grid (which
+    # make_grid refuses) to keep level 3 at 3^12 entries
+    grid = dataclasses.replace(make_grid(d, 4, 2 * np.pi), M=M)
+    rng = np.random.default_rng(10 * d + k)
+    shape = (M,) * grid.axis_count(k)
+    gam = Marginal(grid, k, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    before = gam.data.copy()
+    want = np.zeros_like(gam.data)
+    blocks = [[list(range((b * k + v) * d, (b * k + v + 1) * d)) for v in range(k)] for b in (0, 1)]
+    for unprimed in itertools.permutations(blocks[0]):
+        for primed in itertools.permutations(blocks[1]):
+            want += gam.data.transpose(sum(unprimed + primed, []))
+    want /= math.factorial(k) ** 2
+    got = symmetrize(gam)
+    assert got.data is not gam.data and np.array_equal(gam.data, before)
+    np.testing.assert_allclose(got.data, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_symmetrize_and_hermitize_project():

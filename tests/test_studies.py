@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,18 @@ from gphier import (
     spacetime_norm,
     strichartz_study,
 )
-from gphier._kernels import fftn_level, fourier_collapse, phase_tensor
-from gphier.marginal import Marginal, ProductLevel, _free_nodes, _h_alpha_norm_hat, hermitize, symmetrize
+from gphier._kernels import conj_negated, fftn_level, fourier_collapse, phase_tensor
+from gphier.grid import sobolev_weights
+from gphier.marginal import (
+    Marginal,
+    ProductLevel,
+    _free_nodes,
+    _h_alpha_norm_hat,
+    _h_alpha_norms_hat,
+    _swap_variables,
+    hermitize,
+    symmetrize,
+)
 from gphier.studies import _free_collapse_norms, _random_hat
 from gphier.solver import QuadratureRule
 
@@ -62,7 +73,7 @@ def test_random_marginal_structure():
     assert h_alpha_norm(gam, 1.0) == pytest.approx(1.0, rel=1e-10)
 
 
-@pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+@pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
 def test_random_hat_matches_real_space_draw(d, k):
     # the real-space route as the oracle: the same coefficients, then
     # ifftn, hermitize, symmetrize, the H^alpha norm and fftn_level
@@ -78,6 +89,33 @@ def test_random_hat_matches_real_space_draw(d, k):
     gamma = symmetrize(hermitize(Marginal(grid, k, np.fft.ifftn(coeffs, norm="ortho"))))
     want = fftn_level(gamma.data / h_alpha_norm(gamma, alpha))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_random_hat_is_hermitean_and_symmetric():
+    # hermitean in mode space, hat[r; r'] = conj hat[-r'; -r], and symmetric
+    # under every transposition of unprimed and of primed variables, to rounding
+    grid, k = make_grid(1, 6, 2 * np.pi), 4
+    hat = _random_hat(grid, k, np.random.default_rng(5), 1.0)
+    scale = np.max(np.abs(hat))
+    adjoint = conj_negated(hat).transpose(tuple(range(k, 2 * k)) + tuple(range(k)))
+    assert np.max(np.abs(hat - adjoint)) <= 1e-15 * scale
+    for primed in (False, True):
+        for i, j in itertools.combinations(range(1, k + 1), 2):
+            assert np.max(np.abs(hat - _swap_variables(hat, grid, k, i, j, primed))) <= 1e-15 * scale
+
+
+def test_random_hat_memory():
+    # the draw, its hermitean part and its permutation sum live in two level
+    # buffers; the real scratch and the profile share the spare's memory
+    grid = make_grid(1, 12, 2 * np.pi)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hat = _random_hat(grid, 3, np.random.default_rng(0), 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * hat.nbytes, peak / hat.nbytes
 
 
 def test_strichartz_study_transforms_no_dense_level(monkeypatch):
@@ -117,6 +155,25 @@ def test_free_collapse_norms_match_node_by_node_collapse(p, M):
     nodes = _free_nodes(grid, half + 2, level, dt)
     want = [_h_alpha_norm_hat(fourier_collapse(next(nodes), grid, half + 2, half), grid, 2, 1.0) for _ in range(S + 1)]
     assert np.array_equal(_free_collapse_norms({half + 2: level}, grid, spec, S, dt, 1.0)[2], want)
+
+
+@pytest.mark.parametrize("d, M, k", [(1, 12, 1), (1, 12, 2), (2, 4, 2), (1, 8, 3)])
+def test_batched_node_norms_equal_per_node_norms(d, M, k):
+    # one reduction over a stack of nodes, bit for bit the per-node norm
+    # |node|^2, the weight of every axis, sqrt(sum) * h^(dk)
+    grid = make_grid(d, M, 2 * np.pi)
+    rng = np.random.default_rng(M + k)
+    shape = (5,) + (M,) * grid.axis_count(k)
+    nodes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w2 = sobolev_weights(grid, 1.0) ** 2
+    want = []
+    for node in nodes:
+        acc = np.abs(node) ** 2
+        for ax in range(acc.ndim):
+            acc *= w2.reshape([M if a == ax else 1 for a in range(acc.ndim)])
+        want.append(np.sqrt(acc.sum()) * grid.h ** (d * k))
+    assert np.array_equal(_h_alpha_norms_hat(nodes, grid, k, 1.0), want)
+    assert np.array_equal([_h_alpha_norm_hat(node, grid, k, 1.0) for node in nodes], want)
 
 
 def test_free_collapse_memory_is_flat_in_steps():
@@ -276,6 +333,25 @@ def test_cauchy_marches_each_truncation_once(monkeypatch):
     rows = cauchy_study(g0, [5, 3, 4], **study).tables["pairs"]
     assert rows == pairs
     assert sorted(marched) == [3, 4, 5]
+
+
+def test_cauchy_builds_no_real_space_kernel(monkeypatch):
+    # shared_levels_equal compares the levels the marches started from; no
+    # level of the factorized data is built in real space
+    from gphier import marginal
+
+    built = []
+    real_factorized = marginal.factorized_marginal
+
+    def counting(*args):
+        built.append(args[1])
+        return real_factorized(*args)
+
+    monkeypatch.setattr(marginal, "factorized_marginal", counting)
+    grid = make_grid(1, 4, 2 * np.pi)
+    rows = cauchy_study(_cosine_hierarchy(grid, 5), [3, 4, 5], PARAMS, CUBIC, T=0.01, dt=2e-3).tables["pairs"]
+    assert all(r["shared_levels_equal"] for r in rows)
+    assert built == []
 
 
 def test_cauchy_chain_warning():
