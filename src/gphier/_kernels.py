@@ -70,7 +70,7 @@ def phase_tensor(grid: TorusGrid, k: int, t: float) -> np.ndarray:
     outer product of A with its conjugate.  The M^(2kd) tensor is written
     once, by that last product.
     """
-    ph = phase_weights(grid, t, "unprimed")
+    ph = phase_weights(grid, t)
     A = ph
     for _ in range(k * grid.d - 1):
         A = np.multiply.outer(A, ph)

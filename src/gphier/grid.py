@@ -89,16 +89,12 @@ def sobolev_weights(grid: TorusGrid, alpha: float) -> np.ndarray:
     return (1.0 + grid.wavenumbers**2) ** (alpha / 2.0)
 
 
-def phase_weights(grid: TorusGrid, t: float, sign: str) -> np.ndarray:
-    """Free-propagator phases for one axis: exp(-i t p^2) on unprimed axes.
+def phase_weights(grid: TorusGrid, t: float) -> np.ndarray:
+    """Free-propagator phases exp(-i t p^2) for one unprimed axis.
 
     Primed axes carry the conjugate phases; the product over all axes of a
     level-k kernel realizes U^(k)(t) = exp(i t (sum_j Delta_{x_j} - Delta_{x'_j})).
     """
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    if sign == "unprimed":
-        return np.exp(-1j * t * grid.wavenumbers**2)
-    if sign == "primed":
-        return np.exp(1j * t * grid.wavenumbers**2)
-    raise ValueError(f"sign must be 'unprimed' or 'primed', got {sign!r}")
+    return np.exp(-1j * t * grid.wavenumbers**2)

@@ -315,7 +315,7 @@ class ProductLevel:
 
     def evolved(self, t: float) -> "ProductLevel":
         """U(t) of the level: psi_hat(t) = exp(-i t |p|^2) psi_hat, exact at every t."""
-        ph = phase_weights(self.grid, t, "unprimed")
+        ph = phase_weights(self.grid, t)
         psi_hat = self.psi_hat
         for ax in range(self.grid.d):
             shape = [1] * self.grid.d

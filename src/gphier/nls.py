@@ -89,7 +89,7 @@ def nls_solve(
     """
     S, store_every = _sampling(T, dt, store_every)
     grid = phi0.grid
-    lin = phase_weights(grid, dt, "unprimed")
+    lin = phase_weights(grid, dt)
     lin_full = lin
     for _ in range(grid.d - 1):
         lin_full = np.multiply.outer(lin_full, lin)

@@ -43,8 +43,11 @@ Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
 i.e. prefactor (-i*mu)^(j-1) with j-1 nested integrals, which is the
 convention under which the finite reconstruction identity
-(B Gamma)^(n)(t) = sum_j B Duh_j(t) holds exactly.  _duhamel_nodes streams
-one term through a chain of j-1 Volterra streams with no base.
+(B Gamma)^(n)(t) = sum_j B Duh_j(t) holds exactly.  The truncated system
+is linear, so Duh_j(Gamma0)^(n+p/2) is level n+p/2 of the march started
+from gamma0^(n+j*p/2) alone, with zero data at the levels in between:
+_duhamel_nodes marches the levels n+p/2, ..., n+j*p/2 from that data, so
+_march builds every chain of Volterra streams.
 """
 
 from __future__ import annotations
@@ -82,6 +85,11 @@ class QuadratureRule:
     def __post_init__(self):
         if self.kind not in ("trapezoid", "simpson"):
             raise ValueError(f"quadrature kind must be 'trapezoid' or 'simpson', got {self.kind!r}")
+
+    @classmethod
+    def of(cls, rule: "QuadratureRule | str") -> "QuadratureRule":
+        """rule itself, or the rule of the kind it names."""
+        return cls(rule) if isinstance(rule, str) else rule
 
     def on(self, S: int) -> "QuadratureRule":
         """The rule applied on S intervals: Simpson needs two, so S=1 falls back to the trapezoid."""
@@ -123,53 +131,42 @@ class _Cumulative:
     f_2 is known (via the three-point rule int_0^h = h/12*(5f0+8f1-f2)),
     so push(f_2) returns nodes 1 and 2 together.  Returned arrays remain
     owned by the caller.
+
+    It holds only what later pushes read, in two deques: the last node
+    value and running integral (trapezoid), or the last three node values
+    and the integrals up to the last two even nodes (Simpson: a 3/8 block
+    on an odd node i reads f_(i-3) and the integral up to node i-3; the
+    leading 0.0 is the integral up to node 0).
     """
 
     def __init__(self, rule: QuadratureRule, dt: float):
         self.kind = rule.kind
         self.dt = dt
         self.i = -1
-        self._f: dict[int, np.ndarray] = {}
-        self._trap = None
-        self._even: dict[int, np.ndarray] = {}
+        simpson = self.kind == "simpson"
+        self._f = deque(maxlen=3 if simpson else 1)
+        self._sums = deque([0.0] if simpson else [], maxlen=2 if simpson else 1)
 
     def push(self, f: np.ndarray) -> list[tuple[int, np.ndarray]]:
         self.i += 1
-        i, dt = self.i, self.dt
-        self._f[i] = f
-        if self.kind == "trapezoid":
-            if i == 0:
-                return []
-            inc = (dt / 2) * (self._f[i - 1] + self._f[i])
-            self._trap = inc if self._trap is None else self._trap + inc
-            del self._f[i - 1]
-            return [(i, self._trap)]
-        # simpson
-        if i == 0:
-            return []
-        if i == 1:
-            return []
+        i, dt, fs, sums = self.i, self.dt, self._f, self._sums
         out = []
-        if i == 2:
-            f0, f1, f2 = self._f[0], self._f[1], self._f[2]
-            out.append((1, (dt / 12) * (5 * f0 + 8 * f1 - f2)))
-            s2 = (dt / 3) * (f0 + 4 * f1 + f2)
-            self._even[2] = s2
-            out.append((2, s2))
-        elif i % 2 == 0:
-            s = self._even[i - 2] + (dt / 3) * (self._f[i - 2] + 4 * self._f[i - 1] + self._f[i])
-            self._even[i] = s
-            out.append((i, s))
-        else:
-            base = self._even[i - 3] if i > 3 else 0.0
-            out.append(
-                (i, base + (3 * dt / 8) * (self._f[i - 3] + 3 * self._f[i - 2] + 3 * self._f[i - 1] + self._f[i]))
-            )
-        # keep only the last four node values and two even cumulatives
-        for key in [k for k in self._f if k < i - 3]:
-            del self._f[key]
-        for key in [k for k in self._even if k < i - 2]:
-            del self._even[key]
+        if self.kind == "trapezoid":
+            if i > 0:
+                inc = (dt / 2) * (fs[0] + f)
+                sums.append(sums[0] + inc if sums else inc)
+                out.append((i, sums[0]))
+        elif i == 2:
+            f0, f1 = fs
+            out.append((1, (dt / 12) * (5 * f0 + 8 * f1 - f)))
+            sums.append((dt / 3) * (f0 + 4 * f1 + f))
+            out.append((2, sums[-1]))
+        elif i > 2 and i % 2 == 0:
+            sums.append(sums[-1] + (dt / 3) * (fs[1] + 4 * fs[2] + f))
+            out.append((i, sums[-1]))
+        elif i > 2:
+            out.append((i, sums[0] + (3 * dt / 8) * (fs[0] + 3 * fs[1] + 3 * fs[2] + f)))
+        fs.append(f)
         return out
 
 
@@ -237,24 +234,29 @@ class _Volterra:
 
 def _march(
     grid: TorusGrid,
-    hat0: dict[int, np.ndarray],
+    hat0: dict[int, np.ndarray | ProductLevel | None],
     spec: InteractionSpec,
     S: int,
     dt: float,
     rule: QuadratureRule,
 ):
-    """Lockstep Fourier-space march of all levels; yields (node, states) in order.
+    """Lockstep Fourier-space march of the levels of hat0; yields (node, states) in order.
 
-    Each level is one stream of its nodes.  The top p/2 levels are free
-    streams; each coupled level n is the stream of a _Volterra accumulator
-    started from hat0[n] (densified there if it is a product level) and fed
-    the collapse of each node of level n + p/2.  Every node passes
-    through its level's FIFO: a level that feeds the one below queues each
-    node as it is collapsed, the bottom p/2 levels are pulled here, and the
-    output pops one node of every level per step.  Yielded dicts map
+    hat0 maps each marched level to its data at t=0: a mode tensor, a
+    product level, or None for zero on a level fed from the one p/2 above.
+    The levels need not be 1..N; a chain n, n + p/2, n + p (the levels of
+    an iterated Duhamel term) is marched the same way.  Each level is one
+    stream of its nodes.  A level n without level n + p/2 in hat0 evolves
+    freely; every other level is the stream of a _Volterra accumulator
+    started from hat0[n] (densified there if it is a product level, no
+    base if it is None) and fed the collapse of each node of level
+    n + p/2.  Every node passes through its level's FIFO: a level that
+    feeds the one below queues each node as it is collapsed, the levels
+    without level n - p/2 in hat0 feed nothing and are pulled here, and
+    the output pops one node of every level per step.  Yielded dicts map
     level -> mode tensor or product level and are never mutated afterwards.
     """
-    N, half = max(hat0), spec.half
+    half = spec.half
     rule = rule.on(S)
     fifo = {n: deque() for n in hat0}
 
@@ -264,14 +266,14 @@ def _march(
 
     streams = {}
     for n in sorted(hat0, reverse=True):
-        if n + half > N:
+        if n + half not in hat0:
             streams[n] = _free_nodes(grid, n, hat0[n], dt)
         else:
             feed = map(functools.partial(queued_collapse, n + half), streams[n + half])
             streams[n] = _Volterra(grid, n, spec, dt, rule, base=hat0[n]).stream(feed)
-    bottom = [n for n in hat0 if n <= half]
+    pulled = [n for n in hat0 if n - half not in hat0]
     for i in range(S + 1):
-        for n in bottom:
+        for n in pulled:
             fifo[n].append(next(streams[n]))
         if i == S:
             # consumers of the last nodes run while this generator is
@@ -449,7 +451,7 @@ def solve_truncated(
     in the coupling term.  store_every controls the stored sampling stride
     (None stores only the endpoints); it must divide S = T/dt.
     """
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, rule, store_every))
     return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
 
@@ -490,7 +492,7 @@ def duhamel_term(
     grid = gamma0.grid
     if n + j * spec.half > gamma0.N or (j > 1 and t <= 0):
         return zero_marginal(grid, n + spec.half)
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     return _marginal_of(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + spec.half)
 
 
@@ -524,19 +526,15 @@ def _duhamel_nodes(
     """Mode tensors of Duh_j(Gamma0)^(n+p/2) at the nodes 0..S, in order.
 
     deep_hat is the mode tensor (or product level) of the deepest level
-    n + j*p/2 of Gamma0.
-    Its free evolution feeds a chain of j-1 Volterra streams with no base,
-    one per nested integral, each fed the collapse of the stream above; the
-    chain stops after node S.
+    n + j*p/2 of Gamma0.  The truncated system is linear and upper
+    triangular, so the term is level n + p/2 of the march started from
+    deep_hat alone, with zero data at the levels in between.
     """
     half = spec.half
-    deepest = n + j * half
-    rule = rule.on(S)
-    nodes = _free_nodes(grid, deepest, deep_hat, dt)
-    for src in range(deepest, n + half, -half):
-        collapse = functools.partial(fourier_collapse, grid=grid, kappa=src, half=half)
-        nodes = _Volterra(grid, src - half, spec, dt, rule).stream(map(collapse, nodes))
-    return itertools.islice(nodes, S + 1)
+    hat0 = dict.fromkeys(range(n + half, n + j * half, half))
+    hat0[n + j * half] = deep_hat
+    # map, not a generator expression, so no step's dict outlives its step
+    return map(lambda node: node[1][n + half], _march(grid, hat0, spec, S, dt, rule))
 
 
 def reconstruct_bhat(
@@ -551,7 +549,7 @@ def reconstruct_bhat(
     half = spec.half
     if n < 1 or n > gamma0.N - half:
         raise ValueError(f"level n={n} out of coupled range 1..{gamma0.N - half}")
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     grid = gamma0.grid
     out = np.zeros((grid.M,) * grid.axis_count(n), dtype=np.complex128)
     j = 1
@@ -579,7 +577,7 @@ def theta_residual(
     quadrature error); passing deeper reference data measures the
     truncation tail instead (on the trajectory's grid).
     """
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     if reference_data is not None and reference_data.grid != trajectory.grid:
         raise ValueError("reference data and trajectory live on different grids")
     ref_hat = None if reference_data is None else _initial_hats(reference_data)

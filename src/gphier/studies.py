@@ -59,13 +59,21 @@ class StudyReport:
 
 def spacetime_norm(times, states, xi: float, alpha: float, quadrature="trapezoid") -> float:
     """( int_0^T ||Theta(t)||^2_{H^alpha_xi} dt )^(1/2) on uniform samples."""
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     times = np.asarray(times, dtype=float)
     S = len(times) - 1
     if S < 1:
         raise ValueError("need at least two time samples")
     dt = times[1] - times[0]
     return l2_in_time(rule.weights(S, dt), [hxi_norm(st, xi, alpha) for st in states])
+
+
+def _xi_series(rows: dict[int, np.ndarray], xi: float, S: int) -> np.ndarray:
+    """sum_n xi^n * rows[n] on the S + 1 nodes, added in the order of rows."""
+    series = np.zeros(S + 1)
+    for n, r in rows.items():
+        series += xi**n * r
+    return series
 
 
 def random_marginal(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float) -> Marginal:
@@ -172,7 +180,7 @@ def strichartz_study(
     if ensemble_size < 1:
         raise ValueError("ensemble must contain at least one draw")
     _check_coupled(n_levels, spec)
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     S = _resolve_steps(T, dt)
     xi, xi_p, alpha = params.xi, params.xi_prime, params.alpha
     w = rule.weights(S, dt)
@@ -182,11 +190,9 @@ def strichartz_study(
         rng = np.random.default_rng(seeds[idx])
         hats0 = {k: _random_hat(grid, k, rng, alpha) for k in range(1, n_levels + 1)}
         rows = _free_collapse_norms(hats0, grid, spec, S, dt, alpha)
-        rhs_norm = _hxi_norm_hat(hats0, grid, xi_p, alpha)
-        series = np.zeros(S + 1)
-        for n, r in rows.items():
-            series += xi**n * r
-        lhs = l2_in_time(w, series)
+        # _random_hat scales every level to unit H^alpha norm
+        rhs_norm = sum(xi_p**k for k in sorted(hats0))
+        lhs = l2_in_time(w, _xi_series(rows, xi, S))
         row = {"draw": idx, "lhs": lhs, "rhs": rhs_norm, "ratio": lhs / rhs_norm}
         for n, r in sorted(rows.items()):
             per_level = l2_in_time(w, r)  # source level norm is 1
@@ -260,7 +266,7 @@ def cauchy_study(
     N_list = _check_truncations(N_list, spec)
     if gamma0.N < N_list[-1]:
         raise ValueError("initial data has fewer levels than max(N_list)")
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     S = _resolve_steps(T, dt)
     w = rule.weights(S, dt)
     grid = gamma0.grid
@@ -300,24 +306,20 @@ def cauchy_study(
         assert all(s == i for s, _ in nodes)
         h = {N: hats for N, (_, hats) in zip(marches, nodes)}
         for N1, N2 in pairs:
-            h1, h2 = h[N1], h[N2]
+            h1, h2, rows = h[N1], h[N2], bnorms[N1, N2]
             diff_norm = 0.0
-            # a level beyond N1 differs by -h2, whose norms are those of h2
-            for n in range(1, N2 + 1):
-                dh = _hat_difference(h1[n], h2[n]) if n in h1 else h2[n]
-                diff_norm += xi**n * _h_alpha_norm_hat(dh, grid, n, alpha)
-            sup_diff[N1, N2] = max(sup_diff[N1, N2], diff_norm)
-            for n, row in bnorms[N1, N2].items():
-                m = n + half
+            for m in range(1, N2 + 1):
+                # a level beyond N1 differs by -h2, whose norms are those of h2
                 dh = _hat_difference(h1[m], h2[m]) if m in h1 else h2[m]
-                row[i] = _h_alpha_norm_hat(fourier_collapse(dh, grid, m, half), grid, n, alpha)
+                diff_norm += xi**m * _h_alpha_norm_hat(dh, grid, m, alpha)
+                if m > half:
+                    rows[m - half][i] = _h_alpha_norm_hat(fourier_collapse(dh, grid, m, half), grid, m - half, alpha)
+                del dh
+            sup_diff[N1, N2] = max(sup_diff[N1, N2], diff_norm)
     pair_rows = []
     bnorm_store = {}
     for N1, N2 in pairs:
-        series = np.zeros(S + 1)
-        for n, row in bnorms[N1, N2].items():
-            series += xi**n * row
-        l2_bdiff = l2_in_time(w, series)
+        l2_bdiff = l2_in_time(w, _xi_series(bnorms[N1, N2], xi, S))
         tail = sum(xi_p**n * _h_alpha_norm_hat(hat0[n], grid, n, alpha) for n in range(N1 + 1, gamma0.N + 1))
         pair_rows.append(
             {
@@ -346,11 +348,8 @@ def cauchy_study(
         def max_ratio_at(xi_test: float) -> float:
             vals = []
             for (N1, N2), (bnorms, tail) in bnorm_store.items():
-                series = np.zeros(S + 1)
-                for n, r in bnorms.items():
-                    series += xi_test**n * r
                 if tail > 0:
-                    vals.append(l2_in_time(w, series) / tail)
+                    vals.append(l2_in_time(w, _xi_series(bnorms, xi_test, S)) / tail)
             return max(vals) if vals else np.nan
 
         base = max_ratio_at(xi)
@@ -388,7 +387,7 @@ def boardgame_probe(
     estimate c0_hat from the (c0*T)^(j/2) scaling; with several n values,
     fits the intercepts against n for C0_hat.
     """
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     S = _resolve_steps(T, dt)
     w = rule.weights(S, dt)
     n_values = [n] if isinstance(n, int) else list(n)
@@ -500,7 +499,7 @@ def _km_report(
     defect are computed as the node streams by (_theta_defects), and no
     node or Theta sample is kept past its step.
     """
-    rule = QuadratureRule(quadrature) if isinstance(quadrature, str) else quadrature
+    rule = QuadratureRule.of(quadrature)
     alpha, xi = params.alpha, params.xi
     rows, defects = [], []
     for t, hats, theta, defect in _theta_defects(nodes, None, grid, spec, S, dt, rule, xi, alpha):

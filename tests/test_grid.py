@@ -94,8 +94,8 @@ def test_sobolev_weights_real_geq_one_even():
 
 def test_phase_weights_closed_forms():
     g = make_grid(1, 8, 2 * np.pi)
-    np.testing.assert_allclose(phase_weights(g, 0.0, "unprimed"), 1.0)
-    ph = phase_weights(g, np.pi, "unprimed")
+    np.testing.assert_allclose(phase_weights(g, 0.0), 1.0)
+    ph = phase_weights(g, np.pi)
     assert ph[0] == pytest.approx(1.0)
     assert ph[1] == pytest.approx(-1.0)  # exp(-i pi)
 
@@ -103,14 +103,9 @@ def test_phase_weights_closed_forms():
 def test_phase_conjugation():
     g = make_grid(1, 8, 2 * np.pi)
     t = 0.37
-    np.testing.assert_allclose(
-        phase_weights(g, t, "primed"), np.conj(phase_weights(g, t, "unprimed")), atol=1e-15
-    )
-    assert np.allclose(np.abs(phase_weights(g, t, "unprimed")), 1.0)
+    assert np.allclose(np.abs(phase_weights(g, t)), 1.0)
     with pytest.raises(ValueError):
-        phase_weights(g, np.inf, "unprimed")
-    with pytest.raises(ValueError):
-        phase_weights(g, 0.1, "mixed")
+        phase_weights(g, np.inf)
 
 
 def test_make_grid_rejects_non_finite_wavenumbers():

@@ -1,5 +1,6 @@
 import collections
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -367,6 +368,29 @@ def test_streams_keep_no_past_nodes():
     for name, run in runs.items():
         peaks = [_drain_peak(lambda: run(S)) for S in (20, 80)]
         assert peaks[1] - peaks[0] < level3, (name, peaks)
+
+
+@pytest.mark.parametrize("kind, kept", [("trapezoid", 1), ("simpson", 3)])
+def test_cumulative_keeps_only_the_values_later_pushes_read(kind, kept):
+    # the trapezoid reads f_(i-1); Simpson's 3/8 block on odd i reads f_(i-3)
+    cum = _Cumulative(QuadratureRule(kind), 0.1)
+    refs = []
+    for i in range(9):
+        f = np.full(3, float(i))
+        refs.append(weakref.ref(f))
+        cum.push(f)
+        del f
+        assert sum(r() is not None for r in refs) <= kept, (kind, i)
+
+
+@pytest.mark.parametrize("kind, limit", [("trapezoid", 7.5), ("simpson", 10.6)])
+def test_duhamel_chain_memory(kind, limit):
+    # the chain of j=3 holds dense levels 2 and 3; the deepest level stays a product
+    grid = make_grid(1, 8, 2 * np.pi)
+    deep_hat = _level_hat(HierarchyState.factorized(cosine_field(grid).values, 4, grid), 4)
+    rule = QuadratureRule(kind)
+    peak = _drain_peak(lambda: _duhamel_nodes(3, 1, grid, deep_hat, CUBIC, 6, 1e-3, rule))
+    assert peak < limit * 16 * grid.M**6, peak / (16 * grid.M**6)
 
 
 def test_oracle_nodes_collect_into_solve_oracle():
