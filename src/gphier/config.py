@@ -11,8 +11,8 @@ the rules of one command: strichartz and km-report collapse the state, so
 they ask solver._check_coupled for a coupled level, and evolve, km-report
 and nls-compare store every store_every-th node, so they ask
 solver._sampling whether store_every divides the step count; nls-compare,
-and evolve with save_state, build every level in real space, so they ask
-the memory guard for level N before anything is allocated.  Regularities
+and evolve with save_state, build a dense level N, so they ask the memory
+guard for level N before anything is allocated.  Regularities
 outside the admissible range are errors unless allow_inadmissible_alpha is
 set, in which case a warning is recorded and the run proceeds.
 """
@@ -101,7 +101,8 @@ class ExperimentConfig:
             if command in ("evolve", "km-report", "nls-compare"):
                 _sampling(self.T, self.dt, self.store_every)
             if command == "nls-compare" or (command == "evolve" and self.save_state):
-                # both build every level 1..N in real space
+                # both build a dense level N: save_state in real space,
+                # nls-compare as the difference of two product levels
                 _check_memory_guard(make_grid(self.d, self.M, self.L), self.N)
         except ValueError as exc:
             raise ConfigError(f"constraint violated: {exc}") from exc
@@ -115,38 +116,33 @@ class ExperimentConfig:
         return out
 
 
-_BOOL_KEYS = {"save_state", "allow_inadmissible_alpha"}
-_INT_KEYS = {"d", "p", "mu", "M", "N", "seed", "ensemble_size", "j_max", "store_every"}
-_FLOAT_KEYS = {"L", "alpha", "xi", "xi2", "xi_prime", "eta", "T", "dt"}
-_STR_KEYS = {"quadrature", "solver", "phi0", "out_dir"}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _integers(raw: str) -> list[int]:
+    return [int(x) for x in raw.replace(";", ",").split(",") if x.strip()]
+
+
+#: parser and expected form of a value, by the annotation of its ExperimentConfig field
+_PARSERS = {
+    "bool": (lambda raw: _BOOLEANS[raw.lower()], "a boolean"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, None),
+    "list[int] | None": (_integers, "comma-separated integers"),
+}
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "warnings"}
 
 
 def _parse_value(key: str, raw: str):
+    if key not in _KEY_TYPES:
+        raise ConfigError(f"unknown key: {key}")
+    parse, expected = _PARSERS[_KEY_TYPES[key]]
     raw = raw.strip()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as e:
-            raise ConfigError(f"key {key}: expected an integer, got {raw!r}") from e
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"key {key}: expected a number, got {raw!r}") from e
-    if key == "N_list":
-        try:
-            return [int(x) for x in raw.replace(";", ",").split(",") if x.strip()]
-        except ValueError as e:
-            raise ConfigError(f"key N_list: expected comma-separated integers, got {raw!r}") from e
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown key: {key}")
+    try:
+        return parse(raw)
+    except (KeyError, ValueError) as e:
+        raise ConfigError(f"key {key}: expected {expected}, got {raw!r}") from e
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:

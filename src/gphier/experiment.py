@@ -14,9 +14,10 @@ come from the mode tensors: the H^alpha norm of each level once per node
 h^(dk) * sum_r hat[r; -r] (closed forms on a product level), and
 Theta = B Gamma by the mode-space collapse, once per node, with its
 fixed-point defect in the same pass (km-report keeps no Theta sample).
-Only the structural invariants of the dense levels and the NLS comparison
-work in real space: each level is built, used and dropped.  A non-finite
-H^alpha norm stops the run with status 2 (marginal._h_alpha_norm_hat).
+nls-compare takes each NLS field as a product level (nls._compare_nodes).
+Only the structural invariants of the dense levels work in real space:
+each level is built, used and dropped.  A non-finite H^alpha norm stops
+the run with status 2 (marginal._h_alpha_norm_hat).
 
 Column dictionary (CSV headers follow the estimate symbols):
   norm_Halpha      per-level H^alpha norm of gamma^(k)
@@ -80,14 +81,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(rows: list[dict], path: str, columns: list[str] | None = None) -> None:
+def write_csv(rows: list[dict], path: str) -> None:
     """Deterministic CSV writer: fixed column order, repr floats, \\n endings."""
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:

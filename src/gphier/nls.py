@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import fftn_level
 from .grid import TorusGrid, phase_weights
-from .marginal import _marginal_of, factorized_marginal, h_alpha_norm
+from .marginal import ProductLevel, _h_alpha_norm_hat, _hat_difference
 from .operators import InteractionSpec
 from .solver import Trajectory, _sampling
 
@@ -122,7 +123,8 @@ def compare_hierarchy_vs_nls(
 def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alpha: float, xi: float) -> list[dict]:
     """compare_hierarchy_vs_nls over streamed nodes (t, {level: mode tensor}).
 
-    Each level is built in real space, compared and dropped.
+    Measured in mode space: each node's NLS field enters as one product
+    level, and a level's error is the H^alpha norm of its _hat_difference.
     """
     if grid != wave_trajectory.fields[0].grid:
         raise ValueError("hierarchy and NLS trajectories live on different grids")
@@ -132,9 +134,10 @@ def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alph
         if i >= len(wave_trajectory.times) or not np.isclose(t, wave_trajectory.times[i], rtol=1e-9, atol=1e-12):
             raise ValueError(mismatch)
         row = {"t": float(t)}
+        psi_hat = fftn_level(wave_trajectory.fields[i].values)
         for k in sorted(hats):
-            target = factorized_marginal(wave_trajectory.fields[i].values, k, grid)
-            row[f"level_{k}_error"] = h_alpha_norm(_marginal_of(hats[k], grid, k) - target, alpha)
+            diff = _hat_difference(hats[k], ProductLevel(grid, k, psi_hat))
+            row[f"level_{k}_error"] = _h_alpha_norm_hat(diff, grid, k, alpha)
         row["hxi_error"] = sum(xi**k * row[f"level_{k}_error"] for k in sorted(hats))
         rows.append(row)
     if len(rows) != len(wave_trajectory.times):

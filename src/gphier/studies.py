@@ -432,10 +432,7 @@ def boardgame_probe(
         if len(log_ratios) >= 2:
             js = np.array([x[0] for x in log_ratios], dtype=float)
             ys = np.array([x[1] for x in log_ratios])
-            slope, intercept = np.polyfit(js, ys, 1)
-            intercepts[nv] = intercept
-        else:
-            slope = np.nan
+            intercepts[nv] = np.polyfit(js, ys, 1)[1]
 
     report = StudyReport(
         study="boardgame",

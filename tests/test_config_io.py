@@ -161,6 +161,13 @@ def test_bad_value_types():
         parse_config("M = eight\n")
     with pytest.raises(ConfigError, match="expected a number"):
         parse_config("T = soon\n")
+    with pytest.raises(ConfigError, match="key save_state: expected a boolean, got 'maybe'"):
+        parse_config("save_state = maybe\n")
+    with pytest.raises(ConfigError, match="key N_list: expected comma-separated integers, got '3, four'"):
+        parse_config("N_list = 3, four\n")
+    # warnings is a field but no key: a config cannot set it
+    with pytest.raises(ConfigError, match="unknown key: warnings"):
+        parse_config("warnings = x\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("just some words\n")
 

@@ -101,6 +101,37 @@ def test_compare_errors_decrease_with_truncation_depth():
     assert last["level_1_error"] < last["level_2_error"] < last["level_3_error"]
 
 
+def test_compare_t0_row_is_exactly_zero():
+    # at t = 0 the stored levels and the NLS product levels share psi_hat
+    g4 = make_grid(1, 4, 2 * np.pi)
+    phi = cosine_field(g4)
+    traj = solve_truncated(HierarchyState.factorized(phi.values, 3, g4), CUBIC, T=0.01, dt=1e-3, store_every=10)
+    wave = nls_solve(phi, CUBIC, T=0.01, dt=1e-3, store_every=10)
+    first = compare_hierarchy_vs_nls(traj, wave, 1.0, 0.02)[0]
+    assert first["t"] == 0.0
+    assert [first[f"level_{k}_error"] for k in (1, 2, 3)] + [first["hxi_error"]] == [0.0] * 4
+
+
+@pytest.mark.parametrize("d, p_order", [(1, 2), (1, 4), (2, 2)])
+def test_compare_matches_real_space_oracle(d, p_order):
+    # each level error against the kernels built in real space and
+    # subtracted there, at every level of every node
+    from gphier import factorized_marginal, h_alpha_norm
+    from gphier.marginal import _marginal_of
+
+    grid = make_grid(d, 4, 2 * np.pi)
+    spec = InteractionSpec(p_order, 1)
+    phi = cosine_field(grid)
+    traj = solve_truncated(HierarchyState.factorized(phi.values, 3, grid), spec, T=0.004, dt=1e-3)
+    wave = nls_solve(phi, spec, T=0.004, dt=1e-3)
+    rows = compare_hierarchy_vs_nls(traj, wave, 1.0, 0.02)
+    assert len(rows) == len(traj.times) == 5
+    for row, hats, field in zip(rows, traj.hats, wave.fields):
+        for k, hat in hats.items():
+            oracle = h_alpha_norm(_marginal_of(hat, grid, k) - factorized_marginal(field.values, k, grid), 1.0)
+            assert row[f"level_{k}_error"] == pytest.approx(oracle, rel=0, abs=1e-13)
+
+
 def test_product_structure_error_ratio_for_field_perturbations():
     # for factorized states of nearby fields the level-2 distance is a
     # small multiple of the level-1 distance (first-order product rule)
