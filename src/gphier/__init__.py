@@ -8,6 +8,7 @@ from .marginal import (
     Marginal,
     MemoryGuardError,
     NormParams,
+    SymmetryError,
     ValidationReport,
     factorized_marginal,
     h_alpha_norm,

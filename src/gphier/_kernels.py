@@ -1,36 +1,35 @@
 """Internal Fourier-domain kernels for the time marches.
 
-The solver keeps hierarchy levels as mode tensors so that the free
-propagator is a single elementwise phase multiply per node.  The collapse
-is evaluated directly on mode tensors: pinning p/2 extra unprimed and
-primed slots to x_j turns, on the mode side, into a mode-sum convolution
+The solvers keep every hierarchy level in mode space, as a packed level
+(the (n_k, n_k) array of _packed: its values on sorted multisets of modes)
+or as a product level, so the free propagator is one elementwise phase
+multiply per node (phase_tensor).  The collapse pins p/2 extra unprimed and
+primed slots to x_j; on the mode side that is a mode-sum convolution
 
     out[r_1..r_k; r'] = M^(-pd/2) * sum_{pinned modes} hat[.., r_j - sigma, .., pinned]
 
 with sigma the componentwise sum of all pinned modes (indices mod M, which
-is exact on the grid).  The sigma-grouped intermediate is independent of
-the slot j and of the +/- branch, so one pass over the input serves the
-whole j-sum.  It is built by folding the p pinned variables into sigma one
-variable at a time, each fold a cyclic shift-add per mode of the folded
-variable: (p - 1) * M^d shift-adds, with one code path for every p and
-d.  Cross-checked elementwise against the real-space operators in the
-test suite.
-
-The free collapse B U(t) hat of a dense level at many times (the
-Strichartz probe) is linear in the one tensor hat, and only phases depend
-on t.  The phase of U(t) splits into a part on the retained modes and a
-part on the pinned modes, so for each sigma one gather of the pinned rows
-of hat and one matrix product with their phases give the sigma slab at
-every time at once; the j-sum is then the fold's, over a leading time
-axis.  One tensor at one time keeps the fold, which is faster there
-(p=4, M=8, kappa=3: 1.55 against 2.71 ms).
+is exact on the grid).  fourier_collapse is the one entry point.  On a
+packed level it is a fixed linear map between packed levels,
+B(P) = F(P) - F'(P), both branches read from one sigma-grouped
+intermediate X_s (_packed_collapse): three row gathers with cached tables,
+whose cost is set by the packed sizes, not by M^(2 kappa d).  The
+real-space operators stay its test oracle.
 
 A product level, the level-k mode tensor of a product state
 prod_j psi(x_j) conj(psi(x'_j)), is held by its M^d factor psi_hat (see
 marginal.ProductLevel), and fourier_collapse hands it to product_collapse,
 which collapses it from that factor: pinning puts g = |psi|^p psi into one
-slot, so the result is a sum of 2k outer products of M^d vectors and no
-M^(2 kappa d) tensor is formed.
+slot, so the result is the packed rank-two form
+u_sum (x) v_pow - u_pow (x) v_sum on multisets.
+
+The free collapse B U(t) hat of a dense level at many times (the
+Strichartz probe, whose draws stay dense) is linear in the one tensor hat,
+and only phases depend on t.  The phase of U(t) splits into a part on the
+retained modes and a part on the pinned modes, so for each sigma one
+gather of the pinned rows of hat and one matrix product with their phases
+give the sigma slab at every time at once; the j-sum then shift-adds each
+slab into place (_shift_add).
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._packed import cached, layout, multiset_products, one_particle, rank
+from ._packed import shape as packed_shape
 from .grid import TorusGrid, phase_weights
 
 if TYPE_CHECKING:
@@ -60,21 +61,16 @@ def multiplier_tensor(grid: TorusGrid, k: int) -> np.ndarray:
 
 
 def phase_tensor(grid: TorusGrid, k: int, t: float) -> np.ndarray:
-    """Dense free-propagator phases exp(-i t lambda) on level-k modes.
+    """Packed free-propagator phases exp(-i t (lam(A) - lam(B))) of level k.
 
-    U(t) of a dense level has this one form: every node of every march
+    U(t) of a packed level has this one form: every node of every march
     builds the phases of its own time here, exact to rounding, so no phase
-    drifts with the step count.  A is the outer product of the k*d
-    per-axis phases exp(-i t p^2) of the unprimed block (d axes per
-    variable); the primed block carries conj(A), so the tensor is one
-    outer product of A with its conjugate.  The M^(2kd) tensor is written
-    once, by that last product.
+    drifts with the step count.  e(A) is the product of the per-axis phases
+    exp(-i t p^2) of A's modes, and the packed phases are the outer product
+    of e with conj(e).
     """
-    ph = phase_weights(grid, t)
-    A = ph
-    for _ in range(k * grid.d - 1):
-        A = np.multiply.outer(A, ph)
-    return np.multiply.outer(A, A.conj())
+    e = multiset_products(phase_weights(grid, t), grid, k)
+    return np.multiply.outer(e, e.conj())
 
 
 def fftn_level(data: np.ndarray) -> np.ndarray:
@@ -103,33 +99,39 @@ def conj_negated(hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
-    """Mode-space B_{k+p/2} of the level-kappa product level with factor psi_hat.
+    """Packed B_{k+p/2} of the level-kappa product level with factor psi_hat.
 
-    The result equals fourier_collapse of the dense tensor.  In real space
+    The result equals fourier_collapse of the packed level.  In real space
     B^+_j puts g = |psi|^p psi in place of psi in unprimed slot j, and B^-_j
     puts conj(g) in primed slot j, so with u = psi_hat, v = conj(u[-r]) and
-    g_hat, g_bar alike, the output is
-        sum_j u..g_hat(slot j)..u (x) v^k  -  u^k (x) sum_j v..g_bar(slot j)..v.
+    g_hat, g_bar alike, the output is the rank-two
+        u_sum (x) v_pow  -  u_pow (x) v_sum
+    on multisets A: u_pow[A] = prod_a u[a] and u_sum[A] the sum over the
+    slots j of that product with g_hat[a_j] in place of u[a_j].
     """
     k = kappa - half
     if k < 1:
         raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
     psi = ifftn_level(psi_hat)
     g_hat = fftn_level(np.abs(psi) ** (2 * half) * psi)
-
-    def power_and_slot_sum(f: np.ndarray, f_slot: np.ndarray):
-        # f^(x k) and the sum over j of f^(x k) with f_slot in slot j
-        power, slot_sum = f, f_slot
-        for _ in range(k - 1):
-            slot_sum = np.multiply.outer(slot_sum, f) + np.multiply.outer(power, f_slot)
-            power = np.multiply.outer(power, f)
-        return power, slot_sum
-
-    u_power, u_sum = power_and_slot_sum(psi_hat, g_hat)
-    v_power, v_sum = power_and_slot_sum(conj_negated(psi_hat), conj_negated(g_hat))
-    out = np.multiply.outer(u_sum, v_power)
-    out -= np.multiply.outer(u_power, v_sum)
+    # f[2 * side + slot, i]: the factor (slot 0) or the slot factor (slot 1) of
+    # the unprimed (side 0) or primed (side 1) block at mode i of each multiset
+    f = np.array([psi_hat, g_hat, conj_negated(psi_hat), conj_negated(g_hat)]).reshape(4, -1)
+    f = f[:, layout(grid, k).modes.T]
+    power, slot_sum = f[0::2, 0], f[1::2, 0]
+    for i in range(1, k):
+        slot_sum = slot_sum * f[0::2, i] + power * f[1::2, i]
+        power = power * f[0::2, i]
+    out = np.multiply.outer(slot_sum[0], power[1])
+    out -= np.multiply.outer(power[0], slot_sum[1])
     return out
+
+
+def product_power(psi_hat: np.ndarray, grid: TorusGrid, k: int) -> np.ndarray:
+    """Packed level k of the product state: prod_a u[a] (x) prod_b v[b], v = conj(u[-r])."""
+    modes = layout(grid, k).modes
+    u, v = psi_hat.reshape(-1)[modes], conj_negated(psi_hat).reshape(-1)[modes]
+    return np.multiply.outer(u.prod(axis=1), v.prod(axis=1))
 
 
 def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtract: bool = False) -> None:
@@ -160,27 +162,17 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtrac
 def fourier_collapse(
     hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int, times=None
 ) -> np.ndarray:
-    """Mode-space B_{k+p/2}: collapse a level-kappa mode tensor to level kappa-half.
+    """Mode-space B_{k+p/2}: collapse a level-kappa level to level k = kappa - half.
 
-    `half` is p/2.  Output axes follow the standard (unprimed block, primed
-    block) order of the retained k = kappa - half variables; `hat` is not
-    modified.  A product level (marginal.ProductLevel) in place of the
-    tensor is collapsed from its factor by product_collapse.
-
-    With `times`, the result is B U(t) hat stacked over t in times, a
-    leading axis of len(times): a dense level by _free_evolution_collapse,
-    a product level by collapsing hat.evolved(t), and hat itself at t = 0.
-    Without, one tensor is collapsed by the fold below, which is faster
-    than a gather and a matrix product when there is one time to serve.
-
-    The p pinned variables are folded one at a time into the first pinned
-    unprimed variable, which thereby comes to hold sigma:
-    new[.., s, ..] = sum_q acc[.., s - q, .., q, ..], one cyclic shift-add
-    per mode q of the folded variable.  The unprimed pinned variables go
-    first, while the tensor is largest and their slabs are contiguous.  The
-    j-sum then shift-adds each sigma slab into `out` along the j-th
-    unprimed (+) and primed (-) variable.  In all: (p - 1) * M^d fold
-    shift-adds and 2k * M^d output shift-adds, each at most 2^d slice adds.
+    `half` is p/2; `hat` is not modified.  It takes
+      - a packed level (the (n_kappa, n_kappa) array of _packed), collapsed
+        by _packed_collapse to a packed level k;
+      - a product level (marginal.ProductLevel), collapsed from its factor
+        by product_collapse to a packed level k;
+      - with `times`, B U(t) hat stacked over t in times on a leading axis:
+        a dense level (the Strichartz draw) by _free_evolution_collapse, in
+        the dense layout, and a product level by collapsing hat.evolved(t),
+        and hat itself at t = 0, in the packed one.
     """
     k = kappa - half
     if k < 1:
@@ -191,27 +183,79 @@ def fourier_collapse(
         return np.stack([(hat if t == 0 else hat.evolved(t)).collapse(half) for t in times])
     if not isinstance(hat, np.ndarray):
         return hat.collapse(half)
-    d, M = grid.d, grid.M
-    modes = list(np.ndindex(*(M,) * d))
-    # acc variables, d axes each: k retained unprimed, sigma, the unprimed
-    # pinned ones not yet folded, k retained primed, the primed pinned ones
-    acc = hat
-    for n in range(2 * half - 1):
-        var = k + 1 if n < half - 1 else 2 * k + 1
-        new = np.zeros(acc.shape[: var * d] + acc.shape[(var + 1) * d :], dtype=np.complex128)
-        lead = (slice(None),) * (var * d)
-        for q in modes:
-            _shift_add(new, acc[lead + q], k * d, q)
-        acc = new
+    if hat.shape != packed_shape(grid, kappa):
+        raise ValueError(f"level {kappa} collapses a packed {packed_shape(grid, kappa)} level, got {hat.shape}")
+    return _packed_collapse(hat, grid, kappa, half)
 
-    out = np.zeros((M,) * (2 * k * d), dtype=np.complex128)
-    lead = (slice(None),) * (k * d)
-    for sigma in modes:
-        slab = acc[lead + sigma]
-        for j in range(k):
-            _shift_add(out, slab, j * d, sigma)
-            _shift_add(out, slab, (k + j) * d, sigma, subtract=True)
-    out *= float(M) ** (-half * d)
+
+#: the most entries one gather of _row_sums builds at once
+_GATHER_BLOCK = 2**21
+
+
+def _row_sums(src: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j src[idx[i, j]] for a 2-D src, gathered in blocks of at most _GATHER_BLOCK entries."""
+    if idx.shape[1] == 1:
+        return src[idx[:, 0]]
+    out = np.empty((len(idx), src.shape[1]), dtype=src.dtype)
+    step = max(1, _GATHER_BLOCK // (idx.shape[1] * src.shape[1]))
+    for i in range(0, len(idx), step):
+        np.sum(src[idx[i : i + step]], axis=1, out=out[i : i + step])
+    return out
+
+
+@cached
+def _collapse_tables(grid: TorusGrid, kappa: int, half: int):
+    """The gather tables of _packed_collapse for level kappa, built once per (grid, kappa, p).
+
+    With U the n^half ordered tuples of pinned modes of one block and
+    ins[A, U] the rank of A + U on level kappa:
+      fold[(sigma, A), :]  ins[A, U] over the U whose modes sum to sigma
+      pair[(s, B), U]      ins[B, U] * n + (s - sum U), a row (C, sigma) of W^T
+      shift[A, (j, s)]     s * n_k + rank of A with a_j -> a_j - s
+    """
+    k, n = kappa - half, grid.M**grid.d
+    one = one_particle(grid)
+    modes = layout(grid, k).modes
+    n_k = len(modes)
+    U = np.indices((n,) * half).reshape(half, -1).T
+    usum = U[:, 0]
+    for u in U[:, 1:].T:
+        usum = one.add[usum, u]
+    A = np.broadcast_to(modes[:, None], (n_k, len(U), k))
+    ins = rank(grid, np.concatenate([A, np.broadcast_to(U, (n_k,) + U.shape)], axis=2))
+    # each sum sigma has n^(half-1) tuples
+    fold = ins[:, np.argsort(usum, kind="stable").reshape(n, -1)].transpose(1, 0, 2).reshape(n * n_k, -1)
+    sub = one.add[:, one.neg]  # sub[a, b]: the mode a - b
+    pair = (ins * n + sub[:, usum][:, None, :]).reshape(n * n_k, -1)
+    shifted = np.repeat(modes[:, None, None, :], k * n, axis=1).reshape(n_k, k, n, k)
+    for j in range(k):
+        shifted[:, j, :, j] = sub[modes[:, j]]
+    shift = (np.arange(n) * n_k + rank(grid, shifted)).reshape(n_k, k * n)
+    return fold, pair, shift, float(grid.M) ** (-half * grid.d)
+
+
+def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
+    """B_{k+p/2} of a packed level-kappa level P, as a packed level k.
+
+    The dense collapse pins p = 2 * half modes, U unprimed and V primed, and
+    shifts slot j of the retained block by their sum s:
+        out[A; B] = M^(-half d) sum_j (X_s[A with a_j - s; B] - X_s[A; B with b_j - s]),
+        X_s[A; B] = sum_{sum U + sum V = s} P[A + U, B + V],
+    both sums also over s.  X_s is the fold's sigma slab on multisets: the
+    unprimed pins are folded first (W, rows (sigma, A)), then the primed
+    ones with the rest of s (X_s^T, rows (s, B)).  The + and - branches of
+    the j-sum are one gather-and-sum from X_s and from X_s^T.  Every step is
+    a row gather of _row_sums with a cached table (_collapse_tables).
+    """
+    fold, pair, shift, scale = _collapse_tables(grid, kappa, half)
+    n_k = len(shift)
+    n = len(pair) // n_k
+    W = _row_sums(P, fold)
+    XT = _row_sums(np.ascontiguousarray(W.T).reshape(-1, n_k), pair)
+    X = XT.reshape(n, n_k, n_k).transpose(0, 2, 1).reshape(n * n_k, n_k)
+    out = _row_sums(X, shift)
+    out -= _row_sums(XT, shift).T
+    out *= scale
     return out
 
 

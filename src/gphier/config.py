@@ -10,9 +10,13 @@ ensemble_size, j_max and store_every >= 1 are kept here.  check_command adds
 the rules of one command: strichartz and km-report collapse the state, so
 they ask solver._check_coupled for a coupled level, and evolve, km-report
 and nls-compare store every store_every-th node, so they ask
-solver._sampling whether store_every divides the step count; nls-compare,
-and evolve with save_state, build a dense level N, so they ask the memory
-guard for level N before anything is allocated.  Regularities
+solver._sampling whether store_every divides the step count.  The same
+three check the invariants of every stored node in real space, which
+builds the dense coupled level N - p/2; evolve with save_state also builds
+a dense level N, and nls-compare packs the free level N of the march and
+of the NLS field to compare them.  Each asks the memory guard for the
+largest dense and packed level it builds before anything is allocated.
+Regularities
 outside the admissible range are errors unless allow_inadmissible_alpha is
 set, in which case a warning is recorded and the run proceeds.
 """
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .grid import make_grid
-from .marginal import NormParams, _check_memory_guard
+from .marginal import NormParams, _check_memory_guard, _check_packed_guard
 from .operators import InteractionSpec, admissible_alpha_range
 from .solver import QuadratureRule, _check_coupled, _resolve_steps, _sampling
 from .studies import _check_truncations
@@ -100,10 +104,13 @@ class ExperimentConfig:
                 _check_coupled(self.N, InteractionSpec(self.p, self.mu))
             if command in ("evolve", "km-report", "nls-compare"):
                 _sampling(self.T, self.dt, self.store_every)
-            if command == "nls-compare" or (command == "evolve" and self.save_state):
-                # both build a dense level N: save_state in real space,
-                # nls-compare as the difference of two product levels
-                _check_memory_guard(make_grid(self.d, self.M, self.L), self.N)
+                grid = make_grid(self.d, self.M, self.L)
+                if command == "evolve" and self.save_state:
+                    _check_memory_guard(grid, self.N)
+                elif self.N > self.p // 2:
+                    _check_memory_guard(grid, self.N - self.p // 2)
+                if command == "nls-compare":
+                    _check_packed_guard(grid, self.N)
         except ValueError as exc:
             raise ConfigError(f"constraint violated: {exc}") from exc
 

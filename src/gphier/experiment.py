@@ -6,18 +6,20 @@ The manifest additionally records versions and wall time and is therefore
 excluded from the byte-identity contract.
 
 evolve, nls-compare and km-report stream the solver's stored nodes
-({level: mode tensor} dicts) into their consumers and keep no list of
-nodes.  Factorized initial data are product levels (marginal.ProductLevel);
-a solver densifies the coupled levels it integrates.  Norms and traces
-come from the mode tensors: the H^alpha norm of each level once per node
-(norm_Hxi_alpha is the xi-weighted sum of those numbers), the trace as
-h^(dk) * sum_r hat[r; -r] (closed forms on a product level), and
-Theta = B Gamma by the mode-space collapse, once per node, with its
-fixed-point defect in the same pass (km-report keeps no Theta sample).
-nls-compare takes each NLS field as a product level (nls._compare_nodes).
-Only the structural invariants of the dense levels work in real space:
-each level is built, used and dropped.  A non-finite H^alpha norm stops
-the run with status 2 (marginal._h_alpha_norm_hat).
+({level: packed or product level} dicts) into their consumers and keep
+no list of nodes.  Factorized initial data are product levels
+(marginal.ProductLevel); a solver packs the coupled levels it integrates
+(the (n_k, n_k) arrays of _packed, one entry per pair of sorted multisets
+of modes).  Norms and traces come from the packed levels: the H^alpha
+norm of each level once per node (norm_Hxi_alpha is the xi-weighted sum
+of those numbers), the trace as h^(dk) * sum_A mult(A) P[A, -A] (closed
+forms on a product level), and Theta = B Gamma by the packed collapse,
+once per node, with its fixed-point defect in the same pass (km-report
+keeps no Theta sample).  nls-compare takes each NLS field as a product
+level (nls._compare_nodes) and packs both sides of a difference.  Only
+the structural invariants of the coupled levels work in real space: each
+level is unpacked, transformed, checked and dropped.  A non-finite H^alpha
+norm stops the run with status 2 (marginal._h_alpha_norm_hat).
 
 Column dictionary (CSV headers follow the estimate symbols):
   norm_Halpha      per-level H^alpha norm of gamma^(k)
@@ -146,19 +148,19 @@ def _structural_invariants(
 ) -> tuple[list[dict], dict[int, complex], str | None]:
     """Trace-drift and defect rows of one node, its traces, and its first violation.
 
-    Builds the real-space state of the node's dense levels, checks each
+    Builds the real-space state of the node's packed levels, checks each
     level there and drops the state; a product level reports zero defects
-    and its closed-form trace (ProductLevel.report).  The dense levels are
+    and its closed-form trace (ProductLevel.report).  The packed levels are
     the coupled levels 1..N - p/2, since only free levels are products.
     Drift is measured against init_traces, the traces at t=0 (None for the
     first node, which is its own reference).  Every comparison is written
     so that NaN fails.
     """
     N = max(hats)
-    dense = {k: h for k, h in hats.items() if not isinstance(h, ProductLevel)}
-    reports = {k: h.report() for k, h in hats.items() if k not in dense}
-    if dense:
-        state = _materialize(grid, dense)
+    packed = {k: h for k, h in hats.items() if not isinstance(h, ProductLevel)}
+    reports = {k: h.report() for k, h in hats.items() if k not in packed}
+    if packed:
+        state = _materialize(grid, packed)
         reports.update((k, validate_marginal(g, check_positivity=False)) for k, g in enumerate(state.levels, start=1))
     rows, traces, failure = [], {}, None
     for k in range(1, N + 1):
@@ -218,7 +220,7 @@ class _InvariantCheck:
 
 
 def _norm_tables(t: float, hats: dict[int, np.ndarray], grid, alpha: float, xi: float) -> tuple[list[dict], dict]:
-    """One node's rows of the levels table and of the norms table, from its mode tensors.
+    """One node's rows of the levels table and of the norms table, from its packed and product levels.
 
     Each level's H^alpha norm is computed once; norm_Hxi_alpha is their
     xi-weighted sum.

@@ -8,16 +8,26 @@ permutations of the unprimed and primed slots, and trace one.
 All torus integrals are Riemann sums with weight h^d per integrated
 variable, so trace/norm identities are exact for band-limited data.
 
-The solvers hold each level as its mode tensor (unitary DFT of the
-kernel).  Every level of factorized data is a product level
-(ProductLevel): the one-particle factor psi_hat stands for the whole
-M^(2kd) tensor.  Its H^alpha norm and trace are closed forms in psi_hat,
-it is hermitean and symmetric by construction, and dense() builds the
-tensor from psi_hat where a solver integrates a coupled level (marginal()
-the real-space kernel).  The memory guard counts only dense levels.  The
-mode-space helpers below (_h_alpha_norm_hat, _trace_hat, _hat_difference,
-_dense_hat, _marginal_of, and _evolved_hat and _free_nodes for U(t))
-accept either kind, as does _kernels.fourier_collapse.
+The solvers hold each level in mode space (the unitary DFT of the kernel)
+in one of two forms.  A packed level is the (n_k, n_k) array P[A, B] of
+the mode tensor's values on sorted multisets of modes (_packed), which
+fixes a permutation-symmetric level; a dense mode tensor enters it through
+_pack_level, which refuses one whose symmetry defect is above
+STRUCTURAL_TOL (SymmetryError) instead of symmetrizing it.  Every level of
+factorized data is a product level (ProductLevel): the one-particle factor
+psi_hat stands for the whole level.  Its H^alpha norm and trace are closed
+forms in psi_hat, it is hermitean and symmetric by construction, and
+packed() builds its packed level where a solver integrates a coupled level
+(marginal() the real-space kernel).  The mode-space helpers below
+(_h_alpha_norm_hat, _trace_hat, _hat_difference, _packed_hat, _marginal_of,
+and _evolved_hat and _free_nodes for U(t)) accept either form, as does
+_kernels.fourier_collapse.  Dense mode tensors remain only in real space
+(_marginal_of unpacks) and in the Strichartz draw, whose norms
+_h_alpha_norms_hat also takes.
+
+The memory guard counts the entries of each array a level is about to
+become: M^(2kd) for a dense tensor (_check_memory_guard) and n_k^2 for a
+packed level (_check_packed_guard), against one MEMORY_GUARD_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -28,10 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import conj_negated, ifftn_level, phase_tensor, product_collapse
+from . import _packed
+from ._kernels import ifftn_level, phase_tensor, product_collapse, product_power
 from .grid import TorusGrid, phase_weights, sobolev_weights, transform
 
-#: Dense tensors above this element count are refused
+#: Dense tensors and packed levels above this element count are refused
 #: (guards against accidental 100+ GB allocations; 2^28 complex128 = 4 GiB).
 MEMORY_GUARD_ELEMENTS = 2**28
 
@@ -47,11 +58,23 @@ class InvariantFailure(RuntimeError):
     """Raised when a run's numbers break an invariant (run_experiment exits 2)."""
 
 
+class SymmetryError(ValueError):
+    """Raised when a dense level to be packed is not permutation symmetric."""
+
+
 def _check_memory_guard(grid: TorusGrid, k: int) -> None:
-    n_elements = grid.M ** (2 * grid.d * k)
+    _refuse_over_guard(grid.M ** (2 * grid.d * k), f"level-{k} marginal", grid)
+
+
+def _check_packed_guard(grid: TorusGrid, k: int) -> None:
+    n_k, _ = _packed.shape(grid, k)
+    _refuse_over_guard(n_k * n_k, f"packed level {k}", grid)
+
+
+def _refuse_over_guard(n_elements: int, what: str, grid: TorusGrid) -> None:
     if n_elements > MEMORY_GUARD_ELEMENTS:
         raise MemoryGuardError(
-            f"level-{k} marginal on M={grid.M}, d={grid.d} has {n_elements} elements "
+            f"{what} on M={grid.M}, d={grid.d} has {n_elements} elements "
             f"(> {MEMORY_GUARD_ELEMENTS}); reduce M, d or the number of levels"
         )
 
@@ -283,17 +306,14 @@ class ProductLevel:
     psi_hat: np.ndarray
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        """Shape of the dense mode tensor."""
-        return (self.grid.M,) * self.grid.axis_count(self.k)
+    def shape(self) -> tuple[int, int]:
+        """Shape of the packed level."""
+        return _packed.shape(self.grid, self.k)
 
-    def dense(self) -> np.ndarray:
-        _check_memory_guard(self.grid, self.k)
-        out = self.psi_hat
-        psi_bar = conj_negated(self.psi_hat)
-        for f in [self.psi_hat] * (self.k - 1) + [psi_bar] * self.k:
-            out = np.multiply.outer(out, f)
-        return out
+    def packed(self) -> np.ndarray:
+        """The packed level: prod_a psi_hat[a] (x) prod_b conj(psi_hat[-b]) on multisets."""
+        _check_packed_guard(self.grid, self.k)
+        return product_power(self.psi_hat, self.grid, self.k)
 
     def marginal(self) -> Marginal:
         """The real-space level: the product kernel of psi, the inverse DFT of psi_hat."""
@@ -324,21 +344,35 @@ class ProductLevel:
         return ProductLevel(self.grid, self.k, psi_hat)
 
     def collapse(self, half: int) -> np.ndarray:
-        """Dense mode tensor of B_{k} of this level, down to level k - half
+        """Packed level of B_{k} of this level, down to level k - half
         (what fourier_collapse returns for a product level)."""
-        _check_memory_guard(self.grid, self.k - half)
+        _check_packed_guard(self.grid, self.k - half)
         return product_collapse(self.psi_hat, self.grid, self.k, half)
 
 
-def _dense_hat(hat: np.ndarray | ProductLevel) -> np.ndarray:
-    return hat.dense() if isinstance(hat, ProductLevel) else hat
+def _packed_hat(hat: np.ndarray | ProductLevel) -> np.ndarray:
+    return hat.packed() if isinstance(hat, ProductLevel) else hat
+
+
+def _pack_level(hat: np.ndarray, grid: TorusGrid, k: int) -> np.ndarray:
+    """The packed level of a dense level-k mode tensor, which must be symmetric.
+
+    The symmetry defect is the largest |hat - unpack(pack(hat))|: a level
+    whose defect is above STRUCTURAL_TOL raises SymmetryError, since
+    packing keeps one entry per multiset and would silently symmetrize it.
+    """
+    P = _packed.pack(hat, grid, k)
+    defect = float(np.max(np.abs(hat - _packed.unpack(P, grid, k))))
+    if not defect <= STRUCTURAL_TOL:
+        raise SymmetryError(f"level-{k} mode tensor is not permutation symmetric: defect {defect:.3e}")
+    return P
 
 
 def _evolved_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, t: float):
-    """U(t) of a level-k mode tensor or product level, with the exact phases of t.
+    """U(t) of a packed level or product level, with the exact phases of t.
 
-    A product level evolves its factor (ProductLevel.evolved); a dense
-    level is multiplied by the level-k phase tensor of t (phase_tensor).
+    A product level evolves its factor (ProductLevel.evolved); a packed
+    level is multiplied by the packed phases of t (phase_tensor).
     """
     if isinstance(hat, ProductLevel):
         return hat.evolved(t)
@@ -349,7 +383,7 @@ def _free_nodes(grid: TorusGrid, k: int, hat: np.ndarray | ProductLevel, dt: flo
     """The free evolution U(i*dt) hat at i = 0, 1, 2, ...; node 0 is hat itself.
 
     Every later node is _evolved_hat at its own time t_i = i*dt, so node i
-    is as exact as node 1 for a dense level and a product level alike.
+    is as exact as node 1 for a packed level and a product level alike.
     """
     yield hat
     for i in itertools.count(1):
@@ -357,34 +391,45 @@ def _free_nodes(grid: TorusGrid, k: int, hat: np.ndarray | ProductLevel, dt: flo
 
 
 def _marginal_of(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> Marginal:
-    """Real-space level-k marginal of a mode tensor or product level."""
+    """Real-space level-k marginal of a packed level or product level."""
     if isinstance(hat, ProductLevel):
         return hat.marginal()
-    return Marginal(grid, k, ifftn_level(hat))
+    _check_memory_guard(grid, k)
+    return Marginal(grid, k, ifftn_level(_packed.unpack(hat, grid, k)))
 
 
 def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) -> np.ndarray | ProductLevel:
-    """a - b of two level mode tensors; product levels with equal factors give the zero product."""
+    """a - b of two levels, packed; product levels with equal factors give the zero product."""
     if isinstance(a, ProductLevel) and isinstance(b, ProductLevel) and np.array_equal(a.psi_hat, b.psi_hat):
         return ProductLevel(a.grid, a.k, np.zeros_like(a.psi_hat))
-    return _dense_hat(a) - _dense_hat(b)
+    return _packed_hat(a) - _packed_hat(b)
 
 
 def _h_alpha_norm_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, alpha: float) -> float:
     """H^alpha norm from the Fourier representation (internal fast path);
-    a dense level is a stack of one node for _h_alpha_norms_hat."""
+    a packed or dense level is a stack of one node for _h_alpha_norms_hat."""
     if isinstance(hat, ProductLevel):
         return _finite_norms(hat.h_alpha_norm(alpha), k, alpha)
     return float(_h_alpha_norms_hat(hat[np.newaxis], grid, k, alpha)[0])
 
 
 def _h_alpha_norms_hat(nodes: np.ndarray, grid: TorusGrid, k: int, alpha: float) -> np.ndarray:
-    """H^alpha norms of the dense level-k mode tensors nodes[0], nodes[1], ...
+    """H^alpha norms of the level-k nodes[0], nodes[1], ..., packed (a 3-D stack) or dense.
 
-    One reduction over the stack: |nodes|^2, the weights of axes 1.., and a
-    sum per row of the flattened stack, bit for bit the sum over one node.
+    One reduction over the stack: |nodes|^2, the weights, and a sum per row
+    of the flattened stack, bit for bit the sum over one node.  A packed
+    node weighs row A and column B by mult * W (_packed.weights); a dense
+    one each axis after the first by its squared Bessel weight.  At
+    k*d = 1 the two are one layout, and with mult = 1 the same products.
     """
-    acc = _weighted_squares(nodes, grid, alpha, lead=1)
+    if nodes.ndim == 3:
+        acc = np.abs(nodes)
+        np.square(acc, out=acc)
+        w = _packed.weights(grid, k, alpha)
+        acc *= w[:, np.newaxis]
+        acc *= w
+    else:
+        acc = _weighted_squares(nodes, grid, alpha, lead=1)
     return _finite_norms(np.sqrt(acc.reshape(len(nodes), -1).sum(axis=1)) * grid.h ** (grid.d * k), k, alpha)
 
 
@@ -402,19 +447,17 @@ def _trace_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int) -> compl
     """Trace from the Fourier representation: h^(dk) * sum_r hat[r; -r].
 
     The unitary DFT turns the diagonal sum over x = x' into a sum over
-    antidiagonal mode pairs r' = -r (mod M).
+    antidiagonal mode pairs r' = -r (mod M); on a packed level the mult(A)
+    tuples r of multiset A all give P[A, -A].
     """
     if isinstance(hat, ProductLevel):
         return hat.trace()
-    shape = (grid.M,) * (grid.d * k)
-    n = grid.M ** (grid.d * k)
-    modes = np.indices(shape).reshape(len(shape), n)
-    neg = np.ravel_multi_index(tuple(-modes % grid.M), shape)  # flat index of -r for each flat r
-    return complex(hat.reshape(n, n)[np.arange(n), neg].sum() * grid.h ** (grid.d * k))
+    lay = _packed.layout(grid, k)
+    return complex((lay.mult * hat[np.arange(lay.size), lay.neg]).sum() * grid.h ** (grid.d * k))
 
 
 def _hxi_norm_hat(hats: dict[int, np.ndarray | ProductLevel], grid: TorusGrid, xi: float, alpha: float) -> float:
-    """hxi_norm of the state whose level-k mode tensor is hats[k], k = 1..N."""
+    """hxi_norm of the state whose level k is hats[k] (packed or product), k = 1..N."""
     if not 0 < xi < 1:
         raise ValueError(f"weight xi must lie in (0, 1), got {xi}")
     return sum(xi**k * _h_alpha_norm_hat(hats[k], grid, k, alpha) for k in sorted(hats))

@@ -121,7 +121,7 @@ def compare_hierarchy_vs_nls(
 
 
 def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alpha: float, xi: float) -> list[dict]:
-    """compare_hierarchy_vs_nls over streamed nodes (t, {level: mode tensor}).
+    """compare_hierarchy_vs_nls over streamed nodes (t, {level: packed or product level}).
 
     Measured in mode space: each node's NLS field enters as one product
     level, and a level's error is the H^alpha norm of its _hat_difference.

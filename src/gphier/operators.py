@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fftn_level, ifftn_level, multiplier_tensor, phase_tensor
+from ._kernels import fftn_level, ifftn_level, multiplier_tensor
 from .grid import TorusGrid, transform
 from .marginal import HierarchyState, Marginal
 
@@ -129,9 +129,14 @@ def free_evolve(gamma: Marginal, t: float) -> Marginal:
     """Apply U^(k)(t): diagonal phases exp(-it|p|^2) (unprimed) and conjugate (primed).
 
     Unitary and diagonal, so trace, hermiticity, symmetry, and every
-    H^alpha norm are preserved exactly.
+    H^alpha norm are preserved exactly.  The level need not be symmetric,
+    so it stays dense: the phases are exp(-i t lambda) of the dense
+    kinetic multiplier.
     """
-    return Marginal(gamma.grid, gamma.k, ifftn_level(phase_tensor(gamma.grid, gamma.k, t) * fftn_level(gamma.data)))
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    phases = np.exp(-1j * t * multiplier_tensor(gamma.grid, gamma.k))
+    return Marginal(gamma.grid, gamma.k, ifftn_level(phases * fftn_level(gamma.data)))
 
 
 def rhs(state: HierarchyState, spec: InteractionSpec) -> HierarchyState:

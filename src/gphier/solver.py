@@ -1,11 +1,17 @@
 """Truncated-hierarchy solvers and iterated Duhamel machinery.
 
+Every level a solver holds is in mode space, as a packed level (the
+(n_k, n_k) array of its values on sorted multisets of modes, _packed) or a
+product level, so U(t), the collapse, the norms and the traces all act on
+n_k^2 entries in place of M^(2kd).  Only the real-space views of a node
+(_materialize, duhamel_term, reconstruct_bhat) unpack a level.
+
 Every time integral here is one Volterra integral on a level's modes,
 x(t) = U(t)[x0 - i*mu int_0^t U(-s) g(s) ds], evaluated on the node grid
-t_i = i*dt.  U(t) has one form: _kernels.phase_tensor builds the dense
-phases of a level at any t from the per-axis phases of t, so U(t_i) is
-exact to rounding at every node, its error does not grow with i, and no
-phase is streamed, advanced in place or held between nodes.
+t_i = i*dt.  U(t) has one form: _kernels.phase_tensor builds the packed
+phases exp(-i t (lam(A) - lam(B))) of a level at any t, so U(t_i) is exact
+to rounding at every node, its error does not grow with i, and no phase is
+streamed, advanced in place or held between nodes.
 _Volterra.stream pushes g at each node and yields every node x(t_i)
 once, in order.  Simpson's rule finalizes node 1 only with node 2;
 _Cumulative and _Volterra are the only places that know it, so every
@@ -26,18 +32,21 @@ stream per coupled level, fed by the stream of the level p/2 above;
 solve_oracle integrates the same linear system with a classical 4-stage
 integrating-factor Runge-Kutta step and serves as the cross-check route.
 Both collect the stored nodes of a generator (_volterra_nodes,
-_oracle_nodes) that yields each node as a {level: mode tensor} dict; a
-Trajectory keeps those dicts and builds real space one node at a time.
+_oracle_nodes) that yields each node as a {level: packed or product level}
+dict; a Trajectory keeps those dicts and builds real space one node at a
+time.
 
 For factorized data every level enters as a product level
 (marginal.ProductLevel): U(t) of prod psi(x_j) conj(psi(x'_j)) is the
 product of psi(t), psi_hat(t) = exp(-i t |p|^2) psi_hat, so a free level
 is one M^d factor with exact phases at every node, and its collapse is the
-rank-one product_collapse.  _level_hat makes that choice for every level
-of a factorized state; a coupled level is densified by ProductLevel.dense()
-only where it is integrated, as the base of its _Volterra accumulator or
-in the frame of the oracle.  U(t) of a level of either kind is
-marginal._evolved_hat, and marginal._free_nodes yields it at each node.
+packed rank-two product_collapse.  _level_hat makes that choice for every
+level of a factorized state and packs the levels of any other state
+(marginal._pack_level, which refuses an asymmetric one); a coupled level
+is packed by ProductLevel.packed() only where it is integrated, as the base
+of its _Volterra accumulator or in the frame of the oracle.  U(t) of a
+level of either kind is marginal._evolved_hat, and marginal._free_nodes
+yields it at each node.
 
 Iterated Duhamel terms are built by the recursion
 Duh_1 = U(t) gamma0, Duh_j(t) = (-i*mu) int_0^t U(t-s) B Duh_{j-1}(s) ds,
@@ -60,17 +69,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
+from . import _packed
+from ._kernels import fftn_level, fourier_collapse, phase_tensor
 from .grid import TorusGrid
 from .marginal import (
     HierarchyState,
     Marginal,
     ProductLevel,
-    _dense_hat,
     _evolved_hat,
     _free_nodes,
     _h_alpha_norm_hat,
     _marginal_of,
+    _pack_level,
+    _packed_hat,
     zero_marginal,
 )
 from .operators import InteractionSpec
@@ -196,13 +207,14 @@ class _Volterra:
     each integrand and yields every node once, in order, so no consumer
     tracks node indices.  Each node's phases are phase_tensor at its own
     time t_s = s*dt, built when the node is pushed or finalized, so no phase
-    is held between pushes.  A product-level base is densified here.
+    is held between pushes.  Every value is a packed level; a product-level
+    base is packed here.
     """
 
     def __init__(self, grid: TorusGrid, level: int, spec: InteractionSpec, dt: float, rule: QuadratureRule, base=None):
         self._cum = _Cumulative(rule, dt)
         self._grid, self._level, self._dt = grid, level, dt
-        self._base = None if base is None else _dense_hat(base)
+        self._base = None if base is None else _packed_hat(base)
         self._mu_coef = -1j * spec.mu
 
     def push(self, g: np.ndarray) -> list[np.ndarray]:
@@ -242,19 +254,19 @@ def _march(
 ):
     """Lockstep Fourier-space march of the levels of hat0; yields (node, states) in order.
 
-    hat0 maps each marched level to its data at t=0: a mode tensor, a
+    hat0 maps each marched level to its data at t=0: a packed level, a
     product level, or None for zero on a level fed from the one p/2 above.
     The levels need not be 1..N; a chain n, n + p/2, n + p (the levels of
     an iterated Duhamel term) is marched the same way.  Each level is one
     stream of its nodes.  A level n without level n + p/2 in hat0 evolves
     freely; every other level is the stream of a _Volterra accumulator
-    started from hat0[n] (densified there if it is a product level, no
+    started from hat0[n] (packed there if it is a product level, no
     base if it is None) and fed the collapse of each node of level
     n + p/2.  Every node passes through its level's FIFO: a level that
     feeds the one below queues each node as it is collapsed, the levels
     without level n - p/2 in hat0 feed nothing and are pulled here, and
     the output pops one node of every level per step.  Yielded dicts map
-    level -> mode tensor or product level and are never mutated afterwards.
+    level -> packed or product level and are never mutated afterwards.
     """
     half = spec.half
     rule = rule.on(S)
@@ -293,8 +305,8 @@ class Trajectory:
     """Time-sampled hierarchy states on a uniform grid over [0, T].
 
     Each stored node is kept as the solver produced it: a dict mapping
-    level n = 1..N to its mode tensor (unitary DFT of the level-n kernel)
-    or, for a free level of factorized data, its ProductLevel.  Norms and
+    level n = 1..N to its packed level (of the unitary DFT of the level-n
+    kernel) or, for a free level of factorized data, its ProductLevel.  Norms and
     collapses read these directly; state(i) builds the real-space
     HierarchyState of one node on request.
     """
@@ -314,9 +326,7 @@ class Trajectory:
             raise ValueError("trajectory time grid must be uniform")
         levels = list(range(1, len(self.hats[0]) + 1))
         for hats in self.hats:
-            if sorted(hats) != levels or any(
-                hats[n].shape != (self.grid.M,) * self.grid.axis_count(n) for n in levels
-            ):
+            if sorted(hats) != levels or any(hats[n].shape != _packed.shape(self.grid, n) for n in levels):
                 raise ValueError("trajectory nodes must hold levels 1..N on the trajectory grid")
 
     @property
@@ -335,10 +345,10 @@ class Trajectory:
 
 def _level_hat(state: HierarchyState, n: int) -> np.ndarray | ProductLevel:
     """Mode representation of level n of state: the product level of a factorized
-    state (no kernel is built), else the DFT of the level's kernel."""
+    state (no kernel is built), else the packed DFT of the level's kernel."""
     if state.phi is not None:
         return ProductLevel(state.grid, n, fftn_level(state.phi))
-    return fftn_level(state.level(n).data)
+    return _pack_level(fftn_level(state.level(n).data), state.grid, n)
 
 
 def _initial_hats(state: HierarchyState) -> dict[int, np.ndarray | ProductLevel]:
@@ -371,8 +381,8 @@ def _volterra_nodes(
     rule: QuadratureRule,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, {level: mode tensor}) of the Volterra march from the
-    initial mode tensors hat0, in order."""
+    """Stored nodes (t, {level: packed or product level}) of the Volterra
+    march from the initial levels hat0, in order."""
     S, store_every = _sampling(T, dt, store_every)
     for i, hats in _march(grid, hat0, spec, S, dt, rule):
         if i % store_every == 0:
@@ -387,21 +397,21 @@ def _oracle_nodes(
     dt: float,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, {level: mode tensor}) of the integrating-factor RK4
-    oracle from the initial mode tensors hat0, in order.
+    """Stored nodes (t, {level: packed or product level}) of the
+    integrating-factor RK4 oracle from the initial levels hat0, in order.
 
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
     Runge-Kutta step to this coupling (4th order in dt).  A free level is
-    constant in this frame; a coupled level is densified when w is built.
-    phases(t) holds one set, the phases of the dense levels at the last
+    constant in this frame; a coupled level is packed when w is built.
+    phases(t) holds one set, the phases of the packed levels at the last
     stage time: k2 and k3 share the mid-step set, and the set at t_i serves
     k4, the stored node and the next step's k1.
     """
     S, store_every = _sampling(T, dt, store_every)
     N, half = max(hat0), spec.half
     coupled = [n for n in range(1, N + 1) if n + half <= N]
-    w = {n: _dense_hat(hat) if n in coupled else hat for n, hat in hat0.items()}
+    w = {n: _packed_hat(hat) if n in coupled else hat for n, hat in hat0.items()}
     mu_coef = -1j * spec.mu
 
     @functools.lru_cache(maxsize=1)
@@ -499,7 +509,7 @@ def duhamel_term(
 def _duhamel_hat(
     j: int, n: int, gamma0: HierarchyState, spec: InteractionSpec, t: float, dt: float, rule: QuadratureRule
 ) -> np.ndarray | ProductLevel:
-    """Mode tensor of duhamel_term for n + j*p/2 <= N (and t > 0 when j > 1).
+    """Packed level of duhamel_term for n + j*p/2 <= N (and t > 0 when j > 1).
 
     The deepest level n + j*p/2 only evolves freely, so factorized data
     keeps it as a product level.
@@ -523,9 +533,9 @@ def _duhamel_nodes(
     dt: float,
     rule: QuadratureRule,
 ):
-    """Mode tensors of Duh_j(Gamma0)^(n+p/2) at the nodes 0..S, in order.
+    """Packed levels of Duh_j(Gamma0)^(n+p/2) at the nodes 0..S, in order.
 
-    deep_hat is the mode tensor (or product level) of the deepest level
+    deep_hat is the packed level (or product level) of the deepest level
     n + j*p/2 of Gamma0.  The truncated system is linear and upper
     triangular, so the term is level n + p/2 of the march started from
     deep_hat alone, with zero data at the levels in between.
@@ -551,12 +561,12 @@ def reconstruct_bhat(
         raise ValueError(f"level n={n} out of coupled range 1..{gamma0.N - half}")
     rule = QuadratureRule.of(quadrature)
     grid = gamma0.grid
-    out = np.zeros((grid.M,) * grid.axis_count(n), dtype=np.complex128)
+    out = np.zeros(_packed.shape(grid, n), dtype=np.complex128)
     j = 1
     while n + j * half <= gamma0.N and (j == 1 or t > 0):
         out += fourier_collapse(_duhamel_hat(j, n, gamma0, spec, t, dt, rule), grid, n + half, half)
         j += 1
-    return Marginal(grid, n, ifftn_level(out))
+    return _marginal_of(out, grid, n)
 
 
 def theta_residual(
@@ -592,11 +602,11 @@ def _theta_defects(
 ):
     """Theta = B Gamma and its fixed-point defect at each of the S + 1 nodes, in one pass.
 
-    nodes yields the stored nodes (t, {level: mode tensor}) of a dt grid;
-    this yields (t, hats, theta, defect) once per node, in order: theta
-    maps level n = 1..N - p/2 to the mode tensor of Theta^(n), and defect
-    is the H^alpha_xi norm of the node's defect (see theta_residual).
-    ref_hat maps level m to the mode tensor (or product level) of
+    nodes yields the stored nodes (t, {level: packed or product level}) of
+    a dt grid; this yields (t, hats, theta, defect) once per node, in order:
+    theta maps level n = 1..N - p/2 to the packed level of Theta^(n), and
+    defect is the H^alpha_xi norm of the node's defect (see theta_residual).
+    ref_hat maps level m to the packed level (or product level) of
     Gamma_ref^(m); None stands for the first node's levels.  The defect of
     level n collapses level m = n + p/2 of U(t)[Gamma_ref - i*mu int_0^t
     U(-s) Theta(s) ds]: a Volterra integral pushed each node's Theta^(m)

@@ -141,9 +141,9 @@ def _free_collapse_norms(
     Each fourier_collapse call evolves and collapses one block of nodes at
     their exact times.  A block holds at most M^((p-1)d) nodes, so its
     output is no larger than one sigma slab of the source level and the
-    memory held does not grow with S.  The collapsed nodes of every level,
-    a product level's too, are a dense stack, and their norms are one
-    reduction over it (_h_alpha_norms_hat).
+    memory held does not grow with S.  The collapsed nodes of a level are
+    one stack, dense for a dense draw and packed for a product level, and
+    their norms are one reduction over it (_h_alpha_norms_hat).
     """
     half = spec.half
     times = dt * np.arange(S + 1)
@@ -490,7 +490,7 @@ def km_report(
 def _km_report(
     nodes, grid: TorusGrid, spec: InteractionSpec, params: NormParams, S: int, dt: float, quadrature="trapezoid"
 ) -> StudyReport:
-    """km_report over the S + 1 streamed nodes (t, {level: mode tensor}) of a dt grid.
+    """km_report over the S + 1 streamed nodes (t, {level: packed or product level}) of a dt grid.
 
     One pass: each node's state norm, Theta = B Gamma and its fixed-point
     defect are computed as the node streams by (_theta_defects), and no

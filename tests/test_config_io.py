@@ -430,19 +430,30 @@ def test_cli_strichartz_draw_checks_memory_guard(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command,settings",
-    [("evolve", ["save_state=true", "solver=volterra"]), ("nls-compare", [])],
+    [("evolve", ["N=3", "save_state=true", "solver=volterra"]), ("nls-compare", ["N=4"])],
     ids=["evolve", "nls-compare"],
 )
 def test_cli_real_space_output_checks_memory_guard_first(tmp_path, capsys, monkeypatch, command, settings):
-    # both commands build level 3 (4^6 entries) in real space: with the
-    # guard at 1000 entries the run is refused before it marches
+    # both commands build level 3 (4^6 entries) in real space: evolve's
+    # save_state at N=3, and the invariant check of the coupled level N - 1
+    # at N=4; with the guard at 1000 entries the run is refused before it marches
     monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 1000)
     out = tmp_path / "out"
-    argv = [command, "--set", "M=4", "--set", "N=3", "--set", "T=0.004", "--out-dir", str(out)]
+    argv = [command, "--set", "M=4", "--set", "T=0.004", "--out-dir", str(out)]
     assert main(argv + [arg for s in settings for arg in ("--set", s)]) == 3
     assert capsys.readouterr().err.startswith("error: level-3 marginal")
     assert sorted(os.listdir(out)) == ["manifest.json"]
     assert json.loads((out / "manifest.json").read_text())["error"].startswith("MemoryGuardError:")
+
+
+def test_cli_nls_compare_guards_its_packed_top_level(tmp_path, capsys, monkeypatch):
+    # M=4, N=3: the invariant check builds level 2 (256 dense entries), and
+    # the comparison packs the free level 3 (20^2 = 400 entries)
+    monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 300)
+    out = tmp_path / "out"
+    assert main(["nls-compare", "--set", "M=4", "--set", "N=3", "--set", "T=0.004", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: packed level 3 on M=4")
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("command", ["evolve", "km-report", "nls-compare", "cauchy", "boardgame"])

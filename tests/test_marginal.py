@@ -26,7 +26,8 @@ from gphier import (
     zero_marginal,
 )
 from gphier._kernels import ifftn_level
-from gphier.marginal import _h_alpha_norm_hat, _hxi_norm_hat, _trace_hat
+from gphier._packed import pack
+from gphier.marginal import _h_alpha_norm_hat, _hxi_norm_hat, _permutation_sum, _trace_hat
 
 GRID = make_grid(1, 8, 2 * np.pi)
 
@@ -266,14 +267,17 @@ def test_symmetrize_and_hermitize_project():
 @pytest.mark.parametrize("d,M", [(1, 6), (2, 4)])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_mode_space_trace_and_norm_match_real_space(d, M, k):
-    # the norm tables read mode tensors; they must equal the real-space
+    # the norm tables read packed levels; they must equal the real-space
     # definitions (d=2, k=3 holds 4^12 entries: about 0.8 GB peak RSS)
     grid = make_grid(d, M, 3.0)
     rng = np.random.default_rng(10 * d + k)
     shape = (M,) * grid.axis_count(k)
     hat = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
-    tr_hat = _trace_hat(hat, grid, k)
-    norm_hat = _h_alpha_norm_hat(hat, grid, k, 1.5)
+    # a packed level stands for a symmetric one: sum over permutations in place
+    _permutation_sum(hat, np.empty_like(hat), hat, grid, k)
+    P = pack(hat, grid, k)
+    tr_hat = _trace_hat(P, grid, k)
+    norm_hat = _h_alpha_norm_hat(P, grid, k, 1.5)
     gamma = Marginal(grid, k, ifftn_level(hat))
     del hat
     tr = trace(gamma)
@@ -285,7 +289,7 @@ def test_mode_space_hxi_norm_matches_real_space():
     from gphier._kernels import fftn_level
 
     st = HierarchyState.factorized(cosine_field(GRID).values, 3, GRID)
-    hats = {k: fftn_level(st.level(k).data) for k in (1, 2, 3)}
+    hats = {k: pack(fftn_level(st.level(k).data), GRID, k) for k in (1, 2, 3)}
     assert _hxi_norm_hat(hats, GRID, 0.02, 1.0) == pytest.approx(hxi_norm(st, 0.02, 1.0), rel=1e-12)
     with pytest.raises(ValueError):
         _hxi_norm_hat(hats, GRID, 1.5, 1.0)

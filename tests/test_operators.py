@@ -27,7 +27,8 @@ from gphier import (
     validate_marginal,
     zero_marginal,
 )
-from gphier._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
+from gphier._kernels import fftn_level, fourier_collapse, ifftn_level, multiplier_tensor
+from gphier._packed import pack, unpack
 
 GRID = make_grid(1, 8, 2 * np.pi)
 CUBIC = InteractionSpec(2, 1)
@@ -174,13 +175,15 @@ def test_b_collapse_symmetrize_pass():
 
 
 def _check_fourier_collapse(d, M, kappa, p, seed):
+    # a packed level is a symmetric one: the random kernel is symmetrized
+    # first, and the packed collapse unpacked to compare in real space
     grid = make_grid(d, M, 2 * np.pi)
-    gam = _random_marginal(grid, kappa, seed=seed)
+    gam = symmetrize(_random_marginal(grid, kappa, seed=seed))
     ref = b_collapse(gam, InteractionSpec(p, 1)).data
-    hat = fftn_level(gam.data)
-    hat_before = hat.copy()
-    fast = ifftn_level(fourier_collapse(hat, grid, kappa, p // 2))
-    assert np.array_equal(hat, hat_before)
+    P = pack(fftn_level(gam.data), grid, kappa)
+    P_before = P.copy()
+    fast = ifftn_level(unpack(fourier_collapse(P, grid, kappa, p // 2), grid, kappa - p // 2))
+    assert np.array_equal(P, P_before)
     np.testing.assert_allclose(fast, ref, atol=1e-12)
 
 
@@ -219,17 +222,19 @@ def test_fourier_collapse_property(shape, seed):
 
 @pytest.mark.parametrize("shape", SMALL_COLLAPSE_SHAPES)
 def test_fourier_collapse_over_times_matches_phased_fold(shape):
-    # B U(t) hat at many times at once against the fold of each phased tensor
+    # B U(t) hat of a dense draw at many times at once against the packed
+    # collapse of each phased tensor (the kernel is symmetric, as a draw is)
     d, M, kappa, p = shape
     grid = make_grid(d, M, 2 * np.pi)
-    hat = fftn_level(_random_marginal(grid, kappa, seed=d * M * kappa * p).data)
+    hat = fftn_level(symmetrize(_random_marginal(grid, kappa, seed=d * M * kappa * p)).data)
     hat_before = hat.copy()
     times = np.array([0.0, 1e-3, 0.37, 2.5, -0.8])
     got = fourier_collapse(hat, grid, kappa, p // 2, times)
     assert np.array_equal(hat, hat_before)
     assert got.shape == (len(times),) + (M,) * (2 * (kappa - p // 2) * d)
     for t, node in zip(times, got):
-        want = fourier_collapse(phase_tensor(grid, kappa, t) * hat, grid, kappa, p // 2)
+        phased = pack(np.exp(-1j * t * multiplier_tensor(grid, kappa)) * hat, grid, kappa)
+        want = unpack(fourier_collapse(phased, grid, kappa, p // 2), grid, kappa - p // 2)
         assert np.max(np.abs(node - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -30,7 +30,8 @@ from gphier import (
     zero_marginal,
 )
 from gphier._kernels import multiplier_tensor, phase_tensor
-from gphier.marginal import _dense_hat, _free_nodes
+from gphier._packed import pack
+from gphier.marginal import _free_nodes, _packed_hat
 from gphier.solver import (
     _Cumulative,
     _duhamel_nodes,
@@ -88,29 +89,31 @@ def test_cumulative_matches_weights():
 
 @pytest.mark.parametrize("d, M, ks", [(1, 8, (1, 2, 3)), (2, 4, (1, 2))])
 def test_phase_tensor_is_exp_of_the_multiplier(d, M, ks):
-    # unprimed axes first, d per variable: the layout of multiplier_tensor.
-    # |t| is small enough that the rounding of t * lambda in the reference
-    # exp stays inside the bound (at M=8 and t=2.9 the difference is twice it)
+    # the packed phases are those of the dense multiplier at the sorted
+    # representatives.  |t| is small enough that the rounding of t * lambda
+    # in the reference exp stays inside the bound
     grid = make_grid(d, M, 2 * np.pi)
     for k in ks:
         lam = multiplier_tensor(grid, k)
         for t in (0.0, 0.37, -1.3):
             got = phase_tensor(grid, k, t)
-            assert got.shape == lam.shape
-            np.testing.assert_allclose(got, np.exp(-1j * t * lam), rtol=0, atol=1e-15 * 2 * k * d, err_msg=f"k={k} t={t}")
+            want = pack(np.exp(-1j * t * lam), grid, k)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * 2 * k * d, err_msg=f"k={k} t={t}")
     with pytest.raises(ValueError, match="finite"):
         phase_tensor(grid, 1, np.nan)
 
 
 def test_free_nodes_of_a_dense_level_do_not_drift():
+    # a level that is not a product: packed
     # every node takes the phases of its own time, so node 2*10^4 is as
     # close to exp(-i t lambda) hat as node 1; a stream of repeated step
     # multiplies drifts by about 1e-12 here
     k, dt, S = 2, 1e-5, 20000
     rng = np.random.default_rng(3)
     shape = (GRID.M,) * GRID.axis_count(k)
-    hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    lam = multiplier_tensor(GRID, k)
+    hat = pack(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), GRID, k)
+    lam = pack(multiplier_tensor(GRID, k), GRID, k)
     scale = np.abs(hat).max()
     for i, node in zip(range(S + 1), _free_nodes(GRID, k, hat, dt)):
         if i % 1000 == 0:
@@ -401,7 +404,7 @@ def test_oracle_nodes_collect_into_solve_oracle():
     assert [t for t, _ in nodes] == list(traj.times)
     for (_, hats), ref in zip(nodes, traj.hats):
         for k in (1, 2, 3):
-            assert np.array_equal(_dense_hat(hats[k]), _dense_hat(ref[k]))
+            assert np.array_equal(_packed_hat(hats[k]), _packed_hat(ref[k]))
 
 
 def test_l2_in_time_matches_weighted_sum():

@@ -22,7 +22,8 @@ from gphier import (
     spacetime_norm,
     strichartz_study,
 )
-from gphier._kernels import conj_negated, fftn_level, fourier_collapse, phase_tensor
+from gphier._kernels import conj_negated, fftn_level, fourier_collapse, multiplier_tensor
+from gphier._packed import pack
 from gphier.grid import sobolev_weights
 from gphier.marginal import (
     Marginal,
@@ -134,10 +135,15 @@ def test_strichartz_study_transforms_no_dense_level(monkeypatch):
     assert all(n <= grid.M**grid.d for n in sizes), sizes
 
 
+def _phased(hat, grid, k, t):
+    """The packed level of U(t) hat, for a dense symmetric draw hat."""
+    return pack(np.exp(-1j * t * multiplier_tensor(grid, k)) * hat, grid, k)
+
+
 @pytest.mark.parametrize("p, M", [(2, 4), (2, 6), (4, 4)])
 def test_free_collapse_norms_match_node_by_node_collapse(p, M):
     # S spans two blocks of M^(p-1) nodes and a part of a third; a dense row
-    # follows the fold of the phased tensor at every node, and a product row
+    # follows the packed collapse of the phased draw at every node, and a product row
     # keeps every bit of the node-by-node collapse of its free nodes
     grid = make_grid(1, M, 2 * np.pi)
     spec, half = InteractionSpec(p, 1), p // 2
@@ -147,7 +153,7 @@ def test_free_collapse_norms_match_node_by_node_collapse(p, M):
     rows = _free_collapse_norms(hats, grid, spec, S, dt, 1.0)
     for m in (half + 1, half + 2):
         want = [
-            _h_alpha_norm_hat(fourier_collapse(phase_tensor(grid, m, i * dt) * hats[m], grid, m, half), grid, m - half, 1.0)
+            _h_alpha_norm_hat(fourier_collapse(_phased(hats[m], grid, m, i * dt), grid, m, half), grid, m - half, 1.0)
             for i in range(S + 1)
         ]
         np.testing.assert_allclose(rows[m - half], want, rtol=1e-13, atol=0)
