@@ -23,17 +23,19 @@ which collapses it from that factor: pinning puts g = |psi|^p psi into one
 slot, so the result is the packed rank-two form
 u_sum (x) v_pow - u_pow (x) v_sum on multisets.
 
-The free collapse B U(t) hat of a dense level at many times (the
-Strichartz probe, whose draws stay dense) is linear in the one tensor hat,
-and only phases depend on t.  The phase of U(t) splits into a part on the
-retained modes and a part on the pinned modes, so for each sigma one
-gather of the pinned rows of hat and one matrix product with their phases
-give the sigma slab at every time at once; the j-sum then shift-adds each
-slab into place (_shift_add).
+The free collapse B U(t) P of a packed level at many times (the
+Strichartz probe and the boardgame's normalizer) is linear in P, and only
+phases depend on t.  The phase of U(t) splits into a part on the retained
+multisets and a part on the pinned modes, so for each pin sum s one
+gather of P at the pinned ranks and one matrix product with the pinned
+phases give X_s at every time at once; the j-sum then gathers its shifted
+rows and columns, the time axis last (_free_collapse).  Its tables
+(_free_tables) are built apart, so a march never builds them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import TYPE_CHECKING
 
@@ -134,31 +136,6 @@ def product_power(psi_hat: np.ndarray, grid: TorusGrid, k: int) -> np.ndarray:
     return np.multiply.outer(u.prod(axis=1), v.prod(axis=1))
 
 
-def _shift_add(dst: np.ndarray, src: np.ndarray, first_axis: int, shift, subtract: bool = False) -> None:
-    """In place: dst[.., r + shift, ..] += src[.., r, ..] (or -=), indices mod M.
-
-    The shift acts on the len(shift) axes starting at `first_axis`; `dst`
-    and `src` have the same shape.  Each shifted axis splits into its
-    unwrapped and its wrapped piece, so this is at most 2^len(shift) slice
-    adds and allocates nothing.
-    """
-    # (dst piece, src piece) per axis: the unwrapped part, then the wrapped one
-    per_axis = [
-        [(slice(None), slice(None))]
-        if s == 0
-        else [(slice(s, None), slice(None, -s)), (slice(None, s), slice(-s, None))]
-        for s in shift
-    ]
-    lead = (slice(None),) * first_axis
-    for pieces in itertools.product(*per_axis):
-        view = dst[lead + tuple(dst_piece for dst_piece, _ in pieces)]
-        part = src[lead + tuple(src_piece for _, src_piece in pieces)]
-        if subtract:
-            view -= part
-        else:
-            view += part
-
-
 def fourier_collapse(
     hat: np.ndarray | ProductLevel, grid: TorusGrid, kappa: int, half: int, times=None
 ) -> np.ndarray:
@@ -169,22 +146,21 @@ def fourier_collapse(
         by _packed_collapse to a packed level k;
       - a product level (marginal.ProductLevel), collapsed from its factor
         by product_collapse to a packed level k;
-      - with `times`, B U(t) hat stacked over t in times on a leading axis:
-        a dense level (the Strichartz draw) by _free_evolution_collapse, in
-        the dense layout, and a product level by collapsing hat.evolved(t),
-        and hat itself at t = 0, in the packed one.
+      - with `times`, B U(t) hat stacked over t in times on a leading axis,
+        packed: a packed level by _free_collapse, all times at once, and a
+        product level by collapsing hat.evolved(t), and hat itself at t = 0.
     """
     k = kappa - half
     if k < 1:
         raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
-    if times is not None:
-        if isinstance(hat, np.ndarray):
-            return _free_evolution_collapse(hat, grid, kappa, half, np.asarray(times, dtype=float))
-        return np.stack([(hat if t == 0 else hat.evolved(t)).collapse(half) for t in times])
     if not isinstance(hat, np.ndarray):
-        return hat.collapse(half)
+        if times is None:
+            return hat.collapse(half)
+        return np.stack([(hat if t == 0 else hat.evolved(t)).collapse(half) for t in times])
     if hat.shape != packed_shape(grid, kappa):
         raise ValueError(f"level {kappa} collapses a packed {packed_shape(grid, kappa)} level, got {hat.shape}")
+    if times is not None:
+        return _free_collapse(hat, grid, kappa, half, times)
     return _packed_collapse(hat, grid, kappa, half)
 
 
@@ -212,6 +188,7 @@ def _collapse_tables(grid: TorusGrid, kappa: int, half: int):
       fold[(sigma, A), :]  ins[A, U] over the U whose modes sum to sigma
       pair[(s, B), U]      ins[B, U] * n + (s - sum U), a row (C, sigma) of W^T
       shift[A, (j, s)]     s * n_k + rank of A with a_j -> a_j - s
+    followed by the scale M^(-half d), ins and the sums of the U (usum).
     """
     k, n = kappa - half, grid.M**grid.d
     one = one_particle(grid)
@@ -231,7 +208,7 @@ def _collapse_tables(grid: TorusGrid, kappa: int, half: int):
     for j in range(k):
         shifted[:, j, :, j] = sub[modes[:, j]]
     shift = (np.arange(n) * n_k + rank(grid, shifted)).reshape(n_k, k * n)
-    return fold, pair, shift, float(grid.M) ** (-half * grid.d)
+    return fold, pair, shift, float(grid.M) ** (-half * grid.d), ins, usum
 
 
 def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
@@ -247,7 +224,7 @@ def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> n
     the j-sum are one gather-and-sum from X_s and from X_s^T.  Every step is
     a row gather of _row_sums with a cached table (_collapse_tables).
     """
-    fold, pair, shift, scale = _collapse_tables(grid, kappa, half)
+    fold, pair, shift, scale, _, _ = _collapse_tables(grid, kappa, half)
     n_k = len(shift)
     n = len(pair) // n_k
     W = _row_sums(P, fold)
@@ -259,47 +236,59 @@ def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> n
     return out
 
 
-def _free_evolution_collapse(hat: np.ndarray, grid: TorusGrid, kappa: int, half: int, times: np.ndarray) -> np.ndarray:
-    """B U(t) hat for every t in times, stacked on a leading time axis.
+@cached
+def _free_tables(grid: TorusGrid, kappa: int, half: int):
+    """The tables of _free_collapse for level kappa, built once per (grid, kappa, p).
 
-    Write n = M^d, sigma for the sum of the pinned modes, q for the other
-    p - 1 pinned modes and A, B for the retained unprimed and primed modes.
-    The phase of U(t) splits into the retained part lambda_k(A, B) and
-    omega_sigma(q), the kinetic multiplier of the pinned modes, so the fold
-    of U(t) hat is
-        acc_t[A, sigma, B] = exp(-i t lambda_k) * sum_q exp(-i t omega_sigma(q)) X_sigma[q, (A, B)]
-    with X_sigma[q] = hat[A, sigma - sum q, q_unprimed, B, q_primed]: per sigma,
-    one gather of n^(p-1) rows and one matrix product serve every time.
-    The j-sum then shift-adds each sigma slab as the fold does, one axis
-    further in.  Every phase is exp(-i t x) of its own time, none streamed.
+    The pins are the pairs (U, V) of ordered tuples of half unprimed and
+    half primed modes; those of sum s are the n^(p-1) rows c of
+      rows[s, c] = ins[:, U_c], cols[s, c] = ins[:, V_c]    (ins of _collapse_tables)
+      omega[s, c] = lam(U_c) - lam(V_c)                     their kinetic multiplier
+    and shifted[s, j, A] is the rank of A with a_j -> a_j - s, the shift
+    table of _collapse_tables without its s * n_k offset.
     """
-    d, M = grid.d, grid.M
-    k = kappa - half
-    if not np.all(np.isfinite(times)):
-        raise ValueError(f"times must be finite, got {times}")
-    n, n_other = M**d, M ** (d * (2 * half - 1))
-    shape = (M,) * d
-    modes = np.indices(shape).reshape(d, n)
-    p2 = (grid.wavenumbers[modes] ** 2).sum(axis=0)  # |p|^2 of each one-particle mode
-    # the other pinned modes, half - 1 unprimed then half primed, in C order:
-    # row c is unprimed combination c // n^half and primed combination c % n^half
-    q = np.indices((n,) * (2 * half - 1)).reshape(2 * half - 1, n_other)
-    omega_rest = p2[q[: half - 1]].sum(axis=0) - p2[q[half - 1 :]].sum(axis=0)
-    q_sum = modes[:, q].sum(axis=1)
-    rows_u, rows_p = np.divmod(np.arange(n_other), n**half)
-    H = hat.reshape(n**k, n, n ** (half - 1), n**k, n**half)
-    retained = np.multiply.outer(-1j * times, multiplier_tensor(grid, k))
-    np.exp(retained, out=retained)
-    slab = np.empty_like(retained)
+    _, _, shift, scale, ins, usum = _collapse_tables(grid, kappa, half)
+    one = one_particle(grid)
+    n, n_k = grid.M**grid.d, len(shift)
+    by_sum = np.argsort(one.add[usum[:, None], usum].reshape(-1), kind="stable").reshape(n, -1)
+    iu, iv = np.divmod(by_sum, len(usum))
+    p2 = (grid.wavenumbers[one.digits] ** 2).sum(axis=0)  # |p|^2 of each one-particle mode
+    lam = p2[np.indices((n,) * half).reshape(half, -1)].sum(axis=0)
+    shifted = (shift.reshape(n_k, -1, n) - np.arange(n) * n_k).transpose(2, 1, 0)
+    return ins.T[iu], ins.T[iv], lam[iu] - lam[iv], shifted, scale
+
+
+def _free_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, times) -> np.ndarray:
+    """B U(t) P of a packed level-kappa level P for every t in times, stacked on a leading axis.
+
+    The phase of U(t) on P[A + U, B + V] is e_t(A) conj e_t(B) exp(-i t omega(U, V)),
+    e_t the packed phases of phase_tensor, so the X_s of _packed_collapse at t is
+        X_s(t)[A; B] = e_t(A) conj e_t(B) sum_c exp(-i t omega_c) G_s[c, A, B],
+        G_s[c, A, B] = P[A + U_c, B + V_c],
+    over the pins c of sum s.  Per s, the gathers G_s, at most _GATHER_BLOCK
+    entries each, and one matrix product with the pinned phases give X_s at
+    every time; the j-sum then adds its shifted rows and subtracts its
+    shifted columns, each one gather with the time axis last.  Memory
+    holds a few (n_k, n_k) arrays per time, so callers pass times in blocks.
+    """
+    rows, cols, omega, shifted, scale = _free_tables(grid, kappa, half)
+    n, m, n_k = rows.shape
+    e = np.stack([multiset_products(phase_weights(grid, t), grid, kappa - half) for t in times], axis=1)
+    retained = e[:, None] * e.conj()
     out = np.zeros_like(retained)
+    step = max(1, _GATHER_BLOCK // (n_k * n_k))
     for s in range(n):
-        first = np.ravel_multi_index(tuple((modes[:, s : s + 1] - q_sum) % M), shape)
-        phases = np.exp(np.multiply.outer(-1j * times, p2[first] + omega_rest))
-        np.matmul(phases, H[:, first, rows_u, :, rows_p].reshape(n_other, -1), out=slab.reshape(len(times), -1))
-        slab *= retained
-        sigma = tuple(modes[:, s])
-        for j in range(k):
-            _shift_add(out, slab, 1 + j * d, sigma)
-            _shift_add(out, slab, 1 + (k + j) * d, sigma, subtract=True)
-    out *= float(M) ** (-half * d)
-    return out
+        X = functools.reduce(
+            np.add,
+            (
+                P[rows[s, c : c + step, :, None], cols[s, c : c + step, None, :]].reshape(-1, n_k * n_k).T
+                @ np.exp(-1j * np.multiply.outer(omega[s, c : c + step], times))
+                for c in range(0, m, step)
+            ),
+        ).reshape(retained.shape)
+        X *= retained
+        for a in shifted[s]:
+            out += X[a]
+            out -= X[:, a]
+    out *= scale
+    return out.transpose(2, 0, 1)

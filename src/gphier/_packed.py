@@ -22,7 +22,7 @@ h^(dk) sum_A mult(A) P[A, -A], and U(t) is exp(-i t (lam(A) - lam(B)))
 with lam(A) = sum_a |p_a|^2: a per-axis factor multiplied over the modes
 of each multiset (multiset_products), as the dense outer products did.
 pack and unpack convert between the forms; only real space and the
-Strichartz draw keep dense tensors.
+dense Strichartz draw itself keep dense tensors.
 """
 
 from __future__ import annotations

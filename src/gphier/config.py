@@ -14,8 +14,9 @@ solver._sampling whether store_every divides the step count.  The same
 three check the invariants of every stored node in real space, which
 builds the dense coupled level N - p/2; evolve with save_state also builds
 a dense level N, and nls-compare packs the free level N of the march and
-of the NLS field to compare them.  Each asks the memory guard for the
-largest dense and packed level it builds before anything is allocated.
+of the NLS field to compare them.  strichartz draws dense levels 1..N.
+Each asks the memory guard for the largest dense and packed level it
+builds before anything is allocated.
 Regularities
 outside the admissible range are errors unless allow_inadmissible_alpha is
 set, in which case a warning is recorded and the run proceeds.
@@ -102,9 +103,11 @@ class ExperimentConfig:
         try:
             if command in ("strichartz", "km-report"):
                 _check_coupled(self.N, InteractionSpec(self.p, self.mu))
+            grid = make_grid(self.d, self.M, self.L)
+            if command == "strichartz":
+                _check_memory_guard(grid, self.N)
             if command in ("evolve", "km-report", "nls-compare"):
                 _sampling(self.T, self.dt, self.store_every)
-                grid = make_grid(self.d, self.M, self.L)
                 if command == "evolve" and self.save_state:
                     _check_memory_guard(grid, self.N)
                 elif self.N > self.p // 2:

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import conj_negated, fourier_collapse, ifftn_level
+from ._kernels import _GATHER_BLOCK, conj_negated, fourier_collapse, ifftn_level
+from ._packed import pack
+from ._packed import shape as packed_shape
 from .grid import TorusGrid, sobolev_weights
 from .marginal import (
     HierarchyState,
@@ -137,21 +139,22 @@ def _free_collapse_norms(
 ) -> dict[int, np.ndarray]:
     """Per-level H^alpha norms of (B U(t) Gamma0)^(n) on the node grid.
 
-    Level n collapses level n + p/2 of hats0; rows come in the order of hats0.
-    Each fourier_collapse call evolves and collapses one block of nodes at
-    their exact times.  A block holds at most M^((p-1)d) nodes, so its
-    output is no larger than one sigma slab of the source level and the
-    memory held does not grow with S.  The collapsed nodes of a level are
-    one stack, dense for a dense draw and packed for a product level, and
-    their norms are one reduction over it (_h_alpha_norms_hat).
+    Level n collapses level n + p/2 of hats0, a packed or product level;
+    rows come in the order of hats0.  Each fourier_collapse call evolves and
+    collapses one block of nodes at their exact times.  A block holds one
+    node per pin of a pin sum, M^((p-1)d), and no more than _GATHER_BLOCK
+    packed level-n entries, so its stack is no larger than one pinned gather
+    of the free collapse and the memory held does not grow with S.  The
+    norms of a block are one reduction over its stack (_h_alpha_norms_hat).
     """
     half = spec.half
     times = dt * np.arange(S + 1)
-    block = grid.M ** ((spec.p - 1) * grid.d)
     rows = {}
     for m, hat in hats0.items():
         if m <= half:
             continue
+        n_k = packed_shape(grid, m - half)[0]
+        block = max(1, min(grid.M ** ((spec.p - 1) * grid.d), _GATHER_BLOCK // (n_k * n_k)))
         row = rows[m - half] = np.zeros(S + 1)
         for start in range(0, S + 1, block):
             nodes = fourier_collapse(hat, grid, m, half, times[start : start + block])
@@ -188,7 +191,8 @@ def strichartz_study(
     per_draw = []
     for idx in range(ensemble_size):
         rng = np.random.default_rng(seeds[idx])
-        hats0 = {k: _random_hat(grid, k, rng, alpha) for k in range(1, n_levels + 1)}
+        # a draw is symmetric by construction, so it packs without a defect pass
+        hats0 = {k: pack(_random_hat(grid, k, rng, alpha), grid, k) for k in range(1, n_levels + 1)}
         rows = _free_collapse_norms(hats0, grid, spec, S, dt, alpha)
         # _random_hat scales every level to unit H^alpha norm
         rhs_norm = sum(xi_p**k for k in sorted(hats0))

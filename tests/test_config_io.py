@@ -20,6 +20,7 @@ from gphier import (
     HierarchyState,
     InteractionSpec,
     Marginal,
+    MemoryGuardError,
     NormParams,
     QuadratureRule,
     SnapshotError,
@@ -39,7 +40,7 @@ from gphier import (
     trace,
     validate_marginal,
 )
-from gphier import marginal
+from gphier import marginal, studies
 from gphier.cli import main
 from gphier.experiment import COMMANDS
 from gphier.marginal import ProductLevel
@@ -415,17 +416,28 @@ def test_cli_memory_guard_exit_code(tmp_path, capsys):
     assert manifest["error"].startswith("MemoryGuardError:")
 
 
-def test_cli_strichartz_draw_checks_memory_guard(tmp_path, capsys, monkeypatch):
-    # with the guard at 100 entries the level-2 draw (4^4 = 256 entries)
-    # is refused before it is allocated
-    monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 100)
+def test_cli_strichartz_checks_memory_guard_at_config(tmp_path, capsys, monkeypatch):
+    # with the guard at 1000 entries the dense draw of level N = 3 (4^6
+    # entries) is refused by the config check, before levels 1 and 2 are
+    # drawn; the study called directly refuses the level-2 draw (4^4 = 256
+    # entries) itself at a guard of 100
+    monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 1000)
+    drawn = []
+    monkeypatch.setattr(studies, "_random_hat", lambda grid, k, *args: drawn.append(k))
     out = tmp_path / "out"
     argv = ["strichartz", "--set", "M=4", "--set", "N=3", "--set", "T=0.004", "--set", "dt=0.002"]
     assert main(argv + ["--set", "ensemble_size=1", "--out-dir", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("error: level-2 marginal")
+    assert capsys.readouterr().err.startswith("error: level-3 marginal on M=4, d=1 has 4096 elements")
+    assert drawn == []
+    assert sorted(os.listdir(out)) == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == 1
-    assert manifest["error"].startswith("MemoryGuardError:")
+    assert manifest["error"].startswith("MemoryGuardError: level-3 marginal")
+    monkeypatch.undo()
+    monkeypatch.setattr(marginal, "MEMORY_GUARD_ELEMENTS", 100)
+    params = NormParams(alpha=1.0, xi=0.02, xi2=0.06, xi_prime=0.2, eta=0.5)
+    with pytest.raises(MemoryGuardError, match="level-2 marginal"):
+        studies.strichartz_study(1, params, make_grid(1, 4, 2 * np.pi), InteractionSpec(2, 1), 0.004, 0.002, 3)
 
 
 @pytest.mark.parametrize(

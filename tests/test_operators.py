@@ -29,6 +29,7 @@ from gphier import (
 )
 from gphier._kernels import fftn_level, fourier_collapse, ifftn_level, multiplier_tensor
 from gphier._packed import pack, unpack
+from gphier._packed import shape as packed_shape
 
 GRID = make_grid(1, 8, 2 * np.pi)
 CUBIC = InteractionSpec(2, 1)
@@ -222,20 +223,24 @@ def test_fourier_collapse_property(shape, seed):
 
 @pytest.mark.parametrize("shape", SMALL_COLLAPSE_SHAPES)
 def test_fourier_collapse_over_times_matches_phased_fold(shape):
-    # B U(t) hat of a dense draw at many times at once against the packed
-    # collapse of each phased tensor (the kernel is symmetric, as a draw is)
+    # B U(t) P of a packed level at many times at once against the packed
+    # collapse of each phased level, the phases built densely from the
+    # kinetic multiplier; a dense level with times is refused
     d, M, kappa, p = shape
     grid = make_grid(d, M, 2 * np.pi)
     hat = fftn_level(symmetrize(_random_marginal(grid, kappa, seed=d * M * kappa * p)).data)
-    hat_before = hat.copy()
+    P = pack(hat, grid, kappa)
+    P_before = P.copy()
     times = np.array([0.0, 1e-3, 0.37, 2.5, -0.8])
-    got = fourier_collapse(hat, grid, kappa, p // 2, times)
-    assert np.array_equal(hat, hat_before)
-    assert got.shape == (len(times),) + (M,) * (2 * (kappa - p // 2) * d)
+    got = fourier_collapse(P, grid, kappa, p // 2, times)
+    assert np.array_equal(P, P_before)
+    assert got.shape == (len(times),) + packed_shape(grid, kappa - p // 2)
     for t, node in zip(times, got):
         phased = pack(np.exp(-1j * t * multiplier_tensor(grid, kappa)) * hat, grid, kappa)
-        want = unpack(fourier_collapse(phased, grid, kappa, p // 2), grid, kappa - p // 2)
+        want = fourier_collapse(phased, grid, kappa, p // 2)
         assert np.max(np.abs(node - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="collapses a packed"):
+        fourier_collapse(hat, grid, kappa, p // 2, times)
 
 
 def test_b_hat_levels_and_cancellation():

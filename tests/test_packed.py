@@ -42,13 +42,17 @@ def test_layout_ranks_every_multiset_once(d, M, k):
 
 @pytest.mark.parametrize("M, kappa, p", [(6, 3, 2), (4, 3, 4)])
 def test_collapse_in_gather_blocks_matches_one_block(monkeypatch, M, kappa, p):
-    # deep levels gather their sums in row blocks; the sums are the same
+    # deep levels gather their sums in row blocks; the sums are the same,
+    # and the free collapse's chunked pin sums agree to rounding
     grid = make_grid(1, M, 2 * np.pi)
     rng = np.random.default_rng(M + p)
     P = rng.standard_normal(shape(grid, kappa)) + 1j * rng.standard_normal(shape(grid, kappa))
-    whole = fourier_collapse(P, grid, kappa, p // 2)
+    times = np.array([0.0, 0.3])
+    whole, free = fourier_collapse(P, grid, kappa, p // 2), fourier_collapse(P, grid, kappa, p // 2, times)
     monkeypatch.setattr(_kernels, "_GATHER_BLOCK", 50)
     assert np.array_equal(fourier_collapse(P, grid, kappa, p // 2), whole)
+    chunked = fourier_collapse(P, grid, kappa, p // 2, times)
+    assert np.max(np.abs(chunked - free)) <= 1e-14 * np.max(np.abs(free))
 
 
 @pytest.mark.parametrize("d, M, k", [(1, 4, 1), (1, 6, 3), (2, 4, 2)])

@@ -23,9 +23,11 @@ from gphier import (
     strichartz_study,
 )
 from gphier._kernels import conj_negated, fftn_level, fourier_collapse, multiplier_tensor
-from gphier._packed import pack
+from gphier._packed import pack, rank, unpack
+from gphier._packed import shape as packed_shape
 from gphier.grid import sobolev_weights
 from gphier.marginal import (
+    STRUCTURAL_TOL,
     Marginal,
     ProductLevel,
     _free_nodes,
@@ -36,7 +38,7 @@ from gphier.marginal import (
     symmetrize,
 )
 from gphier.studies import _free_collapse_norms, _random_hat
-from gphier.solver import QuadratureRule
+from gphier.solver import QuadratureRule, _level_hat
 
 CUBIC = InteractionSpec(2, 1)
 PARAMS = NormParams(alpha=1.0, xi=0.02, xi2=0.06, xi_prime=0.2, eta=0.5)
@@ -140,18 +142,24 @@ def _phased(hat, grid, k, t):
     return pack(np.exp(-1j * t * multiplier_tensor(grid, k)) * hat, grid, k)
 
 
-@pytest.mark.parametrize("p, M", [(2, 4), (2, 6), (4, 4)])
-def test_free_collapse_norms_match_node_by_node_collapse(p, M):
-    # S spans two blocks of M^(p-1) nodes and a part of a third; a dense row
-    # follows the packed collapse of the phased draw at every node, and a product row
-    # keeps every bit of the node-by-node collapse of its free nodes
-    grid = make_grid(1, M, 2 * np.pi)
+@pytest.mark.parametrize(
+    "d, p, M",
+    [pytest.param(1, 2, 4, id="2-4"), pytest.param(1, 2, 6, id="2-6"), pytest.param(1, 4, 4, id="4-4"), (2, 2, 4)],
+)
+def test_free_collapse_norms_match_node_by_node_collapse(d, p, M):
+    # S spans two blocks of M^((p-1)d) nodes and a part of a third; a row of a
+    # packed draw follows the packed collapse of the phased draw at every node,
+    # and a product row keeps every bit of the node-by-node collapse of its
+    # free nodes.  Only the draws with at most 4^8 dense entries are drawn.
+    grid = make_grid(d, M, 2 * np.pi)
     spec, half = InteractionSpec(p, 1), p // 2
     rng = np.random.default_rng(M + p)
-    hats = {k: _random_hat(grid, k, rng, 1.0) for k in range(1, half + 3)}
-    S, dt = 2 * M ** (p - 1) + 1, 3e-3
-    rows = _free_collapse_norms(hats, grid, spec, S, dt, 1.0)
-    for m in (half + 1, half + 2):
+    levels = [m for m in range(1, half + 3) if M ** (2 * m * d) <= 4**8]
+    hats = {k: _random_hat(grid, k, rng, 1.0) for k in levels}
+    S, dt = 2 * M ** ((p - 1) * d) + 1, 3e-3
+    rows = _free_collapse_norms({k: pack(hat, grid, k) for k, hat in hats.items()}, grid, spec, S, dt, 1.0)
+    assert sorted(rows) == [m - half for m in levels if m > half]
+    for m in levels[half:]:
         want = [
             _h_alpha_norm_hat(fourier_collapse(_phased(hats[m], grid, m, i * dt), grid, m, half), grid, m - half, 1.0)
             for i in range(S + 1)
@@ -161,6 +169,15 @@ def test_free_collapse_norms_match_node_by_node_collapse(p, M):
     nodes = _free_nodes(grid, half + 2, level, dt)
     want = [_h_alpha_norm_hat(fourier_collapse(next(nodes), grid, half + 2, half), grid, 2, 1.0) for _ in range(S + 1)]
     assert np.array_equal(_free_collapse_norms({half + 2: level}, grid, spec, S, dt, 1.0)[2], want)
+
+
+@pytest.mark.parametrize("d, M, k", [(1, 6, 3), (2, 4, 2)])
+def test_random_hat_packs_without_loss(d, M, k):
+    # a draw is symmetric by construction, so the Strichartz study packs it
+    # without the defect pass of _pack_level
+    grid = make_grid(d, M, 2 * np.pi)
+    hat = _random_hat(grid, k, np.random.default_rng(d * M * k), 1.0)
+    assert np.max(np.abs(hat - unpack(pack(hat, grid, k), grid, k))) <= STRUCTURAL_TOL
 
 
 @pytest.mark.parametrize("d, M, k", [(1, 12, 1), (1, 12, 2), (2, 4, 2), (1, 8, 3)])
@@ -183,16 +200,18 @@ def test_batched_node_norms_equal_per_node_norms(d, M, k):
 
 
 def test_free_collapse_memory_is_flat_in_steps():
-    # one block's output is no larger than one sigma slab of the level, so
-    # the peak does not grow with S; the node-by-node loop held the phase
-    # stream, its step and a node buffer, three copies of the level
+    # one block's stack is no larger than one pinned gather of the packed
+    # draw, so the peak does not grow with S and stays under two dense draws;
+    # the node-by-node loop held the phase stream, its step and a node
+    # buffer, three copies of the dense level
     grid = make_grid(1, 6, 2 * np.pi)
     hat = _random_hat(grid, 3, np.random.default_rng(0), 1.0)
+    packed = pack(hat, grid, 3)
     peaks = {}
     for S in (20, 2000):
         tracemalloc.start()
         try:
-            _free_collapse_norms({3: hat}, grid, CUBIC, S, 1e-3, 1.0)
+            _free_collapse_norms({3: packed}, grid, CUBIC, S, 1e-3, 1.0)
             peaks[S] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,10 +222,10 @@ def test_free_collapse_memory_is_flat_in_steps():
 def test_strichartz_single_mode_closed_form():
     # a lone Fourier mode evolves by a pure phase, so ||B U(t) gamma|| is
     # constant in time and the windowed norm is sqrt(T) * ||B gamma||
+    # (a packed level with one entry, the symmetric level of modes 1, 2; 3, 0)
     grid = make_grid(1, 4, 2 * np.pi)
-    rng = np.random.default_rng(0)
-    hat = np.zeros((4,) * 4, dtype=complex)
-    hat[1, 2, 3, 0] = 1.0 + 0.5j
+    hat = np.zeros(packed_shape(grid, 2), dtype=complex)
+    hat[rank(grid, np.array([1, 2])), rank(grid, np.array([3, 0]))] = 1.0 + 0.5j
     T, dt = 0.08, 2e-3
     S = round(T / dt)
     nodes = fourier_collapse(hat, grid, 2, 1, dt * np.arange(S + 1))
@@ -243,7 +262,7 @@ def test_strichartz_ratios_scale_invariant():
     w = QuadratureRule("trapezoid").weights(S, dt)
 
     def ratio(state):
-        hats = {k: fftn_level(state.level(k).data) for k in (1, 2, 3)}
+        hats = {k: _level_hat(state, k) for k in (1, 2, 3)}
         rows = _free_collapse_norms(hats, grid, CUBIC, S, dt, 1.0)
         series = sum(PARAMS.xi**n * r for n, r in rows.items())
         return np.sqrt(np.dot(w, series**2)) / hxi_norm(state, PARAMS.xi_prime, 1.0)
@@ -265,7 +284,7 @@ def test_strichartz_time_translation_surrogate():
     w = QuadratureRule("trapezoid").weights(S, dt)
 
     def lhs(state):
-        hats = {k: fftn_level(state.level(k).data) for k in (1, 2)}
+        hats = {k: _level_hat(state, k) for k in (1, 2)}
         rows = _free_collapse_norms(hats, grid, CUBIC, S, dt, 1.0)
         series = sum(PARAMS.xi**n * r for n, r in rows.items())
         return float(np.sqrt(np.dot(w, series**2)))
@@ -379,6 +398,21 @@ def test_boardgame_j1_ratio_one_and_decay():
     assert rows[1]["ratio"] > rows[2]["ratio"] > rows[3]["ratio"]
     assert rep.fitted["geometric_decay"] == 1.0
     assert rep.fitted["slope_log_ratio_vs_j"] < 0
+
+
+def test_boardgame_of_kernel_levels_matches_factorized_state():
+    # a state given by its kernels holds packed levels, whose free collapse
+    # at the probe's nodes is the packed one; its ratios are those of the
+    # same state held as a factorized field
+    grid = make_grid(1, 4, 2 * np.pi)
+    factorized = _cosine_hierarchy(grid, 3)
+    kernels = HierarchyState(grid, factorized.levels)
+    got, want = (boardgame_probe(1, [1, 2], g0, CUBIC, T=0.05, params=PARAMS, dt=1e-3) for g0 in (kernels, factorized))
+    assert len(got.tables["ratios"]) == len(want.tables["ratios"]) == 2
+    for g, w in zip(got.tables["ratios"], want.tables["ratios"]):
+        assert not g["degenerate"] and not w["degenerate"]
+        for key in ("lhs", "rhs", "ratio"):
+            assert g[key] == pytest.approx(w[key], rel=1e-12, abs=0)
 
 
 def test_boardgame_plane_wave_degenerate():
