@@ -83,15 +83,13 @@ def ifftn_level(hat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(hat, norm="ortho")
 
 
-def conj_negated(hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def conj_negated(hat: np.ndarray) -> np.ndarray:
     """conj(hat[-r]) on every axis: the unitary DFT of conj(f) when hat is that of f.
 
-    Written into `out` when given, which must not overlap hat.  On each axis
-    -r keeps index 0 and reverses 1..M-1, so this is 2^ndim slice copies
-    and allocates nothing beyond `out`.
+    On each axis -r keeps index 0 and reverses 1..M-1, so this is 2^ndim
+    slice copies into one new array.
     """
-    if out is None:
-        out = np.empty_like(hat)
+    out = np.empty_like(hat)
     # (out piece, hat piece) per axis
     per_axis = [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))] * hat.ndim
     for pieces in itertools.product(*per_axis):

@@ -14,9 +14,9 @@ solver._sampling whether store_every divides the step count.  The same
 three check the invariants of every stored node in real space, which
 builds the dense coupled level N - p/2; evolve with save_state also builds
 a dense level N, and nls-compare packs the free level N of the march and
-of the NLS field to compare them.  strichartz draws dense levels 1..N.
-Each asks the memory guard for the largest dense and packed level it
-builds before anything is allocated.
+of the NLS field to compare them.  strichartz reads the M^(2Nd) normals
+of its level-N draw.  Each asks the memory guard for the largest dense
+level (or draw) and packed level it needs before anything is allocated.
 Regularities
 outside the admissible range are errors unless allow_inadmissible_alpha is
 set, in which case a warning is recorded and the run proceeds.
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("constraint violated: solver in {volterra, oracle, both}")
         if self.ensemble_size < 1:
             raise ConfigError("constraint violated: ensemble_size >= 1")
+        if self.seed < 0:
+            raise ConfigError("constraint violated: seed >= 0")
         if not 1 <= self.j_max <= 4:
             raise ConfigError("constraint violated: 1 <= j_max <= 4")
         if self.store_every < 1:

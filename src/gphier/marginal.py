@@ -22,8 +22,7 @@ packed() builds its packed level where a solver integrates a coupled level
 (_h_alpha_norm_hat, _trace_hat, _hat_difference, _packed_hat, _marginal_of,
 and _evolved_hat and _free_nodes for U(t)) accept either form, as does
 _kernels.fourier_collapse.  Dense mode tensors remain only in real space
-(_marginal_of unpacks) and in the Strichartz draw, whose norms
-_h_alpha_norms_hat also takes.
+(_marginal_of unpacks).
 
 The memory guard counts the entries of each array a level is about to
 become: M^(2kd) for a dense tensor (_check_memory_guard) and n_k^2 for a
@@ -195,8 +194,7 @@ def _permutation_sum(src: np.ndarray, spare: np.ndarray, out: np.ndarray, grid: 
 
 def symmetrize(gamma: Marginal) -> Marginal:
     """Average over all permutations of unprimed slots, then of primed slots:
-    _permutation_sum divided by (k!)^2 (a draw normalized afterwards,
-    studies._random_hat, calls the sum and skips the division)."""
+    _permutation_sum divided by (k!)^2."""
     data = gamma.data
     out = _permutation_sum(data, np.empty_like(data), np.empty_like(data), gamma.grid, gamma.k)
     out /= math.factorial(gamma.k) ** 2
@@ -275,17 +273,19 @@ def h_alpha_norm(gamma: Marginal, alpha: float) -> float:
     quadrature-exact L2 norm of the weighted kernel.  For factorized data
     with unit-L2 phi this equals ||<grad>^alpha phi||_{L2}^{2k}.
     """
+    grid, k = gamma.grid, gamma.k
     hat = transform(gamma.data, range(gamma.n_axes), "forward")
-    return _h_alpha_norm_hat(hat, gamma.grid, gamma.k, alpha)
+    norm = np.sqrt(_weighted_squares(hat, grid, alpha).sum()) * grid.h ** (grid.d * k)
+    return float(_finite_norms(norm, k, alpha))
 
 
-def _weighted_squares(hat: np.ndarray, grid: TorusGrid, alpha: float, lead: int = 0) -> np.ndarray:
-    """|hat|^2 times the squared Bessel weight of every axis after the first `lead`."""
+def _weighted_squares(hat: np.ndarray, grid: TorusGrid, alpha: float) -> np.ndarray:
+    """|hat|^2 times the squared Bessel weight of every axis."""
     acc = np.abs(hat)
     np.square(acc, out=acc)
     if alpha != 0:
         w2 = sobolev_weights(grid, alpha) ** 2
-        for ax in range(lead, acc.ndim):
+        for ax in range(acc.ndim):
             shape = [1] * acc.ndim
             shape[ax] = grid.M
             acc *= w2.reshape(shape)
@@ -407,29 +407,24 @@ def _hat_difference(a: np.ndarray | ProductLevel, b: np.ndarray | ProductLevel) 
 
 def _h_alpha_norm_hat(hat: np.ndarray | ProductLevel, grid: TorusGrid, k: int, alpha: float) -> float:
     """H^alpha norm from the Fourier representation (internal fast path);
-    a packed or dense level is a stack of one node for _h_alpha_norms_hat."""
+    a packed level is a stack of one node for _h_alpha_norms_hat."""
     if isinstance(hat, ProductLevel):
         return _finite_norms(hat.h_alpha_norm(alpha), k, alpha)
     return float(_h_alpha_norms_hat(hat[np.newaxis], grid, k, alpha)[0])
 
 
 def _h_alpha_norms_hat(nodes: np.ndarray, grid: TorusGrid, k: int, alpha: float) -> np.ndarray:
-    """H^alpha norms of the level-k nodes[0], nodes[1], ..., packed (a 3-D stack) or dense.
+    """H^alpha norms of the packed level-k nodes[0], nodes[1], ... (a 3-D stack).
 
-    One reduction over the stack: |nodes|^2, the weights, and a sum per row
-    of the flattened stack, bit for bit the sum over one node.  A packed
-    node weighs row A and column B by mult * W (_packed.weights); a dense
-    one each axis after the first by its squared Bessel weight.  At
-    k*d = 1 the two are one layout, and with mult = 1 the same products.
+    One reduction over the stack: |nodes|^2, row A and column B of each
+    node weighed by mult * W (_packed.weights), and a sum per node, bit for
+    bit the sum over one node.
     """
-    if nodes.ndim == 3:
-        acc = np.abs(nodes)
-        np.square(acc, out=acc)
-        w = _packed.weights(grid, k, alpha)
-        acc *= w[:, np.newaxis]
-        acc *= w
-    else:
-        acc = _weighted_squares(nodes, grid, alpha, lead=1)
+    acc = np.abs(nodes)
+    np.square(acc, out=acc)
+    w = _packed.weights(grid, k, alpha)
+    acc *= w[:, np.newaxis]
+    acc *= w
     return _finite_norms(np.sqrt(acc.reshape(len(nodes), -1).sum(axis=1)) * grid.h ** (grid.d * k), k, alpha)
 
 

@@ -12,14 +12,15 @@ counts; they are never claimed to be the sharp constants.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _GATHER_BLOCK, conj_negated, fourier_collapse, ifftn_level
-from ._packed import pack
+from ._kernels import _GATHER_BLOCK, fourier_collapse
+from ._packed import layout, multiset_products, tuple_ranks
 from ._packed import shape as packed_shape
-from .grid import TorusGrid, sobolev_weights
+from .grid import TorusGrid
 from .marginal import (
     HierarchyState,
     Marginal,
@@ -30,7 +31,7 @@ from .marginal import (
     _h_alpha_norms_hat,
     _hat_difference,
     _hxi_norm_hat,
-    _permutation_sum,
+    _marginal_of,
     hxi_norm,
 )
 from .operators import InteractionSpec, admissible_alpha_range
@@ -81,47 +82,44 @@ def _xi_series(rows: dict[int, np.ndarray], xi: float, S: int) -> np.ndarray:
 def random_marginal(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float) -> Marginal:
     """Random hermitean, permutation-symmetric kernel with decaying spectrum.
 
-    The real-space kernel of the mode tensor that _random_hat draws from
+    The real-space kernel of the packed level that _random_hat draws from
     rng: hermitean, symmetric and of unit H^alpha norm.  The Strichartz
-    study takes the mode tensor itself and transforms nothing.
+    study takes the packed level itself and transforms nothing.
     """
-    return Marginal(grid, k, ifftn_level(_random_hat(grid, k, rng, alpha)))
+    return _marginal_of(_random_hat(grid, k, rng, alpha), grid, k)
 
 
 def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float) -> np.ndarray:
-    """Mode tensor of a random hermitean, permutation-symmetric level-k kernel.
+    """Packed level of a random hermitean, permutation-symmetric level-k kernel.
 
-    The coefficients are complex Gaussians, all real parts drawn before the
-    imaginary parts, with per-axis standard deviation (1+p^2)^(-s/2) and
-    s = alpha+1 (keeping H^alpha norms balanced across grid sizes).  The
-    draw is hermitized in mode space, where the adjoint is
-    conj hat[-r'; -r] (conj_negated, then the blocks swapped), and summed
-    over permutations of its variables (_permutation_sum: permuting
-    variables permutes mode axes as it permutes point axes).  The profile
-    comes after both, in one pass: the same factor on every axis and even
-    in r (the Nyquist index maps to itself under r -> -r), it commutes with
-    them.  The 1/2 of the hermitean part and the 1/(k!)^2 of the average are
-    left out, since the last step, the scaling to unit H^alpha norm, cancels
-    any constant.  Two level buffers serve it all: the real scratch of the
-    draw and the profile live in the spare's memory.
+    The draw G has complex Gaussian mode coefficients, all real parts drawn
+    before the imaginary parts in dense C order, with per-axis standard
+    deviation (1+p^2)^(-s/2) and s = alpha+1 (keeping H^alpha norms
+    balanced across grid sizes).  G is never held: rows of at most
+    _GATHER_BLOCK normals at a time are added into the multiset bins
+    Q[A, B] of their mode tuples (np.bincount).  Summed over the
+    permutations of its unprimed and of its primed variables, G counts each
+    tuple pair of (A, B) c(A) c(B) times, c = k!/mult, and its adjoint
+    conj G[-r'; -r] maps the bins of (A, B) to those of (-B, -A), so the
+    symmetric hermitean part is c (x) c (Q + conj Q[-B, -A]).  The profile,
+    the same factor on every axis and even in r, is the product over each
+    multiset's modes.  The 1/2 of the hermitean part and the 1/(k!)^2 of
+    the average are left out, since the last step, the scaling to unit
+    H^alpha norm, cancels any constant.
     """
     _check_memory_guard(grid, k)
-    n_axes = grid.axis_count(k)
-    shape = (grid.M,) * n_axes
-    hat = np.empty(shape, dtype=np.complex128)
-    spare = np.empty_like(hat)
-    real = spare.view(np.float64).reshape(-1)[: hat.size].reshape(shape)
-    hat.real = rng.standard_normal(out=real)
-    hat.imag = rng.standard_normal(out=real)
-    half = n_axes // 2
-    hat += conj_negated(hat, out=spare).transpose(tuple(range(half, n_axes)) + tuple(range(half)))
-    _permutation_sum(hat, spare, hat, grid, k)
+    lay, ranks = layout(grid, k), tuple_ranks(grid, k)
+    n_k, step = lay.size, max(1, _GATHER_BLOCK // len(ranks))
+    Q = np.zeros(n_k * n_k, dtype=np.complex128)
+    for part in (Q.real, Q.imag):
+        for start in range(0, len(ranks), step):
+            bins = (ranks[start : start + step, np.newaxis] * n_k + ranks).reshape(-1)
+            part += np.bincount(bins, rng.standard_normal(bins.size), minlength=n_k * n_k)
+    Q = Q.reshape(n_k, n_k)
+    hat = Q + Q[np.ix_(lay.neg, lay.neg)].T.conj()
     prof = (1.0 + grid.wavenumbers**2) ** (-(alpha + 1.0) / 2.0)
-    profile = prof
-    for _ in range(n_axes - 2):
-        profile = np.multiply.outer(profile, prof)
-    hat *= np.multiply.outer(profile, prof, out=real)
-    del spare, real  # the norm's squares take their place
+    c = math.factorial(k) / lay.mult * multiset_products(prof, grid, k)
+    hat *= np.multiply.outer(c, c)
     nrm = _h_alpha_norm_hat(hat, grid, k, alpha)
     if nrm == 0:
         raise ValueError("degenerate random draw")
@@ -191,8 +189,7 @@ def strichartz_study(
     per_draw = []
     for idx in range(ensemble_size):
         rng = np.random.default_rng(seeds[idx])
-        # a draw is symmetric by construction, so it packs without a defect pass
-        hats0 = {k: pack(_random_hat(grid, k, rng, alpha), grid, k) for k in range(1, n_levels + 1)}
+        hats0 = {k: _random_hat(grid, k, rng, alpha) for k in range(1, n_levels + 1)}
         rows = _free_collapse_norms(hats0, grid, spec, S, dt, alpha)
         # _random_hat scales every level to unit H^alpha norm
         rhs_norm = sum(xi_p**k for k in sorted(hats0))

@@ -101,6 +101,14 @@ def test_unusable_inputs_named(tmp_path, capsys, key, value):
     assert len(err) == 1 and err[0].startswith("error: constraint violated: ")
 
 
+def test_negative_seed_rejected(tmp_path, capsys):
+    # strichartz used to pass the config and die in SeedSequence with a traceback
+    with pytest.raises(ConfigError, match="constraint violated: seed >= 0"):
+        parse_config("seed = -1\n")
+    assert main(["strichartz", "--set", "seed=-1", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: constraint violated: seed >= 0"]
+
+
 def _owners_reject(v: dict) -> bool:
     try:
         make_grid(v["d"], v["M"], v["L"])
