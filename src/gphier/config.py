@@ -14,9 +14,10 @@ solver._sampling whether store_every divides the step count.  The same
 three check the invariants of every stored node in real space, which
 builds the dense coupled level N - p/2; evolve with save_state also builds
 a dense level N, and nls-compare packs the free level N of the march and
-of the NLS field to compare them.  strichartz reads the M^(2Nd) normals
-of its level-N draw.  Each asks the memory guard for the largest dense
-level (or draw) and packed level it needs before anything is allocated.
+of the NLS field to compare them.  Each asks the memory guard for the
+largest dense level and packed level it needs before anything is
+allocated.  strichartz asks it about the M^(2Nd) normals of its level-N
+draw: there the guard bounds the normals read (RNG work), not memory.
 Regularities
 outside the admissible range are errors unless allow_inadmissible_alpha is
 set, in which case a warning is recorded and the run proceeds.
@@ -107,6 +108,8 @@ class ExperimentConfig:
                 _check_coupled(self.N, InteractionSpec(self.p, self.mu))
             grid = make_grid(self.d, self.M, self.L)
             if command == "strichartz":
+                # bounds the M^(2Nd) normals the level-N draw reads, not its
+                # memory: the draw holds a few packed levels
                 _check_memory_guard(grid, self.N)
             if command in ("evolve", "km-report", "nls-compare"):
                 _sampling(self.T, self.dt, self.store_every)

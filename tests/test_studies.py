@@ -1,4 +1,7 @@
 import itertools
+import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +26,7 @@ from gphier import (
     strichartz_study,
 )
 from gphier._kernels import fftn_level, fourier_collapse, multiplier_tensor
-from gphier._packed import layout, pack, rank, unpack
+from gphier._packed import layout, multiset_products, pack, rank, tuple_ranks, unpack
 from gphier._packed import shape as packed_shape
 from gphier._packed import weights as packed_weights
 from gphier.grid import sobolev_weights
@@ -37,7 +40,7 @@ from gphier.marginal import (
     hermitize,
     symmetrize,
 )
-from gphier.studies import _free_collapse_norms, _random_hat
+from gphier.studies import _free_collapse_norms, _q90, _random_hat
 from gphier.solver import QuadratureRule, _level_hat
 
 CUBIC = InteractionSpec(2, 1)
@@ -122,6 +125,72 @@ def test_random_hat_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8**8 * 16 / 4, peak
+
+
+@pytest.mark.parametrize("d, M, k", [(1, 12, 3), (1, 6, 3), (2, 4, 2)])
+def test_random_hat_is_independent_of_its_blocking(d, M, k):
+    # each of these draws is binned in several blocks; the reference bins the
+    # whole stream (all real parts, then all imaginary parts) by one
+    # np.bincount each and then hermitizes, profiles and norms as the draw does
+    grid, alpha, seed = make_grid(d, M, 2 * np.pi), 1.0, 11
+    got = _random_hat(grid, k, np.random.default_rng(seed), alpha)
+    lay, ranks = layout(grid, k), tuple_ranks(grid, k)
+    n_k = lay.size
+    bins = (ranks[:, np.newaxis] * n_k + ranks).reshape(-1)
+    rng = np.random.default_rng(seed)
+    Q = np.empty(n_k * n_k, dtype=np.complex128)
+    Q.real = np.bincount(bins, rng.standard_normal(bins.size), minlength=n_k * n_k)
+    Q.imag = np.bincount(bins, rng.standard_normal(bins.size), minlength=n_k * n_k)
+    Q = Q.reshape(n_k, n_k)
+    want = Q + Q[np.ix_(lay.neg, lay.neg)].T.conj()
+    prof = (1.0 + grid.wavenumbers**2) ** (-(alpha + 1.0) / 2.0)
+    c = math.factorial(k) / lay.mult * multiset_products(prof, grid, k)
+    want *= np.multiply.outer(c, c)
+    want /= _h_alpha_norm_hat(want, grid, k, alpha)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, M, k", [(1, 12, 3), (1, 8, 4)])
+def test_random_hat_working_set_is_a_few_packed_levels(d, M, k):
+    # the normals are read in blocks the size of the packed level, so the
+    # traced peak of a draw (its tables already built) stays within four
+    # packed levels of n_k^2 complex entries
+    grid = make_grid(d, M, 2 * np.pi)
+    _random_hat(grid, k, np.random.default_rng(0), 1.0)
+    n_k = layout(grid, k).size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _random_hat(grid, k, np.random.default_rng(1), 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n_k * n_k * 16, peak
+
+
+def test_q90_is_numpy_quantile_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cases = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) for n in range(1, 301)]
+    inf, nan = np.inf, np.nan
+    specials = [[inf], [-inf], [nan], [-0.0], [1.0, inf], [-inf, 1.0], [-inf, inf], [2.0, nan, 1.0], [nan, inf]]
+    cases += [np.array(x) for x in specials]
+    cases += [np.array([-inf] + list(range(2, 11)) + [inf]), np.array([1.0] * 9 + [inf])]
+    for x in cases:
+        with np.errstate(invalid="ignore"):
+            want = float(np.quantile(x, 0.9))
+        got = _q90(x)
+        assert (math.isnan(got) and math.isnan(want)) or np.float64(got).tobytes() == np.float64(want).tobytes(), x
+
+
+def test_strichartz_run_does_not_import_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call; the study takes its
+    # quantile by _q90, so a fresh strichartz run never loads it
+    argv = ["strichartz", "--set", "M=4", "--set", "N=2", "--set", "T=0.004", "--set", "dt=0.002"]
+    argv += ["--set", "ensemble_size=3", "--out-dir", str(tmp_path / "out")]
+    code = f"import sys\nfrom gphier.cli import main\nprint(main({argv!r}), 'numpy.ma' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False"], result.stdout
 
 
 def test_strichartz_study_transforms_no_dense_level(monkeypatch):
