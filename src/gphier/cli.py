@@ -1,7 +1,7 @@
 """Command-line entry point: gphier <command> [--config FILE] [--set k=v ...].
 
 Exit status: 0 success, 1 bad arguments or config, 2 a failed invariant,
-3 a dense tensor over the memory guard.  Any other error propagates.
+3 a level over the memory guard.  Any other error propagates.
 """
 
 from __future__ import annotations

@@ -258,12 +258,11 @@ def partial_trace(gamma: Marginal) -> Marginal:
     if k_out < 1:
         raise ValueError("cannot partial-trace a level-1 marginal to level 0")
     grid = gamma.grid
-    data = gamma.data
-    for j in range(grid.d):
-        # tie component d-1-j of x_{k+1} (at axis k_out*d + d-1-j) with the
-        # matching component of x'_{k+1}, which sits at the current last axis
-        data = np.trace(data, axis1=k_out * grid.d + (grid.d - 1 - j), axis2=data.ndim - 1)
-    return Marginal(grid, k_out, data * grid.h**grid.d)
+    kd = k_out * grid.d
+    # x_{k+1} and x'_{k+1} share the einsum labels 2kd..2kd+d-1, summed away
+    traced = list(range(2 * kd, 2 * kd + grid.d))
+    labels = list(range(kd)) + traced + list(range(kd, 2 * kd)) + traced
+    return Marginal(grid, k_out, np.einsum(gamma.data, labels, list(range(2 * kd))) * grid.h**grid.d)
 
 
 def h_alpha_norm(gamma: Marginal, alpha: float) -> float:

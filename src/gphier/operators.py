@@ -47,34 +47,16 @@ class InteractionSpec:
 def _restrict_to_slot(
     data: np.ndarray, grid: TorusGrid, kappa: int, k: int, j: int, pin_primed: bool
 ) -> np.ndarray:
-    """Tie all extra-variable axes to x_j (or x'_j) via chained diagonals."""
+    """Generalized diagonal: the extra slots reuse the einsum labels of x_j (or x'_j).
+
+    The 2k retained variables own labels 0..2kd-1, d per variable, and every
+    pinned extra slot, unprimed and primed, takes the labels of the pinned one.
+    """
     d = grid.d
-    ids: list = list(range(data.ndim))
-    cur = data
-    tied: dict[int, object] = {}
-    for c in range(d):
-        target = (kappa * d if pin_primed else 0) + (j - 1) * d + c
-        partners = [(k + e) * d + c for e in range(kappa - k)]
-        partners += [kappa * d + (k + e) * d + c for e in range(kappa - k)]
-        axis_id: object = target
-        for n_tie, partner in enumerate(partners):
-            i1, i2 = ids.index(axis_id), ids.index(partner)
-            cur = np.diagonal(cur, axis1=min(i1, i2), axis2=max(i1, i2))
-            new_id = ("tied", j, c, n_tie)
-            for idx in sorted((i1, i2), reverse=True):
-                del ids[idx]
-            ids.append(new_id)
-            axis_id = new_id
-        tied[c] = axis_id
-    desired: list = []
-    for primed_block in (False, True):
-        for var in range(1, k + 1):
-            for c in range(d):
-                if var == j and primed_block == pin_primed:
-                    desired.append(tied[c])
-                else:
-                    desired.append((kappa * d if primed_block else 0) + (var - 1) * d + c)
-    return np.ascontiguousarray(cur.transpose([ids.index(x) for x in desired]))
+    pinned = [((k if pin_primed else 0) + j - 1) * d + c for c in range(d)]
+    extra = pinned * (kappa - k)
+    labels = list(range(k * d)) + extra + list(range(k * d, 2 * k * d)) + extra
+    return np.ascontiguousarray(np.einsum(data, labels, list(range(2 * k * d))))
 
 
 def _check_collapse_input(gamma: Marginal, spec: InteractionSpec) -> int:

@@ -120,8 +120,13 @@ def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float)
         for start in range(0, len(ranks), step):
             bins = (ranks[start : start + step, np.newaxis] * n_k + ranks).reshape(-1)
             np.add.at(part, bins, rng.standard_normal(bins.size))
+    del bins, part  # part views Q.imag
     Q = Q.reshape(n_k, n_k)
-    hat = Q + Q[np.ix_(lay.neg, lay.neg)].T.conj()
+    # conj Q[-B, -A] gathered, conjugated and summed in place: two packed levels held
+    hat = Q.T[np.ix_(lay.neg, lay.neg)]
+    np.conjugate(hat, out=hat)
+    hat += Q
+    del Q
     prof = (1.0 + grid.wavenumbers**2) ** (-(alpha + 1.0) / 2.0)
     c = math.factorial(k) / lay.mult * multiset_products(prof, grid, k)
     hat *= np.multiply.outer(c, c)
@@ -409,7 +414,9 @@ def boardgame_probe(
     ratio_j = ||B Duh_j(t)||_{L2_t H^alpha} / ||B U(t) gamma0^(n+jp/2)||_{L2_t H^alpha};
     j=1 gives ratio 1 by construction.  Fits log ratio_j ~ slope*j to
     estimate c0_hat from the (c0*T)^(j/2) scaling; with several n values,
-    fits the intercepts against n for C0_hat.
+    fits the intercepts against n for C0_hat.  Depth j marches a j-level
+    chain, so the cost that grows with j is the packed collapse of the
+    chain's deepest coupled level; the depth is capped at 4 for it.
     """
     rule = QuadratureRule.of(quadrature)
     S = _resolve_steps(T, dt)
@@ -419,7 +426,7 @@ def boardgame_probe(
     if min(j_values) < 1:
         raise ValueError("iteration depths must be >= 1")
     if max(j_values) > 4:
-        raise ValueError("iteration depth capped at 4 (nested-integral cost)")
+        raise ValueError("iteration depth capped at 4 (packed collapse of the deepest coupled level)")
     grid = gamma_test.grid
     half = spec.half
     alpha = params.alpha

@@ -32,10 +32,10 @@ from gphier.marginal import _h_alpha_norm_hat, _hxi_norm_hat, _permutation_sum, 
 GRID = make_grid(1, 8, 2 * np.pi)
 
 
-def _random_marginal(k, M=8, seed=0):
+def _random_marginal(k, M=8, seed=0, d=1):
     rng = np.random.default_rng(seed)
-    g = make_grid(1, M, 2 * np.pi)
-    shape = (M,) * (2 * k)
+    g = make_grid(d, M, 2 * np.pi)
+    shape = (M,) * (2 * k * d)
     return Marginal(g, k, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -98,11 +98,13 @@ def test_trace_linearity_and_zero():
 
 
 def test_partial_trace_factorized_exact():
-    phi = cosine_field(GRID).values
-    g3 = factorized_marginal(phi, 3, GRID)
-    g2 = factorized_marginal(phi, 2, GRID)
-    np.testing.assert_allclose(partial_trace(g3).data, g2.data, atol=1e-14)
-    assert np.max(np.abs(partial_trace(zero_marginal(GRID, 2)).data)) == 0
+    for d, M, k in ((1, 8, 3), (2, 4, 2)):
+        grid = make_grid(d, M, 2 * np.pi)
+        phi = cosine_field(grid).values
+        upper = factorized_marginal(phi, k, grid)
+        lower = factorized_marginal(phi, k - 1, grid)
+        np.testing.assert_allclose(partial_trace(upper).data, lower.data, atol=1e-14)
+        assert np.max(np.abs(partial_trace(zero_marginal(grid, k)).data)) == 0
 
 
 def test_partial_trace_level0_rejected():
@@ -111,20 +113,20 @@ def test_partial_trace_level0_rejected():
 
 
 def test_partial_trace_against_loop_oracle():
-    # direct summation over all grid indices
-    gam = symmetrize(hermitize(_random_marginal(2, M=4, seed=5)))
-    g = gam.grid
-    oracle = np.zeros((4, 4), dtype=complex)
-    for x1 in range(4):
-        for xp1 in range(4):
-            for y in range(4):
-                oracle[x1, xp1] += gam.data[x1, y, xp1, y]
-    oracle *= g.h
-    out = partial_trace(gam)
-    np.testing.assert_allclose(out.data, oracle, atol=1e-13)
-    rep = validate_marginal(out, check_positivity=False)
-    assert rep.hermiticity_defect <= 1e-13
-    assert trace(out) == pytest.approx(trace(gam), abs=1e-12)
+    # direct summation over all grid points x_1, x'_1, y, each a d-tuple
+    for d in (1, 2):
+        gam = symmetrize(hermitize(_random_marginal(2, M=4, seed=5, d=d)))
+        oracle = np.zeros((4,) * (2 * d), dtype=complex)
+        for x1 in np.ndindex(*(4,) * d):
+            for xp1 in np.ndindex(*(4,) * d):
+                for y in np.ndindex(*(4,) * d):
+                    oracle[x1 + xp1] += gam.data[x1 + y + xp1 + y]
+        oracle *= gam.grid.h**d
+        out = partial_trace(gam)
+        np.testing.assert_allclose(out.data, oracle, atol=1e-13)
+        rep = validate_marginal(out, check_positivity=False)
+        assert rep.hermiticity_defect <= 1e-13
+        assert trace(out) == pytest.approx(trace(gam), abs=1e-12)
 
 
 def test_h_alpha_norm_constant_field():
