@@ -10,11 +10,16 @@ primed slots to x_j; on the mode side that is a mode-sum convolution
 
 with sigma the componentwise sum of all pinned modes (indices mod M, which
 is exact on the grid).  fourier_collapse is the one entry point.  On a
-packed level it is a fixed linear map between packed levels,
-B(P) = F(P) - F'(P), both branches read from one sigma-grouped
-intermediate X_s (_packed_collapse): three row gathers with cached tables,
-whose cost is set by the packed sizes, not by M^(2 kappa d).  The
-real-space operators stay its test oracle.
+packed level it is a fixed linear map between packed levels, read from
+the slabs X_s of the pins of sum s (_packed_collapse): cached gathers,
+whose cost is set by the packed sizes, not by M^(2 kappa d), build the
+slabs a block of pin sums at a time, and one j-sum adds their shifted
+rows and subtracts their shifted columns.  The same routine collapses
+B U(t) P at many times at once (the Strichartz probe and the boardgame's
+normalizer): the phase of U(t) splits into a part on the retained
+multisets and a part on the pinned modes, so one matrix product with the
+pinned phases sums the pins of each slab at every t.  The real-space
+operators stay its test oracle.
 
 A product level, the level-k mode tensor of a product state
 prod_j psi(x_j) conj(psi(x'_j)), is held by its M^d factor psi_hat (see
@@ -22,21 +27,13 @@ marginal.ProductLevel), and fourier_collapse hands it to product_collapse,
 which collapses it from that factor: pinning puts g = |psi|^p psi into one
 slot, so the result is the packed rank-two form
 u_sum (x) v_pow - u_pow (x) v_sum on multisets.
-
-The free collapse B U(t) P of a packed level at many times (the
-Strichartz probe and the boardgame's normalizer) is linear in P, and only
-phases depend on t.  The phase of U(t) splits into a part on the retained
-multisets and a part on the pinned modes, so for each pin sum s one
-gather of P at the pinned ranks and one matrix product with the pinned
-phases give X_s at every time at once; the j-sum then gathers its shifted
-rows and columns, the time axis last (_free_collapse).  Its tables
-(_free_tables) are built apart, so a march never builds them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -145,8 +142,8 @@ def fourier_collapse(
       - a product level (marginal.ProductLevel), collapsed from its factor
         by product_collapse to a packed level k;
       - with `times`, B U(t) hat stacked over t in times on a leading axis,
-        packed: a packed level by _free_collapse, all times at once, and a
-        product level by collapsing hat.evolved(t), and hat itself at t = 0.
+        packed: a packed level by _packed_collapse, all times at once, and
+        a product level by collapsing hat.evolved(t), and hat itself at t = 0.
     """
     k = kappa - half
     if k < 1:
@@ -157,136 +154,133 @@ def fourier_collapse(
         return np.stack([(hat if t == 0 else hat.evolved(t)).collapse(half) for t in times])
     if hat.shape != packed_shape(grid, kappa):
         raise ValueError(f"level {kappa} collapses a packed {packed_shape(grid, kappa)} level, got {hat.shape}")
-    if times is not None:
-        return _free_collapse(hat, grid, kappa, half, times)
-    return _packed_collapse(hat, grid, kappa, half)
+    return _packed_collapse(hat, grid, kappa, half, times)
 
 
-#: the most entries one gather of _row_sums builds at once
-_GATHER_BLOCK = 2**21
+#: the most entries one gather of _packed_collapse builds (512 KiB): a gather and sum
+#: this size runs from cache, 3x faster per entry than one of a level-7 input level at M=8
+_GATHER_CAP = 2**15
 
 
-def _row_sums(src: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j src[idx[i, j]] for a 2-D src, gathered in blocks of at most _GATHER_BLOCK entries."""
-    if idx.shape[1] == 1:
-        return src[idx[:, 0]]
-    out = np.empty((len(idx), src.shape[1]), dtype=src.dtype)
-    step = max(1, _GATHER_BLOCK // (idx.shape[1] * src.shape[1]))
-    for i in range(0, len(idx), step):
-        np.sum(src[idx[i : i + step]], axis=1, out=out[i : i + step])
-    return out
+def _block_entries(P: np.ndarray) -> int:
+    """The entries the slabs of one block may hold: one input level, and _GATHER_CAP for a small one."""
+    return max(P.size, _GATHER_CAP)
 
 
 @cached
-def _collapse_tables(grid: TorusGrid, kappa: int, half: int):
-    """The gather tables of _packed_collapse for level kappa, built once per (grid, kappa, p).
+def _collapse_tables(grid: TorusGrid, kappa: int, half: int, fold: bool, b: int):
+    """The gather tables of _packed_collapse for level kappa, built once per (grid, kappa, p, fold, b).
 
-    With U the n^half ordered tuples of pinned modes of one block and
-    ins[A, U] the rank of A + U on level kappa:
-      fold[(sigma, A), :]  ins[A, U] over the U whose modes sum to sigma
-      pair[(s, B), U]      ins[B, U] * n + (s - sum U), a row (C, sigma) of W^T
-      shift[A, (j, s)]     s * n_k + rank of A with a_j -> a_j - s
-    followed by the scale M^(-half d), ins and the sums of the U (usum).
+    With U the n^half ordered tuples of pinned modes of one side and
+    ins[A, U] the rank of A + U on level kappa, the unprimed tuples are
+    grouped: by their sum sigma when folded, one tuple per group otherwise.
+    The pins c of sum s are the pairs (group g, primed tuple V of sum
+    s - sigma_g), and
+      rows[A, g, u]     ins[A, U] over the tuples u of group g
+      cols[s, c, B]     g * n_kappa + ins[B, V], a column of W[A] (the rows
+                        of P at rows[A, g] summed, side by side over g)
+      omega[s, c]       lam(U) - lam(V), the kinetic multiplier of an unfolded pin
+    then the scale M^(-half d) and, per block of b pin sums, the gathers of
+    _j_sum: with shifted[s, j, A] the rank of A with a_j -> a_j - s, row A of
+      row   the rows (A, b) and (shifted[s, j, A], s) of the block's slabs
+      col   the entries (b + 1, B) and (s, shifted[s, j, B]) of their row A
     """
     k, n = kappa - half, grid.M**grid.d
     one = one_particle(grid)
     modes = layout(grid, k).modes
     n_k = len(modes)
-    U = np.indices((n,) * half).reshape(half, -1).T
-    usum = U[:, 0]
-    for u in U[:, 1:].T:
-        usum = one.add[usum, u]
-    A = np.broadcast_to(modes[:, None], (n_k, len(U), k))
-    ins = rank(grid, np.concatenate([A, np.broadcast_to(U, (n_k,) + U.shape)], axis=2))
-    # each sum sigma has n^(half-1) tuples
-    fold = ins[:, np.argsort(usum, kind="stable").reshape(n, -1)].transpose(1, 0, 2).reshape(n * n_k, -1)
+    U = np.indices((n,) * half).reshape(half, -1)
+    usum = functools.reduce(lambda a, b: one.add[a, b], U)
+    lam = (grid.wavenumbers[one.digits] ** 2).sum(axis=0)[U].sum(axis=0)
+    A = np.broadcast_to(modes[:, None], (n_k, U.shape[1], k))
+    ins = rank(grid, np.concatenate([A, np.broadcast_to(U.T, (n_k,) + U.T.shape)], axis=2))
+    by_sum = np.argsort(usum, kind="stable").reshape(n, -1)  # the n^(half-1) tuples of each sum
+    groups = by_sum if fold else by_sum.reshape(-1, 1)
     sub = one.add[:, one.neg]  # sub[a, b]: the mode a - b
-    pair = (ins * n + sub[:, usum][:, None, :]).reshape(n * n_k, -1)
-    shifted = np.repeat(modes[:, None, None, :], k * n, axis=1).reshape(n_k, k, n, k)
+    V = by_sum[sub[:, usum[groups[:, 0]]]]  # V[s, g]: the primed tuples of the pins of group g
+    offset = np.arange(len(groups))[:, None, None] * packed_shape(grid, kappa)[0]
+    cols = (ins[:, V].transpose(1, 2, 3, 0) + offset).reshape(n, -1, n_k)
+    omega = (lam[groups[:, 0], None] - lam[V]).reshape(n, -1)
+    shifted = np.repeat(modes[None, None], n * k, axis=0).reshape(n, k, n_k, k)
     for j in range(k):
-        shifted[:, j, :, j] = sub[modes[:, j]]
-    shift = (np.arange(n) * n_k + rank(grid, shifted)).reshape(n_k, k * n)
-    return fold, pair, shift, float(grid.M) ** (-half * grid.d), ins, usum
+        shifted[:, j, :, j] = sub[modes[:, j]].T
+    shifted = rank(grid, shifted).reshape(n, k * n_k)
+    blocks = []
+    for s0 in range(0, n, b):
+        sh = shifted[s0 : s0 + b].reshape(-1, n_k)
+        s_of, at = np.repeat(np.arange(len(sh) // k), k)[:, None], np.arange(n_k)
+        row = np.concatenate([at[None] * (b + 2) + b, sh * (b + 2) + s_of]).T
+        blocks.append((row, np.concatenate([at[None] + (b + 1) * n_k, sh + s_of * n_k])))
+    return ins[:, groups], cols, omega, float(grid.M) ** (-half * grid.d), blocks
 
 
-def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
-    """B_{k+p/2} of a packed level-kappa level P, as a packed level k.
+def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, times=None) -> np.ndarray:
+    """B_{k+p/2} of a packed level-kappa level P as a packed level k; with times, B U(t) P stacked over t.
 
     The dense collapse pins p = 2 * half modes, U unprimed and V primed, and
     shifts slot j of the retained block by their sum s:
         out[A; B] = M^(-half d) sum_j (X_s[A with a_j - s; B] - X_s[A; B with b_j - s]),
         X_s[A; B] = sum_{sum U + sum V = s} P[A + U, B + V],
-    both sums also over s.  X_s is the fold's sigma slab on multisets: the
-    unprimed pins are folded first (W, rows (sigma, A)), then the primed
-    ones with the rest of s (X_s^T, rows (s, B)).  The + and - branches of
-    the j-sum are one gather-and-sum from X_s and from X_s^T.  Every step is
-    a row gather of _row_sums with a cached table (_collapse_tables).
+    both sums also over s.  The slabs X_s are built a block of pin sums at
+    a time, as many as one input level holds (_block_entries) and at least
+    two, and each block in gathers of at most _GATHER_CAP entries over a few
+    rows A: W[A] sums the rows of P at the unprimed tuples of each group
+    (the fold by sigma = sum U), and one gather of W[A] at the primed ranks
+    of every pin gives the terms of X_s[A] at every s of the block.  Under
+    U(t) the term of pin c gains exp(-i t omega_c) and X_s the retained
+    phases e_t(A) conj e_t(B) (e_t as in phase_tensor), so with times the
+    pins are not folded and one matrix product with their phases sums them
+    at every t, the time axis last.  _j_sum then sums each block's shifted
+    rows and shifted columns.  Every sum runs in one order, whatever the
+    blocks.
     """
-    fold, pair, shift, scale, _, _ = _collapse_tables(grid, kappa, half)
-    n_k = len(shift)
-    n = len(pair) // n_k
-    W = _row_sums(P, fold)
-    XT = _row_sums(np.ascontiguousarray(W.T).reshape(-1, n_k), pair)
-    X = XT.reshape(n, n_k, n_k).transpose(0, 2, 1).reshape(n * n_k, n_k)
-    out = _row_sums(X, shift)
-    out -= _row_sums(XT, shift).T
+    n_k, n = packed_shape(grid, kappa - half)[0], grid.M**grid.d
+    tail = () if times is None else (len(times),)
+    b = min(n, max(2, _block_entries(P) // (n_k * n_k * math.prod(tail))))
+    rows, cols, omega, scale, blocks = _collapse_tables(grid, kappa, half, times is None, b)
+    n_g, m = rows.shape[1:]
+    c = cols.shape[1]
+    # slots b and b + 1 of each row A hold the running sums of its shifted rows and columns
+    X = np.zeros((n_k, b + 2, n_k) + tail, dtype=complex)
+    if times is not None:
+        e = np.stack([multiset_products(phase_weights(grid, t), grid, kappa - half) for t in times], axis=1)
+    for s0, shifts in zip(range(0, n, b), blocks):
+        bb = min(b, n - s0)
+        if times is not None:
+            E = np.exp(-1j * np.multiply.outer(omega[s0 : s0 + bb], times))
+        # per row A: W, the m rows of P that a fold sums into each of its groups, and G
+        step = max(1, _GATHER_CAP // (n_g * P.shape[1] * (m + 1 if m > 1 else 1) + bb * c * n_k))
+        for a0 in range(0, n_k, step):
+            R = rows[a0 : a0 + step]
+            W = P[R[..., 0]] if m == 1 else P[R].sum(axis=2)
+            G = np.take(W.reshape(len(R), -1), cols[s0 : s0 + bb], axis=1)
+            x = X[a0 : a0 + step, :bb]
+            if times is None:
+                np.sum(G, axis=2, out=x)
+            else:
+                np.matmul(G.swapaxes(2, 3), E * e[a0 : a0 + step, None, None], out=x)
+                x *= e.conj()
+        del W, G  # the last gather is not held through the j-sum
+        _j_sum(X, *shifts)
+    out = X[:, -2].copy()  # a copy, then in place: no temporary beside X
+    out -= X[:, -1]
     out *= scale
-    return out
+    return out if times is None else np.moveaxis(out, -1, 0)
 
 
-@cached
-def _free_tables(grid: TorusGrid, kappa: int, half: int):
-    """The tables of _free_collapse for level kappa, built once per (grid, kappa, p).
+def _j_sum(X: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
+    """Sum the shifted rows and the shifted columns of the slabs X[:, s] into the last two slots.
 
-    The pins are the pairs (U, V) of ordered tuples of half unprimed and
-    half primed modes; those of sum s are the n^(p-1) rows c of
-      rows[s, c] = ins[:, U_c], cols[s, c] = ins[:, V_c]    (ins of _collapse_tables)
-      omega[s, c] = lam(U_c) - lam(V_c)                     their kinetic multiplier
-    and shifted[s, j, A] is the rank of A with a_j -> a_j - s, the shift
-    table of _collapse_tables without its s * n_k offset.
+    X[A, s] is slab s of the block, any time axis last.  Row A of slot -2
+    gains sum_{s, j} X[A with a_j - s, s] and of slot -1
+    sum_{s, j} X[A, s, B with b_j - s] over B: per few rows A, one gather
+    of each side (row, col of _collapse_tables) whose first term is the
+    slot itself, reduced in order, so the sums do not depend on the blocks.
     """
-    _, _, shift, scale, ins, usum = _collapse_tables(grid, kappa, half)
-    one = one_particle(grid)
-    n, n_k = grid.M**grid.d, len(shift)
-    by_sum = np.argsort(one.add[usum[:, None], usum].reshape(-1), kind="stable").reshape(n, -1)
-    iu, iv = np.divmod(by_sum, len(usum))
-    p2 = (grid.wavenumbers[one.digits] ** 2).sum(axis=0)  # |p|^2 of each one-particle mode
-    lam = p2[np.indices((n,) * half).reshape(half, -1)].sum(axis=0)
-    shifted = (shift.reshape(n_k, -1, n) - np.arange(n) * n_k).transpose(2, 1, 0)
-    return ins.T[iu], ins.T[iv], lam[iu] - lam[iv], shifted, scale
-
-
-def _free_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, times) -> np.ndarray:
-    """B U(t) P of a packed level-kappa level P for every t in times, stacked on a leading axis.
-
-    The phase of U(t) on P[A + U, B + V] is e_t(A) conj e_t(B) exp(-i t omega(U, V)),
-    e_t the packed phases of phase_tensor, so the X_s of _packed_collapse at t is
-        X_s(t)[A; B] = e_t(A) conj e_t(B) sum_c exp(-i t omega_c) G_s[c, A, B],
-        G_s[c, A, B] = P[A + U_c, B + V_c],
-    over the pins c of sum s.  Per s, the gathers G_s, at most _GATHER_BLOCK
-    entries each, and one matrix product with the pinned phases give X_s at
-    every time; the j-sum then adds its shifted rows and subtracts its
-    shifted columns, each one gather with the time axis last.  Memory
-    holds a few (n_k, n_k) arrays per time, so callers pass times in blocks.
-    """
-    rows, cols, omega, shifted, scale = _free_tables(grid, kappa, half)
-    n, m, n_k = rows.shape
-    e = np.stack([multiset_products(phase_weights(grid, t), grid, kappa - half) for t in times], axis=1)
-    retained = e[:, None] * e.conj()
-    out = np.zeros_like(retained)
-    step = max(1, _GATHER_BLOCK // (n_k * n_k))
-    for s in range(n):
-        X = functools.reduce(
-            np.add,
-            (
-                P[rows[s, c : c + step, :, None], cols[s, c : c + step, None, :]].reshape(-1, n_k * n_k).T
-                @ np.exp(-1j * np.multiply.outer(omega[s, c : c + step], times))
-                for c in range(0, m, step)
-            ),
-        ).reshape(retained.shape)
-        X *= retained
-        for a in shifted[s]:
-            out += X[a]
-            out -= X[:, a]
-    out *= scale
-    return out.transpose(2, 0, 1)
+    n_k, slots = X.shape[:2]
+    rows, per_row = X.reshape(n_k * slots, n_k, -1), X.reshape(n_k, slots * n_k, -1)
+    sums = X[:, -2:].reshape(n_k, 2, n_k, -1)
+    step = max(1, _GATHER_CAP // (row.shape[1] * X[0, 0].size))
+    for a in map(slice, range(0, n_k, step), range(step, n_k + step, step)):
+        np.add.reduce(rows[row[a]], axis=1, out=sums[a, 0])
+        np.add.reduce(np.take(per_row[a], col, axis=1), axis=1, out=sums[a, 1])

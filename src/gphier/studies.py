@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _GATHER_BLOCK, fourier_collapse
+from ._kernels import fourier_collapse
 from ._packed import layout, multiset_products, tuple_ranks
 from ._packed import shape as packed_shape
 from .grid import TorusGrid
@@ -47,6 +47,10 @@ from .solver import (
     _theta_defects,
     l2_in_time,
 )
+
+#: the most normals one binning block of _random_hat reads, and the most
+#: packed entries one node block of _free_collapse_norms stacks
+_MAX_BLOCK = 2**21
 
 
 @dataclass
@@ -96,7 +100,7 @@ def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float)
     before the imaginary parts in dense C order, with per-axis standard
     deviation (1+p^2)^(-s/2) and s = alpha+1 (keeping H^alpha norms
     balanced across grid sizes).  G is never held: blocks of rows of about
-    n_k^2 normals (at most _GATHER_BLOCK), the size of the packed level,
+    n_k^2 normals (at most _MAX_BLOCK), the size of the packed level,
     are added into the multiset bins Q[A, B] of their mode tuples by
     np.add.at.  It adds in stream order from zero, so Q equals one
     np.bincount of the whole stream, whatever the blocking.  The memory
@@ -114,7 +118,7 @@ def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float)
     _check_memory_guard(grid, k)
     lay, ranks = layout(grid, k), tuple_ranks(grid, k)
     n_k = lay.size
-    step = max(1, min(n_k * n_k, _GATHER_BLOCK) // len(ranks))
+    step = max(1, min(n_k * n_k, _MAX_BLOCK) // len(ranks))
     Q = np.zeros(n_k * n_k, dtype=np.complex128)
     for part in (Q.real, Q.imag):
         for start in range(0, len(ranks), step):
@@ -149,11 +153,12 @@ def _free_collapse_norms(
 
     Level n collapses level n + p/2 of hats0, a packed or product level;
     rows come in the order of hats0.  Each fourier_collapse call evolves and
-    collapses one block of nodes at their exact times.  A block holds one
-    node per pin of a pin sum, M^((p-1)d), and no more than _GATHER_BLOCK
-    packed level-n entries, so its stack is no larger than one pinned gather
-    of the free collapse and the memory held does not grow with S.  The
-    norms of a block are one reduction over its stack (_h_alpha_norms_hat).
+    collapses one block of nodes at their exact times: the packed collapse
+    builds its slabs once for the block, the time axis last.  A block holds
+    M^((p-1)d) nodes, one per unfolded pin of a pin sum, and no more than
+    _MAX_BLOCK packed level-n entries, so the memory held does not grow
+    with S.  The norms of a block are one reduction over its stack
+    (_h_alpha_norms_hat).
     """
     half = spec.half
     times = dt * np.arange(S + 1)
@@ -162,7 +167,7 @@ def _free_collapse_norms(
         if m <= half:
             continue
         n_k = packed_shape(grid, m - half)[0]
-        block = max(1, min(grid.M ** ((spec.p - 1) * grid.d), _GATHER_BLOCK // (n_k * n_k)))
+        block = max(1, min(grid.M ** ((spec.p - 1) * grid.d), _MAX_BLOCK // (n_k * n_k)))
         row = rows[m - half] = np.zeros(S + 1)
         for start in range(0, S + 1, block):
             nodes = fourier_collapse(hat, grid, m, half, times[start : start + block])

@@ -4,9 +4,14 @@ A packed level holds one entry per pair of sorted multisets of modes
 (gphier._packed).  Its norm and trace are checked against the dense
 formulas on random kernels made symmetric by _permutation_sum; its
 collapse against the real-space b_collapse in tests/test_operators.py.
+Here the one packed collapse kernel (_kernels._packed_collapse, with or
+without times) is checked for what its blocks must not change: its
+results, bit for bit without times, and its working set of a few input
+levels.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,19 +45,52 @@ def test_layout_ranks_every_multiset_once(d, M, k):
     assert np.array_equal(lay.neg[lay.neg], np.arange(lay.size))
 
 
-@pytest.mark.parametrize("M, kappa, p", [(6, 3, 2), (4, 3, 4)])
-def test_collapse_in_gather_blocks_matches_one_block(monkeypatch, M, kappa, p):
-    # deep levels gather their sums in row blocks; the sums are the same,
-    # and the free collapse's chunked pin sums agree to rounding
-    grid = make_grid(1, M, 2 * np.pi)
+@pytest.mark.parametrize(
+    "d, M, kappa, p",
+    [
+        pytest.param(1, 6, 3, 2, id="6-3-2"),
+        pytest.param(1, 4, 3, 4, id="4-3-4"),
+        pytest.param(2, 4, 3, 2, id="d2-4-3-2"),
+        pytest.param(2, 4, 3, 4, id="d2-4-3-4"),
+    ],
+)
+def test_collapse_in_gather_blocks_matches_one_block(monkeypatch, d, M, kappa, p):
+    # deep levels build their slabs a few pin sums and rows at a time; here
+    # two pin sums and one row: every sum runs in the same order, so the
+    # result is the same bit for bit, and with times to rounding
+    grid = make_grid(d, M, 2 * np.pi)
     rng = np.random.default_rng(M + p)
     P = rng.standard_normal(shape(grid, kappa)) + 1j * rng.standard_normal(shape(grid, kappa))
     times = np.array([0.0, 0.3])
     whole, free = fourier_collapse(P, grid, kappa, p // 2), fourier_collapse(P, grid, kappa, p // 2, times)
-    monkeypatch.setattr(_kernels, "_GATHER_BLOCK", 50)
+    blocks = []
+    j_sum = _kernels._j_sum
+    monkeypatch.setattr(_kernels, "_block_entries", lambda P: 1)
+    monkeypatch.setattr(_kernels, "_GATHER_CAP", 1)
+    monkeypatch.setattr(_kernels, "_j_sum", lambda *args: blocks.append(j_sum(*args)))
     assert np.array_equal(fourier_collapse(P, grid, kappa, p // 2), whole)
+    assert len(blocks) == M**d // 2 >= 2
     chunked = fourier_collapse(P, grid, kappa, p // 2, times)
     assert np.max(np.abs(chunked - free)) <= 1e-14 * np.max(np.abs(free))
+
+
+@pytest.mark.parametrize("d, M, kappa, p", [(1, 8, 4, 2), (1, 8, 5, 2), (1, 12, 3, 2), (1, 8, 5, 4), (2, 4, 3, 2)])
+def test_collapse_working_set_is_a_few_input_levels(d, M, kappa, p):
+    # the slabs of one block hold about one input level and each gather is
+    # cache-sized, so the traced peak of a collapse (its tables already
+    # built) stays within three input packed levels
+    grid = make_grid(d, M, 2 * np.pi)
+    rng = np.random.default_rng(d + M + kappa + p)
+    P = rng.standard_normal(shape(grid, kappa)) + 1j * rng.standard_normal(shape(grid, kappa))
+    fourier_collapse(P, grid, kappa, p // 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fourier_collapse(P, grid, kappa, p // 2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * P.nbytes, peak / P.nbytes
 
 
 @pytest.mark.parametrize("d, M, k", [(1, 4, 1), (1, 6, 3), (2, 4, 2)])
