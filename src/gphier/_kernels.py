@@ -190,7 +190,7 @@ def _collapse_tables(grid: TorusGrid, kappa: int, half: int, fold: bool, b: int)
     modes = layout(grid, k).modes
     n_k = len(modes)
     U = np.indices((n,) * half).reshape(half, -1)
-    usum = functools.reduce(lambda a, b: one.add[a, b], U)
+    usum = functools.reduce(lambda x, y: one.add[x, y], U)
     lam = (grid.wavenumbers[one.digits] ** 2).sum(axis=0)[U].sum(axis=0)
     A = np.broadcast_to(modes[:, None], (n_k, U.shape[1], k))
     ins = rank(grid, np.concatenate([A, np.broadcast_to(U.T, (n_k,) + U.T.shape)], axis=2))
@@ -241,7 +241,7 @@ def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, time
     n_g, m = rows.shape[1:]
     c = cols.shape[1]
     # slots b and b + 1 of each row A hold the running sums of its shifted rows and columns
-    X = np.zeros((n_k, b + 2, n_k) + tail, dtype=complex)
+    X = np.zeros((n_k, b + 2, n_k) + tail, dtype=P.dtype if times is None else complex)
     if times is not None:
         e = np.stack([multiset_products(phase_weights(grid, t), grid, kappa - half) for t in times], axis=1)
     for s0, shifts in zip(range(0, n, b), blocks):
