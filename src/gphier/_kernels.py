@@ -32,7 +32,6 @@ u_sum (x) v_pow - u_pow (x) v_sum on multisets.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -80,21 +79,6 @@ def ifftn_level(hat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(hat, norm="ortho")
 
 
-def conj_negated(hat: np.ndarray) -> np.ndarray:
-    """conj(hat[-r]) on every axis: the unitary DFT of conj(f) when hat is that of f.
-
-    On each axis -r keeps index 0 and reverses 1..M-1, so this is 2^ndim
-    slice copies into one new array.
-    """
-    out = np.empty_like(hat)
-    # (out piece, hat piece) per axis
-    per_axis = [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))] * hat.ndim
-    for pieces in itertools.product(*per_axis):
-        dst, src = zip(*pieces)
-        np.conjugate(hat[src], out=out[dst])
-    return out
-
-
 def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
     """Packed B_{k+p/2} of the level-kappa product level with factor psi_hat.
 
@@ -113,7 +97,8 @@ def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int
     g_hat = fftn_level(np.abs(psi) ** (2 * half) * psi)
     # f[2 * side + slot, i]: the factor (slot 0) or the slot factor (slot 1) of
     # the unprimed (side 0) or primed (side 1) block at mode i of each multiset
-    f = np.array([psi_hat, g_hat, conj_negated(psi_hat), conj_negated(g_hat)]).reshape(4, -1)
+    unprimed = np.array([psi_hat, g_hat]).reshape(2, -1)
+    f = np.concatenate([unprimed, unprimed[:, one_particle(grid).neg].conj()])
     f = f[:, layout(grid, k).modes.T]
     power, slot_sum = f[0::2, 0], f[1::2, 0]
     for i in range(1, k):
@@ -126,8 +111,8 @@ def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int
 
 def product_power(psi_hat: np.ndarray, grid: TorusGrid, k: int) -> np.ndarray:
     """Packed level k of the product state: prod_a u[a] (x) prod_b v[b], v = conj(u[-r])."""
-    modes = layout(grid, k).modes
-    u, v = psi_hat.reshape(-1)[modes], conj_negated(psi_hat).reshape(-1)[modes]
+    modes, flat = layout(grid, k).modes, psi_hat.reshape(-1)
+    u, v = flat[modes], flat[one_particle(grid).neg[modes]].conj()
     return np.multiply.outer(u.prod(axis=1), v.prod(axis=1))
 
 

@@ -4,9 +4,10 @@ Unknown keys are hard errors (silent typos invalidate studies); every
 constraint violation names the inequality it breaks.  Each rule lives with
 the object that owns it, and validation asks that owner: make_grid (d, M, L),
 InteractionSpec (p, mu), NormParams (alpha, xi, xi2, xi_prime, eta),
-QuadratureRule (quadrature), solver._resolve_steps (T, dt) and
-studies._check_truncations (N_list).  Only the rules for N, solver,
-ensemble_size, j_max and store_every >= 1 are kept here.  check_command adds
+QuadratureRule (quadrature), solver._resolve_steps (T, dt),
+studies._check_truncations (N_list) and studies._check_depths (j_max, as
+the depths 1..j_max of the boardgame probe).  Only the rules for N,
+solver, ensemble_size and store_every >= 1 are kept here.  check_command adds
 the rules of one command: strichartz and km-report collapse the state, so
 they ask solver._check_coupled for a coupled level, and evolve, km-report
 and nls-compare store every store_every-th node, so they ask
@@ -32,7 +33,7 @@ from .grid import make_grid
 from .marginal import NormParams, _check_memory_guard, _check_packed_guard
 from .operators import InteractionSpec, admissible_alpha_range
 from .solver import QuadratureRule, _check_coupled, _resolve_steps, _sampling
-from .studies import _check_truncations
+from .studies import _check_depths, _check_truncations
 
 
 class ConfigError(ValueError):
@@ -79,6 +80,7 @@ class ExperimentConfig:
             _resolve_steps(self.T, self.dt)
             if self.N_list is not None:
                 _check_truncations(self.N_list, spec)
+            _check_depths(range(1, self.j_max + 1))
         except ValueError as exc:
             raise ConfigError(f"constraint violated: {exc}") from exc
         if self.N < 1:
@@ -89,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError("constraint violated: ensemble_size >= 1")
         if self.seed < 0:
             raise ConfigError("constraint violated: seed >= 0")
-        if not 1 <= self.j_max <= 4:
-            raise ConfigError("constraint violated: 1 <= j_max <= 4")
         if self.store_every < 1:
             raise ConfigError("constraint violated: store_every >= 1")
         rng = admissible_alpha_range(self.d, self.p)

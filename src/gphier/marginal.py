@@ -3,7 +3,10 @@
 A level-k marginal is the kernel gamma^(k)(x_1..x_k; x'_1..x'_k) stored as
 a dense rank-2k complex tensor (2kd axes for d>1), axes ordered unprimed
 block first.  Physical marginals are hermitean, symmetric under separate
-permutations of the unprimed and primed slots, and trace one.
+permutations of the unprimed and primed slots, and trace one.  _permuted
+(two permutations of the slots) and Marginal.adjoint write these maps
+once: symmetrize and hermitize, test oracles that no run path calls,
+project onto them, and validate_marginal measures their defects.
 
 All torus integrals are Riemann sums with weight h^d per integrated
 variable, so trace/norm identities are exact for band-limited data.
@@ -153,52 +156,24 @@ def factorized_marginal(phi: np.ndarray, k: int, grid: TorusGrid) -> Marginal:
     return Marginal(grid, k, out)
 
 
-def _variable_axes(grid: TorusGrid, k: int, var: int, primed: bool) -> tuple[int, ...]:
-    """Tensor axes of variable x_var (1-based) in a level-k kernel."""
-    base = (k * grid.d if primed else 0) + (var - 1) * grid.d
-    return tuple(range(base, base + grid.d))
-
-
-def _swap_variables(data: np.ndarray, grid: TorusGrid, k: int, i: int, j: int, primed: bool) -> np.ndarray:
-    perm = list(range(data.ndim))
-    for c in range(grid.d):
-        a = _variable_axes(grid, k, i, primed)[c]
-        b = _variable_axes(grid, k, j, primed)[c]
-        perm[a], perm[b] = perm[b], perm[a]
-    return data.transpose(perm)
-
-
-def _permutation_sum(src: np.ndarray, spare: np.ndarray, out: np.ndarray, grid: TorusGrid, k: int) -> np.ndarray:
-    """Sum of src over all k! * k! permutations of its unprimed and of its primed variables, into out.
-
-    Transposition chain: S_m is the disjoint union of the cosets (j m) S_(m-1),
-    j = 1..m, so the sum over S_m is sum_j (j m) applied to the sum over
-    S_(m-1).  Each step m = 2..k of a block reads the last partial sum and
-    writes it plus its m - 1 transposes (j m), j < m: k(k-1)/2 transposed
-    adds per block instead of k!.  The 2(k-1) steps write alternately into
-    spare and out, so the sum lands in out.  src is read only by the first
-    step, so it may be out itself, but not spare.
-    """
-    cur, bufs = src, (spare, out)
-    steps = [(primed, m) for primed in (False, True) for m in range(2, k + 1)]
-    for n, (primed, m) in enumerate(steps):
-        nxt = bufs[n % 2]
-        np.add(cur, _swap_variables(cur, grid, k, 1, m, primed), out=nxt)
-        for j in range(2, m):
-            nxt += _swap_variables(cur, grid, k, j, m, primed)
-        cur = nxt
-    if cur is not out:  # k = 1: no step ran
-        out[...] = cur
-    return out
+def _permuted(data: np.ndarray, grid: TorusGrid, k: int, unprimed, primed) -> np.ndarray:
+    """data with its unprimed variables in the slot order `unprimed` and its
+    primed ones in the order `primed` (0-based slots): a transposed view."""
+    d = grid.d
+    blocks = ((0, unprimed), (k, primed))
+    return data.transpose([(base + v) * d + c for base, perm in blocks for v in perm for c in range(d)])
 
 
 def symmetrize(gamma: Marginal) -> Marginal:
-    """Average over all permutations of unprimed slots, then of primed slots:
-    _permutation_sum divided by (k!)^2."""
-    data = gamma.data
-    out = _permutation_sum(data, np.empty_like(data), np.empty_like(data), gamma.grid, gamma.k)
-    out /= math.factorial(gamma.k) ** 2
-    return Marginal(gamma.grid, gamma.k, out)
+    """Average over all permutations of the unprimed slots, then over all
+    permutations of the primed slots of that sum: 2 k! transposed adds."""
+    grid, k = gamma.grid, gamma.k
+    ident = tuple(range(k))
+    perms = list(itertools.permutations(ident))
+    unprimed = sum(_permuted(gamma.data, grid, k, s, ident) for s in perms)
+    out = sum(_permuted(unprimed, grid, k, ident, s) for s in perms)
+    out /= math.factorial(k) ** 2
+    return Marginal(grid, k, out)
 
 
 def hermitize(gamma: Marginal) -> Marginal:
@@ -226,12 +201,15 @@ def validate_marginal(gamma: Marginal, check_positivity: bool | None = None) -> 
     """
     k, grid = gamma.k, gamma.grid
     herm = float(np.max(np.abs(gamma.data - gamma.adjoint().data)))
-    sym = 0.0
-    for primed in (False, True):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                swapped = _swap_variables(gamma.data, grid, k, i, j, primed)
-                sym = max(sym, float(np.max(np.abs(gamma.data - swapped))))
+    ident = tuple(range(k))
+    defects = []
+    for i, j in itertools.combinations(ident, 2):
+        swap = list(ident)
+        swap[i], swap[j] = j, i
+        for unprimed, primed in ((swap, ident), (ident, swap)):
+            defects.append(np.max(np.abs(gamma.data - _permuted(gamma.data, grid, k, unprimed, primed))))
+    # np.max, not max: a NaN defect is reported as NaN
+    sym = float(np.max(defects, initial=0.0))
     tr = trace(gamma)
     do_pos = check_positivity if check_positivity is not None else (k == 1)
     pos_flag = None

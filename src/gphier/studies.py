@@ -279,6 +279,17 @@ def _check_truncations(N_list: list[int], spec: InteractionSpec) -> list[int]:
     return N_list
 
 
+def _check_depths(j_range) -> list[int]:
+    """The iteration depths of a boardgame probe, sorted: at least one, each
+    in 1..4.  The cap bounds the packed collapse of the deepest coupled level."""
+    j_values = sorted(j_range)
+    if not j_values:
+        raise ValueError("the range of iteration depths j is empty")
+    if j_values[0] < 1 or j_values[-1] > 4:
+        raise ValueError("every iteration depth j must lie in 1..4 (packed collapse of the deepest coupled level)")
+    return j_values
+
+
 def cauchy_study(
     gamma0: HierarchyState,
     N_list: list[int],
@@ -405,7 +416,7 @@ def cauchy_study(
 
 
 def boardgame_probe(
-    n,
+    n: int,
     j_range,
     gamma_test: HierarchyState,
     spec: InteractionSpec,
@@ -414,66 +425,46 @@ def boardgame_probe(
     quadrature="trapezoid",
     dt: float = 1e-3,
 ) -> StudyReport:
-    """Decay of collapsed iterated Duhamel terms in the iteration depth j.
+    """Decay of collapsed iterated Duhamel terms in the iteration depth j, at level n.
 
     ratio_j = ||B Duh_j(t)||_{L2_t H^alpha} / ||B U(t) gamma0^(n+jp/2)||_{L2_t H^alpha};
     j=1 gives ratio 1 by construction.  Fits log ratio_j ~ slope*j to
-    estimate c0_hat from the (c0*T)^(j/2) scaling; with several n values,
-    fits the intercepts against n for C0_hat.  Depth j marches a j-level
-    chain, so the cost that grows with j is the packed collapse of the
-    chain's deepest coupled level; the depth is capped at 4 for it.
+    estimate c0_hat from the (c0*T)^(j/2) scaling.  Depth j marches a
+    j-level chain, so the cost that grows with j is the packed collapse of
+    the chain's deepest coupled level; _check_depths caps the depth for it.
     """
     rule = QuadratureRule.of(quadrature)
     S = _resolve_steps(T, dt)
     w = rule.weights(S, dt)
-    n_values = [n] if isinstance(n, int) else list(n)
-    j_values = sorted(j_range)
-    if min(j_values) < 1:
-        raise ValueError("iteration depths must be >= 1")
-    if max(j_values) > 4:
-        raise ValueError("iteration depth capped at 4 (packed collapse of the deepest coupled level)")
+    j_values = _check_depths(j_range)
     grid = gamma_test.grid
     half = spec.half
     alpha = params.alpha
-    for nv in n_values:
-        if nv + max(j_values) * half > gamma_test.N:
-            raise ValueError(
-                f"n={nv}, j={max(j_values)} needs level {nv + max(j_values) * half} > N={gamma_test.N}"
-            )
+    if n + j_values[-1] * half > gamma_test.N:
+        raise ValueError(f"n={n}, j={j_values[-1]} needs level {n + j_values[-1] * half} > N={gamma_test.N}")
 
     rows = []
-    intercepts = {}
-    for nv in n_values:
-        log_ratios = []
-        for j in j_values:
-            deepest = nv + j * half
-            # the deepest level only evolves freely
-            deep_hat = _level_hat(gamma_test, deepest)
-            lhs_nodes = [
-                _h_alpha_norm_hat(fourier_collapse(h, grid, nv + half, half), grid, nv, alpha)
-                for h in _duhamel_nodes(j, nv, grid, deep_hat, spec, S, dt, rule)
-            ]
-            lhs = l2_in_time(w, lhs_nodes)
-            deep_norm = _h_alpha_norm_hat(deep_hat, grid, deepest, alpha)
-            rhs = l2_in_time(w, _free_collapse_norms({deepest: deep_hat}, grid, spec, S, dt, alpha)[deepest - half])
-            # normalizers at the rounding floor mean a vanishing collapse
-            # (constant-modulus data); the ratio is then 0/0, undefined
-            degenerate = rhs <= 1e-11 * max(deep_norm, 1.0) * np.sqrt(T)
-            ratio = None if degenerate else lhs / rhs
-            rows.append(
-                {"n": nv, "j": j, "lhs": lhs, "rhs": rhs, "ratio": ratio, "degenerate": degenerate}
-            )
-            if not degenerate and ratio > 0:
-                log_ratios.append((j, np.log(ratio)))
-        if len(log_ratios) >= 2:
-            js = np.array([x[0] for x in log_ratios], dtype=float)
-            ys = np.array([x[1] for x in log_ratios])
-            intercepts[nv] = np.polyfit(js, ys, 1)[1]
+    for j in j_values:
+        deepest = n + j * half
+        # the deepest level only evolves freely
+        deep_hat = _level_hat(gamma_test, deepest)
+        lhs_nodes = [
+            _h_alpha_norm_hat(fourier_collapse(h, grid, n + half, half), grid, n, alpha)
+            for h in _duhamel_nodes(j, n, grid, deep_hat, spec, S, dt, rule)
+        ]
+        lhs = l2_in_time(w, lhs_nodes)
+        deep_norm = _h_alpha_norm_hat(deep_hat, grid, deepest, alpha)
+        rhs = l2_in_time(w, _free_collapse_norms({deepest: deep_hat}, grid, spec, S, dt, alpha)[deepest - half])
+        # normalizers at the rounding floor mean a vanishing collapse
+        # (constant-modulus data); the ratio is then 0/0, undefined
+        degenerate = rhs <= 1e-11 * max(deep_norm, 1.0) * np.sqrt(T)
+        ratio = None if degenerate else lhs / rhs
+        rows.append({"n": n, "j": j, "lhs": lhs, "rhs": rhs, "ratio": ratio, "degenerate": degenerate})
 
     report = StudyReport(
         study="boardgame",
         inputs={
-            "n": n_values,
+            "n": [n],
             "j_range": j_values,
             "alpha": alpha,
             "M": grid.M,
@@ -489,8 +480,7 @@ def boardgame_probe(
     if not valid:
         report.warnings.append("all ratios degenerate (vanishing normalizer)")
         return report
-    last_n = n_values[-1]
-    per_j = {r["j"]: r["ratio"] for r in rows if r["n"] == last_n and not r["degenerate"]}
+    per_j = {r["j"]: r["ratio"] for r in valid}
     if len(per_j) >= 2:
         js = np.array(sorted(per_j), dtype=float)
         ys = np.log([per_j[j] for j in js])
@@ -502,11 +492,6 @@ def boardgame_probe(
         report.fitted["geometric_decay"] = float(
             all(per_j[js[i + 1]] <= per_j[js[i]] for i in range(len(js) - 1))
         )
-    if len(intercepts) >= 2:
-        ns = np.array(sorted(intercepts), dtype=float)
-        ys = np.array([intercepts[v] - np.log(v) for v in ns])
-        c0slope, _ = np.polyfit(ns, ys, 1)
-        report.fitted["C0_hat"] = float(np.exp(c0slope))
     report.fitted["samples"] = float(len(valid))
     return report
 

@@ -45,6 +45,7 @@ from gphier.cli import main
 from gphier.experiment import COMMANDS
 from gphier.marginal import ProductLevel
 from gphier.solver import _resolve_steps
+from gphier.studies import _check_depths
 
 GRID = make_grid(1, 4, 2 * np.pi)
 
@@ -116,6 +117,7 @@ def _owners_reject(v: dict) -> bool:
         NormParams(v["alpha"], v["xi"], v["xi2"], v["xi_prime"], v["eta"])
         QuadratureRule(v["quadrature"])
         _resolve_steps(v["T"], v["dt"])
+        _check_depths(range(1, v["j_max"] + 1))
     except ValueError:
         return True
     return False
@@ -128,7 +130,7 @@ def _numbers(*typical):
 
 VALID_INPUTS = dict(
     d=1, M=8, L=2 * math.pi, p=2, mu=1, alpha=1.0, xi=0.02, xi2=0.06, xi_prime=0.2, eta=0.3,
-    T=0.1, dt=1e-3, quadrature="trapezoid",
+    T=0.1, dt=1e-3, quadrature="trapezoid", j_max=3,
 )
 CHANGED_INPUTS = dict(
     d=st.integers(-1, 3),
@@ -144,6 +146,7 @@ CHANGED_INPUTS = dict(
     T=_numbers(1.0, 0.05),
     dt=_numbers(0.05, 3e-4),
     quadrature=st.sampled_from(["simpson", "gauss"]),
+    j_max=st.integers(-1, 6),
 )
 
 

@@ -79,6 +79,39 @@ def test_golden_outputs(case, tmp_path):
         assert got[name] == want[name], f"{name} differs from its golden copy"
 
 
+#: the real-space oracle of the tests; no run path calls any of these
+ORACLE = (
+    "symmetrize", "hermitize", "partial_trace", "h_alpha_norm", "hxi_norm", "tail_norm", "project_tail",
+    "b_plus", "b_minus", "b_collapse", "b_hat", "rhs", "free_evolve", "multiplier_tensor",
+    "_restrict_to_slot", "spacetime_norm", "random_marginal",
+)
+
+
+def test_no_run_path_calls_the_real_space_oracle(tmp_path, monkeypatch):
+    # each oracle name, in every gphier module that holds it, raises when
+    # called; every case and an evolve run that saves its state still run
+    # to the end.  validate_marginal, trace, factorized_marginal and
+    # _materialize stay on the run paths: the invariant check of stored
+    # nodes and the state snapshot read real space.
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a run path called the real-space oracle {name}")
+
+        return call
+
+    modules = [m for key, m in sys.modules.items() if key == "gphier" or key.startswith("gphier.")]
+    for module in modules:
+        for name in ORACLE:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    for case in sorted(CONFIGS):
+        _run(case, str(tmp_path / case))
+    evolve = parse_config("M = 4\nN = 3\nT = 0.004\ndt = 0.001\nsave_state = true\n")
+    assert run_experiment(evolve, "evolve", out_dir=str(tmp_path / "save_state")) == 0
+    for solver in ("volterra", "oracle"):
+        assert os.path.exists(tmp_path / "save_state" / f"evolve_{solver}_final.gph")
+
+
 #: a numeric field is within tolerance if it moved by at most REL_TOL
 #: relative or ABS_TOL absolute (the rounding floor of a value near 0)
 REL_TOL, ABS_TOL = 1e-12, 1e-15

@@ -26,8 +26,9 @@ from gphier import (
     zero_marginal,
 )
 from gphier._kernels import ifftn_level
-from gphier._packed import pack
-from gphier.marginal import _h_alpha_norm_hat, _hxi_norm_hat, _permutation_sum, _trace_hat
+from gphier._packed import pack, unpack
+from gphier._packed import shape as packed_shape
+from gphier.marginal import _h_alpha_norm_hat, _hxi_norm_hat, _trace_hat
 
 GRID = make_grid(1, 8, 2 * np.pi)
 
@@ -235,10 +236,11 @@ def test_norm_params_validation():
 
 @pytest.mark.parametrize("d, M, k", [(1, 4, 1), (1, 4, 2), (1, 4, 3), (1, 4, 4), (2, 3, 1), (2, 3, 2), (2, 3, 3)])
 def test_symmetrize_matches_brute_force_average(d, M, k):
-    # the transposition chain against the average over all k! * k!
-    # permutations of the unprimed and of the primed variables; symmetrize
-    # reads only d and the shape, so d=2 takes a 3-point grid (which
-    # make_grid refuses) to keep level 3 at 3^12 entries
+    # the two-stage average (over the unprimed slots, then over the primed
+    # slots of that sum) against the average over all k! * k! pairs of
+    # permutations at once; symmetrize reads only d and the shape, so d=2
+    # takes a 3-point grid (which make_grid refuses) to keep level 3 at
+    # 3^12 entries
     grid = dataclasses.replace(make_grid(d, 4, 2 * np.pi), M=M)
     rng = np.random.default_rng(10 * d + k)
     shape = (M,) * grid.axis_count(k)
@@ -264,6 +266,10 @@ def test_symmetrize_and_hermitize_project():
     # projections are idempotent
     again = symmetrize(hermitize(sym))
     np.testing.assert_allclose(again.data, sym.data, atol=1e-14)
+    # one NaN entry makes both defects NaN, and the report fails
+    sym.data[0, 1, 2, 3] = np.nan
+    rep = validate_marginal(sym, check_positivity=False)
+    assert math.isnan(rep.hermiticity_defect) and math.isnan(rep.symmetry_defect) and not rep.passed
 
 
 @pytest.mark.parametrize("d,M", [(1, 6), (2, 4)])
@@ -273,11 +279,9 @@ def test_mode_space_trace_and_norm_match_real_space(d, M, k):
     # definitions (d=2, k=3 holds 4^12 entries: about 0.8 GB peak RSS)
     grid = make_grid(d, M, 3.0)
     rng = np.random.default_rng(10 * d + k)
-    shape = (M,) * grid.axis_count(k)
-    hat = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
-    # a packed level stands for a symmetric one: sum over permutations in place
-    _permutation_sum(hat, np.empty_like(hat), hat, grid, k)
-    P = pack(hat, grid, k)
+    # a random packed level: its dense tensor is exactly symmetric
+    P = rng.standard_normal(packed_shape(grid, k)) + 1j * rng.standard_normal(packed_shape(grid, k))
+    hat = unpack(P, grid, k)
     tr_hat = _trace_hat(P, grid, k)
     norm_hat = _h_alpha_norm_hat(P, grid, k, 1.5)
     gamma = Marginal(grid, k, ifftn_level(hat))

@@ -2,7 +2,7 @@
 
 A packed level holds one entry per pair of sorted multisets of modes
 (gphier._packed).  Its norm and trace are checked against the dense
-formulas on random kernels made symmetric by _permutation_sum; its
+formulas on random kernels made symmetric by marginal.symmetrize; its
 collapse against the real-space b_collapse in tests/test_operators.py.
 Here the one packed collapse kernel (_kernels._packed_collapse, with or
 without times) is checked for what its blocks must not change: its
@@ -20,7 +20,7 @@ from gphier import HierarchyState, Marginal, MemoryGuardError, _kernels, make_gr
 from gphier._kernels import fftn_level, fourier_collapse, ifftn_level
 from gphier._packed import layout, pack, shape, unpack
 from gphier.grid import sobolev_weights
-from gphier.marginal import ProductLevel, SymmetryError, _h_alpha_norm_hat, _pack_level, _permutation_sum, _trace_hat
+from gphier.marginal import ProductLevel, SymmetryError, _h_alpha_norm_hat, _pack_level, _trace_hat, symmetrize
 from gphier.solver import _level_hat
 
 
@@ -28,7 +28,7 @@ def _symmetric_kernel(grid, k, seed):
     rng = np.random.default_rng(seed)
     dims = (grid.M,) * grid.axis_count(k)
     data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-    return _permutation_sum(data, np.empty_like(data), np.empty_like(data), grid, k)
+    return symmetrize(Marginal(grid, k, data)).data
 
 
 @pytest.mark.parametrize("d, M", [(1, 4), (1, 6), (2, 4)])

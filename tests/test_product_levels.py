@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gphier import HierarchyState, InteractionSpec, MemoryGuardError, cosine_field, make_grid
-from gphier._kernels import conj_negated, fftn_level, fourier_collapse, phase_tensor
+from gphier._kernels import fftn_level, fourier_collapse, ifftn_level, phase_tensor
 from gphier._packed import pack
 from gphier.experiment import _structural_invariants
 from gphier.marginal import ProductLevel, _h_alpha_norm_hat, _packed_hat, _trace_hat
@@ -43,9 +43,11 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _dense(level: ProductLevel) -> np.ndarray:
-    """The dense mode tensor psi_hat^(x k) (x) conj(psi_hat[-r])^(x k)."""
+    """The dense mode tensor psi_hat^(x k) (x) conj(psi_hat[-r])^(x k); conj(psi_hat[-r])
+    is the DFT of conj(psi)."""
     out = level.psi_hat
-    for f in [level.psi_hat] * (level.k - 1) + [conj_negated(level.psi_hat)] * level.k:
+    conj_hat = fftn_level(np.conj(ifftn_level(level.psi_hat)))
+    for f in [level.psi_hat] * (level.k - 1) + [conj_hat] * level.k:
         out = np.multiply.outer(out, f)
     return out
 

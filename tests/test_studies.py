@@ -1,4 +1,3 @@
-import itertools
 import math
 import subprocess
 import sys
@@ -36,9 +35,9 @@ from gphier.marginal import (
     _free_nodes,
     _h_alpha_norm_hat,
     _h_alpha_norms_hat,
-    _swap_variables,
     hermitize,
     symmetrize,
+    validate_marginal,
 )
 from gphier.studies import _free_collapse_norms, _q90, _random_hat
 from gphier.solver import QuadratureRule, _level_hat
@@ -71,8 +70,6 @@ def test_spacetime_norm_of_plane_wave_bhat_vanishes():
 def test_random_marginal_structure():
     grid = make_grid(1, 6, 2 * np.pi)
     gam = random_marginal(grid, 2, np.random.default_rng(3), alpha=1.0)
-    from gphier import validate_marginal
-
     rep = validate_marginal(gam, check_positivity=False)
     assert rep.hermiticity_defect <= 1e-12
     assert rep.symmetry_defect <= 1e-12
@@ -106,10 +103,8 @@ def test_random_hat_is_hermitean_and_symmetric():
     scale = np.max(np.abs(P))
     neg = layout(grid, k).neg
     assert np.max(np.abs(P - P[neg][:, neg].T.conj())) <= 1e-15 * scale
-    hat = unpack(P, grid, k)
-    for primed in (False, True):
-        for i, j in itertools.combinations(range(1, k + 1), 2):
-            assert np.max(np.abs(hat - _swap_variables(hat, grid, k, i, j, primed))) <= 1e-15 * scale
+    sym = validate_marginal(Marginal(grid, k, unpack(P, grid, k)), check_positivity=False).symmetry_defect
+    assert sym <= 1e-15 * scale
 
 
 def test_random_hat_memory():
@@ -507,6 +502,8 @@ def test_boardgame_validation():
         boardgame_probe(1, [1, 2, 3], g0, CUBIC, T=0.05, params=PARAMS)  # needs level 4
     with pytest.raises(ValueError):
         boardgame_probe(1, [5], _cosine_hierarchy(grid, 5), CUBIC, T=0.05, params=PARAMS)
+    with pytest.raises(ValueError, match="range of iteration depths j is empty"):
+        boardgame_probe(1, [], g0, CUBIC, T=0.05, params=PARAMS)
 
 
 def test_km_report_plane_wave():
