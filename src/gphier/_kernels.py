@@ -18,8 +18,10 @@ rows and subtracts their shifted columns.  The same routine collapses
 B U(t) P at many times at once (the Strichartz probe and the boardgame's
 normalizer): the phase of U(t) splits into a part on the retained
 multisets and a part on the pinned modes, so one matrix product with the
-pinned phases sums the pins of each slab at every t.  The real-space
-operators stay its test oracle.
+pinned phases sums the pins of each slab at every t.  A stack of nodes of
+one level (the march's node blocks) rides through the same gathers and
+sums as a trailing axis, so each node is collapsed bit for bit as it would
+be alone.  The real-space operators stay its test oracle.
 
 A product level, the level-k mode tensor of a product state
 prod_j psi(x_j) conj(psi(x'_j)), is held by its M^d factor psi_hat (see
@@ -71,12 +73,12 @@ def phase_tensor(grid: TorusGrid, k: int, t: float) -> np.ndarray:
     return np.multiply.outer(e, e.conj())
 
 
-def fftn_level(data: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(data, norm="ortho")
+def fftn_level(data: np.ndarray, axes=None) -> np.ndarray:
+    return np.fft.fftn(data, axes=axes, norm="ortho")
 
 
-def ifftn_level(hat: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(hat, norm="ortho")
+def ifftn_level(hat: np.ndarray, axes=None) -> np.ndarray:
+    return np.fft.ifftn(hat, axes=axes, norm="ortho")
 
 
 def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int) -> np.ndarray:
@@ -88,24 +90,30 @@ def product_collapse(psi_hat: np.ndarray, grid: TorusGrid, kappa: int, half: int
     g_hat, g_bar alike, the output is the rank-two
         u_sum (x) v_pow  -  u_pow (x) v_sum
     on multisets A: u_pow[A] = prod_a u[a] and u_sum[A] the sum over the
-    slots j of that product with g_hat[a_j] in place of u[a_j].
+    slots j of that product with g_hat[a_j] in place of u[a_j].  A stack of
+    factors on leading axes gives the stack of their collapses, each bit for
+    bit the collapse of its factor alone.
     """
     k = kappa - half
     if k < 1:
         raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
-    psi = ifftn_level(psi_hat)
-    g_hat = fftn_level(np.abs(psi) ** (2 * half) * psi)
-    # f[2 * side + slot, i]: the factor (slot 0) or the slot factor (slot 1) of
-    # the unprimed (side 0) or primed (side 1) block at mode i of each multiset
-    unprimed = np.array([psi_hat, g_hat]).reshape(2, -1)
-    f = np.concatenate([unprimed, unprimed[:, one_particle(grid).neg].conj()])
-    f = f[:, layout(grid, k).modes.T]
-    power, slot_sum = f[0::2, 0], f[1::2, 0]
+    axes = tuple(range(-grid.d, 0))
+    lead = psi_hat.shape[: -grid.d]
+    psi = ifftn_level(psi_hat, axes)
+    g_hat = fftn_level(np.abs(psi) ** (2 * half) * psi, axes)
+    # f[2 * side + slot, ..., i, A]: the factor (slot 0) or the slot factor (slot 1) of
+    # the unprimed (side 0) or primed (side 1) block at mode i of each multiset A
+    unprimed = np.array([psi_hat, g_hat]).reshape(2, *lead, -1)
+    f = np.concatenate([unprimed, np.take(unprimed, one_particle(grid).neg, axis=-1).conj()])
+    # take, not fancy indexing: its result is in C order, with the modes of a multiset innermost
+    f = np.take(f, layout(grid, k).modes.T, axis=-1)
+    power, slot_sum = f[0::2, ..., 0, :], f[1::2, ..., 0, :]
     for i in range(1, k):
-        slot_sum = slot_sum * f[0::2, i] + power * f[1::2, i]
-        power = power * f[0::2, i]
-    out = np.multiply.outer(slot_sum[0], power[1])
-    out -= np.multiply.outer(power[0], slot_sum[1])
+        slot_sum = slot_sum * f[0::2, ..., i, :] + power * f[1::2, ..., i, :]
+        power = power * f[0::2, ..., i, :]
+    # C order: a stack is laid out as its collapses one by one would be
+    out = np.multiply(slot_sum[0][..., :, None], power[1][..., None, :], order="C")
+    out -= power[0][..., :, None] * slot_sum[1][..., None, :]
     return out
 
 
@@ -124,21 +132,31 @@ def fourier_collapse(
     `half` is p/2; `hat` is not modified.  It takes
       - a packed level (the (n_kappa, n_kappa) array of _packed), collapsed
         by _packed_collapse to a packed level k;
+      - a stack of B packed levels, a (B, n_kappa, n_kappa) array, collapsed
+        by _packed_collapse in one pass to the (B, n_k, n_k) stack of their
+        collapses, each bit for bit the collapse of its node alone;
       - a product level (marginal.ProductLevel), collapsed from its factor
-        by product_collapse to a packed level k;
+        by product_collapse to a packed level k, and a product level whose
+        factor carries a leading axis of B factors to the stack of their B
+        collapses;
       - with `times`, B U(t) hat stacked over t in times on a leading axis,
         packed: a packed level by _packed_collapse, all times at once, and
-        a product level by collapsing hat.evolved(t), and hat itself at t = 0.
+        a product level by one product_collapse of its factors evolved to
+        every t (hat's own factor at t = 0).
     """
     k = kappa - half
     if k < 1:
         raise ValueError(f"collapse needs level >= {half + 1}, got {kappa}")
     if not isinstance(hat, np.ndarray):
-        if times is None:
-            return hat.collapse(half)
-        return np.stack([(hat if t == 0 else hat.evolved(t)).collapse(half) for t in times])
-    if hat.shape != packed_shape(grid, kappa):
-        raise ValueError(f"level {kappa} collapses a packed {packed_shape(grid, kappa)} level, got {hat.shape}")
+        if times is not None:
+            factors = [(hat if t == 0 else hat.evolved(t)).psi_hat for t in times]
+            hat = type(hat)(grid, kappa, np.stack(factors))
+        return hat.collapse(half)
+    if hat.shape[-2:] != packed_shape(grid, kappa) or not (hat.ndim == 2 or hat.ndim == 3 and times is None):
+        raise ValueError(
+            f"level {kappa} collapses a packed {packed_shape(grid, kappa)} level, or a stack of them"
+            f" without times, got {hat.shape}"
+        )
     return _packed_collapse(hat, grid, kappa, half, times)
 
 
@@ -202,6 +220,10 @@ def _collapse_tables(grid: TorusGrid, kappa: int, half: int, fold: bool, b: int)
 def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, times=None) -> np.ndarray:
     """B_{k+p/2} of a packed level-kappa level P as a packed level k; with times, B U(t) P stacked over t.
 
+    A (B, n, n) stack P of nodes gives the stack of their collapses: the
+    nodes ride as a trailing axis through every gather and sum, so each
+    node's terms are added in the order of its collapse alone.
+
     The dense collapse pins p = 2 * half modes, U unprimed and V primed, and
     shifts slot j of the retained block by their sum s:
         out[A; B] = M^(-half d) sum_j (X_s[A with a_j - s; B] - X_s[A; B with b_j - s]),
@@ -220,7 +242,10 @@ def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, time
     blocks.
     """
     n_k, n = packed_shape(grid, kappa - half)[0], grid.M**grid.d
-    tail = () if times is None else (len(times),)
+    if P.ndim == 3:
+        P = np.moveaxis(P, 0, -1)
+    nodes = P.shape[2:]
+    tail = nodes if times is None else (len(times),)
     b = min(n, max(2, _block_entries(P) // (n_k * n_k * math.prod(tail))))
     rows, cols, omega, scale, blocks = _collapse_tables(grid, kappa, half, times is None, b)
     n_g, m = rows.shape[1:]
@@ -234,11 +259,11 @@ def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, time
         if times is not None:
             E = np.exp(-1j * np.multiply.outer(omega[s0 : s0 + bb], times))
         # per row A: W, the m rows of P that a fold sums into each of its groups, and G
-        step = max(1, _GATHER_CAP // (n_g * P.shape[1] * (m + 1 if m > 1 else 1) + bb * c * n_k))
+        step = max(1, _GATHER_CAP // ((n_g * P.shape[1] * (m + 1 if m > 1 else 1) + bb * c * n_k) * math.prod(nodes)))
         for a0 in range(0, n_k, step):
             R = rows[a0 : a0 + step]
             W = P[R[..., 0]] if m == 1 else P[R].sum(axis=2)
-            G = np.take(W.reshape(len(R), -1), cols[s0 : s0 + bb], axis=1)
+            G = np.take(W.reshape(len(R), -1, *nodes), cols[s0 : s0 + bb], axis=1)
             x = X[a0 : a0 + step, :bb]
             if times is None:
                 np.sum(G, axis=2, out=x)
@@ -250,6 +275,9 @@ def _packed_collapse(P: np.ndarray, grid: TorusGrid, kappa: int, half: int, time
     out = X[:, -2].copy()  # a copy, then in place: no temporary beside X
     out -= X[:, -1]
     out *= scale
+    if times is None and out.ndim == 3:
+        # in the layout of the nodes' own collapses, which later reductions read in order
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
     return out if times is None else np.moveaxis(out, -1, 0)
 
 

@@ -275,7 +275,9 @@ class ProductLevel:
 
     psi_hat is the unitary DFT of psi on the M^d one-particle modes.  The
     tensor it stands for is psi_hat^(x k) (x) conj(psi_hat[-r])^(x k), since
-    the DFT of conj(psi) is conj(psi_hat[-r]).
+    the DFT of conj(psi) is conj(psi_hat[-r]).  A factor with a leading
+    axis stands for a stack of levels, one per factor, as the march's node
+    blocks collapse them; only evolved() and collapse() read such a stack.
     """
 
     grid: TorusGrid

@@ -15,10 +15,16 @@ streamed, advanced in place or held between nodes.
 _Volterra.stream pushes g at each node and yields every node x(t_i)
 once, in order.  Simpson's rule finalizes node 1 only with node 2;
 _Cumulative and _Volterra are the only places that know it, so every
-consumer reads one node of each level per step.  _theta_defects pushes
-each node's Theta = B Gamma into several Volterra levels and holds the
-node in one deque until they finalize it, so Theta and its fixed-point
-defect take one pass over the stored nodes.
+consumer reads one node of each level per step.  _theta_defects reads each
+node's Theta = B Gamma from the feeds the march hands on with the node
+(only a node without feeds, as a stored Trajectory holds, is collapsed
+again), pushes it into the Volterra levels of its fixed-point defect and
+holds the node in one deque until they finalize it; the defect terms of
+the finalized nodes are then collapsed a block of nodes per call.  With
+the run's own initial data as reference, a free level's defect term is
+exactly 0, since its Theta is the collapse of that free evolution itself,
+and no free stream is built.  So Theta and its fixed-point defect take one
+pass over the stored nodes, and no marched node is collapsed twice.
 
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
@@ -28,13 +34,16 @@ source is the collapse of the already-solved level p/2 above,
 
 _march solves it top-down with the exact free evolution of the free levels
 (so all quadrature error sits in the coupling term) and one Volterra
-stream per coupled level, fed by the stream of the level p/2 above;
+stream per coupled level, fed by the stream of the level p/2 above, whose
+nodes it collapses a block of B at a time (_node_block);
 solve_oracle integrates the same linear system with a classical 4-stage
 integrating-factor Runge-Kutta step and serves as the cross-check route.
 Both collect the stored nodes of a generator (_volterra_nodes,
-_oracle_nodes) that yields each node as a {level: packed or product level}
-dict; a Trajectory keeps those dicts and builds real space one node at a
-time.
+_oracle_nodes) that yields each node as (t, levels, feeds): levels maps
+each level to its packed or product level, and feeds each fed level n to
+the collapse Theta^(n) = B Gamma^(n+p/2) the march fed it (the oracle's
+nodes carry none); a Trajectory keeps the levels and builds real space one
+node at a time.
 
 For factorized data every level enters as a product level
 (marginal.ProductLevel): U(t) of prod psi(x_j) conj(psi(x'_j)) is the
@@ -70,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _packed
-from ._kernels import fftn_level, fourier_collapse, phase_tensor
+from ._kernels import _GATHER_CAP, fftn_level, fourier_collapse, phase_tensor
 from .grid import TorusGrid
 from .marginal import (
     HierarchyState,
@@ -244,6 +253,32 @@ class _Volterra:
                 yield nodes.pop(0)
 
 
+def _node_block(grid: TorusGrid, levels) -> int:
+    """Nodes per collapse call: _GATHER_CAP // n^2 of the largest packed level of levels, at least 1.
+
+    A stack of that many nodes of the largest level holds no more entries
+    than one gather of _packed_collapse, so levels of 2^15 entries or more
+    are collapsed one node per call.
+    """
+    return max(1, _GATHER_CAP // max((_packed.shape(grid, n)[0] ** 2 for n in levels), default=1))
+
+
+def _collapse_block(block: list, grid: TorusGrid, m: int, half: int) -> list[np.ndarray]:
+    """The collapses of the level-m nodes of block, all packed or all product levels, by one fourier_collapse call.
+
+    Packed nodes are stacked on a leading axis and product levels by their
+    factors; a block of one node is collapsed as it is, since a stack would
+    copy it.
+    """
+    if len(block) == 1:
+        return [fourier_collapse(block[0], grid, m, half)]
+    if isinstance(block[0], ProductLevel):
+        stack = ProductLevel(grid, m, np.stack([hat.psi_hat for hat in block]))
+    else:
+        stack = np.stack(block)
+    return list(fourier_collapse(stack, grid, m, half))
+
+
 def _march(
     grid: TorusGrid,
     hat0: dict[int, np.ndarray | ProductLevel | None],
@@ -252,7 +287,7 @@ def _march(
     dt: float,
     rule: QuadratureRule,
 ):
-    """Lockstep Fourier-space march of the levels of hat0; yields (node, states) in order.
+    """Lockstep Fourier-space march of the levels of hat0; yields (node, levels, feeds) in order.
 
     hat0 maps each marched level to its data at t=0: a packed level, a
     product level, or None for zero on a level fed from the one p/2 above.
@@ -262,27 +297,40 @@ def _march(
     freely; every other level is the stream of a _Volterra accumulator
     started from hat0[n] (packed there if it is a product level, no
     base if it is None) and fed the collapse of each node of level
-    n + p/2.  Every node passes through its level's FIFO: a level that
-    feeds the one below queues each node as it is collapsed, the levels
-    without level n - p/2 in hat0 feed nothing and are pulled here, and
-    the output pops one node of every level per step.  Yielded dicts map
-    level -> packed or product level and are never mutated afterwards.
+    n + p/2.  The feed takes B nodes of level n + p/2 from its stream at a
+    time, never past node S, with B = _node_block of the march's packed
+    levels: it queues them in that level's FIFO, collapses them in one
+    fourier_collapse call (_collapse_block) and pushes the B results one by
+    one, each queued as the feed of its node.  The levels without level
+    n - p/2 in hat0 feed nothing and are pulled here, and the output pops
+    one node of every level per step.  Yielded dicts are never mutated
+    afterwards: levels maps level -> packed or product level, and feeds maps
+    each fed level n to the packed Theta^(n) = B Gamma^(n + p/2) of the node,
+    the collapse that level n was fed.
     """
     half = spec.half
     rule = rule.on(S)
     fifo = {n: deque() for n in hat0}
+    fed = {n: deque() for n in sorted(hat0) if n + half in hat0}
+    B = _node_block(grid, [n for n, hat in hat0.items() if n in fed or not isinstance(hat, ProductLevel)])
 
-    def queued_collapse(m: int, hat: np.ndarray | ProductLevel) -> np.ndarray:
-        fifo[m].append(hat)
-        return fourier_collapse(hat, grid, m, half)
+    def feed(m: int, stream):
+        for start in range(0, S + 1, B):
+            block = list(itertools.islice(stream, min(B, S + 1 - start)))
+            collapses = deque(_collapse_block(block, grid, m, half))
+            fifo[m].extend(block)
+            fed[m - half].extend(collapses)
+            del block  # the FIFO alone holds the queued nodes
+            while collapses:
+                # popped, so a pushed collapse is held by its feed queue alone
+                yield collapses.popleft()
 
     streams = {}
     for n in sorted(hat0, reverse=True):
-        if n + half not in hat0:
-            streams[n] = _free_nodes(grid, n, hat0[n], dt)
+        if n in fed:
+            streams[n] = _Volterra(grid, n, spec, dt, rule, base=hat0[n]).stream(feed(n + half, streams[n + half]))
         else:
-            feed = map(functools.partial(queued_collapse, n + half), streams[n + half])
-            streams[n] = _Volterra(grid, n, spec, dt, rule, base=hat0[n]).stream(feed)
+            streams[n] = _free_nodes(grid, n, hat0[n], dt)
     pulled = [n for n in hat0 if n - half not in hat0]
     for i in range(S + 1):
         for n in pulled:
@@ -291,7 +339,7 @@ def _march(
             # consumers of the last nodes run while this generator is
             # suspended; no later step needs the streams or accumulators
             streams.clear()
-        yield i, {n: fifo[n].popleft() for n in sorted(hat0)}
+        yield i, {n: fifo[n].popleft() for n in sorted(hat0)}, {n: fed[n].popleft() for n in fed}
 
 
 def l2_in_time(w: np.ndarray, values) -> float:
@@ -332,6 +380,10 @@ class Trajectory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def nodes(self):
+        """The stored nodes (t, levels, {}): a stored node keeps no feeds."""
+        return zip(self.times, self.hats, itertools.repeat({}))
 
     def state(self, i: int) -> HierarchyState:
         """Real-space hierarchy state at node i (built on each call)."""
@@ -381,12 +433,12 @@ def _volterra_nodes(
     rule: QuadratureRule,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, {level: packed or product level}) of the Volterra
-    march from the initial levels hat0, in order."""
+    """Stored nodes (t, levels, feeds) of the Volterra march from the
+    initial levels hat0, in order (levels and feeds as _march yields them)."""
     S, store_every = _sampling(T, dt, store_every)
-    for i, hats in _march(grid, hat0, spec, S, dt, rule):
+    for i, hats, feeds in _march(grid, hat0, spec, S, dt, rule):
         if i % store_every == 0:
-            yield i * dt, hats
+            yield i * dt, hats, feeds
 
 
 def _oracle_nodes(
@@ -397,8 +449,9 @@ def _oracle_nodes(
     dt: float,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, {level: packed or product level}) of the
-    integrating-factor RK4 oracle from the initial levels hat0, in order.
+    """Stored nodes (t, {level: packed or product level}, {}) of the
+    integrating-factor RK4 oracle from the initial levels hat0, in order;
+    its collapses are not those of the nodes, so no node carries feeds.
 
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
@@ -433,7 +486,7 @@ def _oracle_nodes(
         return {n: base[n] + coeff * delta[n] if n in delta else base[n] for n in base}
 
     # levels of w are rebound, never written in place, so a yielded dict stays valid
-    yield 0.0, dict(w)
+    yield 0.0, dict(w), {}
     for i in range(1, S + 1):
         k1 = F((i - 1) * dt, w)
         k2 = F((i - 0.5) * dt, axpy(w, dt / 2, k1))
@@ -442,7 +495,7 @@ def _oracle_nodes(
         for n in coupled:
             w[n] = w[n] + (dt / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
         if i % store_every == 0:
-            yield i * dt, {n: U(i * dt, n, w[n]) for n in w}
+            yield i * dt, {n: U(i * dt, n, w[n]) for n in w}, {}
 
 
 def solve_truncated(
@@ -462,8 +515,8 @@ def solve_truncated(
     (None stores only the endpoints); it must divide S = T/dt.
     """
     rule = QuadratureRule.of(quadrature)
-    times, hats = zip(*_volterra_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, rule, store_every))
-    return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
+    nodes = _volterra_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, rule, store_every)
+    return _stored(nodes, gamma0.grid, spec)
 
 
 def solve_oracle(
@@ -475,8 +528,13 @@ def solve_oracle(
 ) -> Trajectory:
     """Independent reference integrator for the same truncated linear system
     (the integrating-factor RK4 of _oracle_nodes)."""
-    times, hats = zip(*_oracle_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, store_every))
-    return Trajectory(np.array(times), list(hats), gamma0.grid, spec)
+    return _stored(_oracle_nodes(gamma0.grid, _initial_hats(gamma0), spec, T, dt, store_every), gamma0.grid, spec)
+
+
+def _stored(nodes, grid: TorusGrid, spec: InteractionSpec) -> Trajectory:
+    """The Trajectory of the nodes (t, levels, feeds); each node's feeds are dropped as it passes."""
+    times, hats = zip(*((t, hats) for t, hats, _ in nodes))
+    return Trajectory(np.array(times), list(hats), grid, spec)
 
 
 def duhamel_term(
@@ -592,8 +650,7 @@ def theta_residual(
         raise ValueError("reference data and trajectory live on different grids")
     ref_hat = None if reference_data is None else _initial_hats(reference_data)
     S, dt = len(trajectory.times) - 1, trajectory.dt
-    nodes = zip(trajectory.times, trajectory.hats)
-    defects = _theta_defects(nodes, ref_hat, trajectory.grid, trajectory.spec, S, dt, rule, xi, alpha)
+    defects = _theta_defects(trajectory.nodes(), ref_hat, trajectory.grid, trajectory.spec, S, dt, rule, xi, alpha)
     return l2_in_time(rule.weights(S, dt), [defect for *_, defect in defects])
 
 
@@ -602,19 +659,27 @@ def _theta_defects(
 ):
     """Theta = B Gamma and its fixed-point defect at each of the S + 1 nodes, in one pass.
 
-    nodes yields the stored nodes (t, {level: packed or product level}) of
-    a dt grid; this yields (t, hats, theta, defect) once per node, in order:
-    theta maps level n = 1..N - p/2 to the packed level of Theta^(n), and
-    defect is the H^alpha_xi norm of the node's defect (see theta_residual).
-    ref_hat maps level m to the packed level (or product level) of
-    Gamma_ref^(m); None stands for the first node's levels.  The defect of
-    level n collapses level m = n + p/2 of U(t)[Gamma_ref - i*mu int_0^t
-    U(-s) Theta(s) ds]: a Volterra integral pushed each node's Theta^(m)
-    where Theta has level m, the free evolution of the reference otherwise.
-    A level the reference lacks is zero: no base for a Volterra integral,
-    the zero product level for a free one.  Every Volterra level finalizes
-    the same nodes, so a node waits with its Theta in one deque until they
-    do (only Simpson's node 1 waits).
+    nodes yields the stored nodes (t, levels, feeds) of a dt grid: levels
+    maps each level to its packed or product level, and feeds maps each
+    level n that the march fed to its Theta^(n) (empty for a stored node).
+    This yields (t, levels, theta, defect) once per node, in order: theta
+    maps level n = 1..N - p/2 to the packed level of Theta^(n), read from
+    the feeds or else collapsed here, and defect is the H^alpha_xi norm of
+    the node's defect (see theta_residual).  ref_hat maps level m to the
+    packed level (or product level) of Gamma_ref^(m); None stands for the
+    first node's levels.  The defect of level n collapses level m = n + p/2
+    of U(t)[Gamma_ref - i*mu int_0^t U(-s) Theta(s) ds]: a Volterra
+    integral pushed each node's Theta^(m) where Theta has level m, the free
+    evolution of the reference otherwise.  With the first node as
+    reference, a free level m > N - p/2 is that free evolution itself, so
+    its term B U(t) Gamma(0)^(m) = Theta^(n) has a defect of exactly 0 and
+    no stream is built.  A level the reference lacks is zero: no base for a
+    Volterra integral, the zero product level for a free one.  Every
+    Volterra level finalizes the same nodes, so a node waits with its Theta
+    in one deque until they do (only Simpson's node 1 waits).  The defect
+    terms of the finalized nodes are collapsed in blocks, B nodes
+    (_node_block of the collapsed levels) per fourier_collapse call and
+    level.
     """
     half = spec.half
     rule = rule.on(S)
@@ -623,29 +688,45 @@ def _theta_defects(
     N = max(first[1])
     if N <= half:
         raise ValueError("trajectory has no coupled levels")
-    ref_hat = first[1] if ref_hat is None else ref_hat
-    res_levels = range(1, max(N, max(ref_hat)) - half + 1)
+    own = ref_hat is None
+    ref_hat = first[1] if own else ref_hat
     zero = np.zeros((grid.M,) * grid.d, dtype=np.complex128)
     integrals, free = {}, {}
-    for lv in res_levels:
+    for lv in range(1, max(N, max(ref_hat)) - half + 1):
         m, b = lv + half, ref_hat.get(lv + half)
         if m <= N - half:
             integrals[lv] = _Volterra(grid, m, spec, dt, rule, b)
-        else:
+        elif not own:
             free[lv] = _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
-    waiting = deque()
-    for t, hats in itertools.chain([first], nodes):
-        theta = {n: fourier_collapse(hats[n + half], grid, n + half, half) for n in range(1, N - half + 1)}
-        waiting.append((t, hats, theta))
-        pushed = [v.push(theta[lv + half]) for lv, v in integrals.items()]
-        # with no Volterra level, every node is final at once
-        for xs in zip(*pushed) if pushed else [()]:
-            t, hats, theta = waiting.popleft()
-            x = dict(zip(integrals, xs))
+    B = _node_block(grid, [lv + half for lv in (*integrals, *free)]) if integrals or free else 1
+
+    def settle(block):
+        # the defect levels, in increasing order, collapsed once for the block
+        bx = {lv: _collapse_block([x[lv] for *_, x in block], grid, lv + half, half) for lv in block[0][3]}
+        for j, (t, hats, theta, _) in enumerate(block):
             defect = 0.0
-            for lv in res_levels:
-                r = -fourier_collapse(x[lv] if lv in x else next(free[lv]), grid, lv + half, half)
+            for lv, collapses in bx.items():
+                r = -collapses[j]
                 if lv in theta:
                     r = r + theta[lv]
                 defect += xi**lv * _h_alpha_norm_hat(r, grid, lv, alpha)
             yield t, hats, theta, defect
+
+    waiting, final = deque(), []
+    for t, hats, feeds in itertools.chain([first], nodes):
+        theta = {
+            n: feeds[n] if n in feeds else fourier_collapse(hats[n + half], grid, n + half, half)
+            for n in range(1, N - half + 1)
+        }
+        waiting.append((t, hats, theta))
+        pushed = [v.push(theta[lv + half]) for lv, v in integrals.items()]
+        # with no Volterra level, every node is final at once
+        for xs in zip(*pushed) if pushed else [()]:
+            x = dict(zip(integrals, xs))
+            x.update((lv, next(stream)) for lv, stream in free.items())
+            final.append((*waiting.popleft(), x))
+        while len(final) >= B:
+            yield from settle(final[:B])
+            del final[:B]
+    if final:
+        yield from settle(final)

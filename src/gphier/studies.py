@@ -100,16 +100,18 @@ def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float)
     before the imaginary parts in dense C order, with per-axis standard
     deviation (1+p^2)^(-s/2) and s = alpha+1 (keeping H^alpha norms
     balanced across grid sizes).  G is never held: blocks of rows of about
-    n_k^2 normals (at most _MAX_BLOCK), the size of the packed level,
+    n_k^2 / 4 normals (at most _MAX_BLOCK), a quarter of the packed level,
     are added into the multiset bins Q[A, B] of their mode tuples by
     np.add.at.  It adds in stream order from zero, so Q equals one
     np.bincount of the whole stream, whatever the blocking.  The memory
     guard counts the M^(2kd) normals read, which bounds RNG work, not
-    memory: the draw holds one block and a few packed levels.  Summed over
+    memory: the draw holds one block and two packed levels.  Summed over
     the permutations of its unprimed and of its primed variables, G counts
     each tuple pair of (A, B) c(A) c(B) times, c = k!/mult, and its adjoint
     conj G[-r'; -r] maps the bins of (A, B) to those of (-B, -A), so the
-    symmetric hermitean part is c (x) c (Q + conj Q[-B, -A]).  The profile,
+    symmetric hermitean part is c (x) c (Q + conj Q[-B, -A]), formed in Q
+    one real part at a time: the real part of Q[-B, -A] added, its
+    imaginary part subtracted, each gathered before Q changes.  The profile,
     the same factor on every axis and even in r, is the product over each
     multiset's modes.  The 1/2 of the hermitean part and the 1/(k!)^2 of
     the average are left out, since the last step, the scaling to unit
@@ -118,19 +120,17 @@ def _random_hat(grid: TorusGrid, k: int, rng: np.random.Generator, alpha: float)
     _check_memory_guard(grid, k)
     lay, ranks = layout(grid, k), tuple_ranks(grid, k)
     n_k = lay.size
-    step = max(1, min(n_k * n_k, _MAX_BLOCK) // len(ranks))
+    step = max(1, min(n_k * n_k // 4, _MAX_BLOCK) // len(ranks))
     Q = np.zeros(n_k * n_k, dtype=np.complex128)
     for part in (Q.real, Q.imag):
         for start in range(0, len(ranks), step):
             bins = (ranks[start : start + step, np.newaxis] * n_k + ranks).reshape(-1)
             np.add.at(part, bins, rng.standard_normal(bins.size))
     del bins, part  # part views Q.imag
-    Q = Q.reshape(n_k, n_k)
-    # conj Q[-B, -A] gathered, conjugated and summed in place: two packed levels held
-    hat = Q.T[np.ix_(lay.neg, lay.neg)]
-    np.conjugate(hat, out=hat)
-    hat += Q
-    del Q
+    hat = Q.reshape(n_k, n_k)
+    # Q + conj Q[-B, -A] in place, one real part of Q[-B, -A] gathered at a time
+    hat.real += hat.real.T[np.ix_(lay.neg, lay.neg)]
+    hat.imag -= hat.imag.T[np.ix_(lay.neg, lay.neg)]
     prof = (1.0 + grid.wavenumbers**2) ** (-(alpha + 1.0) / 2.0)
     c = math.factorial(k) / lay.mult * multiset_products(prof, grid, k)
     hat *= np.multiply.outer(c, c)
@@ -172,6 +172,7 @@ def _free_collapse_norms(
         for start in range(0, S + 1, block):
             nodes = fourier_collapse(hat, grid, m, half, times[start : start + block])
             row[start : start + len(nodes)] = _h_alpha_norms_hat(nodes, grid, m - half, alpha)
+            del nodes  # not held through the next block's collapse
     return rows
 
 
@@ -348,8 +349,9 @@ def cauchy_study(
     sup_diff = dict.fromkeys(pairs, 0.0)
     for nodes in zip(*marches.values()):
         i = nodes[0][0]
-        assert all(s == i for s, _ in nodes)
-        h = {N: hats for N, (_, hats) in zip(marches, nodes)}
+        assert all(s == i for s, *_ in nodes)
+        h = {N: hats for N, (_, hats, _) in zip(marches, nodes)}
+        del nodes  # no feed of a node is read here, so none is held through the step
         for N1, N2 in pairs:
             h1, h2, rows = h[N1], h[N2], bnorms[N1, N2]
             diff_norm = 0.0
@@ -503,19 +505,19 @@ def km_report(
 ) -> StudyReport:
     """A posteriori spacetime bound: sup-in-time state norm, L2-in-time
     norm of B Gamma, and the Theta fixed-point residual."""
-    nodes = zip(trajectory.times, trajectory.hats)
     S = len(trajectory.times) - 1
-    return _km_report(nodes, trajectory.grid, trajectory.spec, params, S, trajectory.dt, quadrature)
+    return _km_report(trajectory.nodes(), trajectory.grid, trajectory.spec, params, S, trajectory.dt, quadrature)
 
 
 def _km_report(
     nodes, grid: TorusGrid, spec: InteractionSpec, params: NormParams, S: int, dt: float, quadrature="trapezoid"
 ) -> StudyReport:
-    """km_report over the S + 1 streamed nodes (t, {level: packed or product level}) of a dt grid.
+    """km_report over the S + 1 streamed nodes (t, levels, feeds) of a dt grid.
 
-    One pass: each node's state norm, Theta = B Gamma and its fixed-point
-    defect are computed as the node streams by (_theta_defects), and no
-    node or Theta sample is kept past its step.
+    One pass: each node's state norm, Theta = B Gamma (read from the
+    feeds of a marched node) and its fixed-point defect are computed as the
+    node streams by (_theta_defects), and no node or Theta sample is kept
+    past its block.
     """
     rule = QuadratureRule.of(quadrature)
     alpha, xi = params.alpha, params.xi

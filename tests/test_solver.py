@@ -326,7 +326,7 @@ def test_trajectory_state_matches_materialized_march():
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_truncated(g0, CUBIC, T=0.02, dt=1e-3, store_every=5)
     march = _march(GRID, _initial_hats(g0), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
-    built = [_materialize(GRID, hats) for i, hats in march if i % 5 == 0]
+    built = [_materialize(GRID, hats) for i, hats, _ in march if i % 5 == 0]
     assert len(built) == len(traj.times) == 5
     for i, ref in enumerate(built):
         for k in (1, 2, 3):
@@ -360,7 +360,7 @@ def test_streams_keep_no_past_nodes():
         "duhamel": lambda S: _duhamel_nodes(3, 1, grid, deep_hat, CUBIC, S, dt, rule),
         # the same node at every time keeps the live input small
         "theta": lambda S: _theta_defects(
-            ((i * dt, hat0) for i in range(S + 1)), None, grid, CUBIC, S, dt, rule, 0.02, 1.0
+            ((i * dt, hat0, {}) for i in range(S + 1)), None, grid, CUBIC, S, dt, rule, 0.02, 1.0
         ),
         # a whole km-report: the march, the per-node rows and the residual in one pass
         "km-report": lambda S: [
@@ -401,8 +401,10 @@ def test_oracle_nodes_collect_into_solve_oracle():
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_oracle(g0, CUBIC, T=0.02, dt=1e-3, store_every=10)
     nodes = list(_oracle_nodes(GRID, _initial_hats(g0), CUBIC, 0.02, 1e-3, 10))
-    assert [t for t, _ in nodes] == list(traj.times)
-    for (_, hats), ref in zip(nodes, traj.hats):
+    assert [t for t, *_ in nodes] == list(traj.times)
+    # the oracle's stages collapse other states than its nodes: no node carries feeds
+    assert all(feeds == {} for *_, feeds in nodes)
+    for (_, hats, _), ref in zip(nodes, traj.hats):
         for k in (1, 2, 3):
             assert np.array_equal(_packed_hat(hats[k]), _packed_hat(ref[k]))
 
