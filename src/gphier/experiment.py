@@ -6,16 +6,16 @@ The manifest additionally records versions and wall time and is therefore
 excluded from the byte-identity contract.
 
 evolve, nls-compare and km-report stream the solver's stored nodes
-(t, {level: packed or product level}, feeds) into their consumers and
-keep no list of nodes.  Factorized initial data are product levels
+(t, {level: packed or product level}) into their consumers and keep no
+list of nodes.  Factorized initial data are product levels
 (marginal.ProductLevel); a solver packs the coupled levels it integrates
 (the (n_k, n_k) arrays of _packed, one entry per pair of sorted multisets
 of modes).  Norms and traces come from the packed levels: the H^alpha
 norm of each level once per node (norm_Hxi_alpha is the xi-weighted sum
 of those numbers), the trace as h^(dk) * sum_A mult(A) P[A, -A] (closed
-forms on a product level), and Theta = B Gamma is read from the march
-(the feeds of each node), with its fixed-point defect in the same pass
-(km-report keeps no Theta sample).  nls-compare takes each NLS field as a
+forms on a product level), and km-report collapses Theta = B Gamma a
+block of nodes at a time, with its fixed-point defect in the same pass
+(it keeps no Theta sample).  nls-compare takes each NLS field as a
 product level (nls._compare_nodes) and packs both sides of a difference.
 Only the structural invariants of the coupled levels work in real space:
 each level is unpacked, transformed, checked and dropped.  A non-finite
@@ -206,12 +206,12 @@ class _InvariantCheck:
 
     def watch(self, nodes):
         init_traces = None
-        for t, hats, feeds in nodes:
+        for t, hats in nodes:
             if self._failure is None:
                 rows, traces, self._failure = _structural_invariants(t, hats, self.grid, self.spec, init_traces)
                 init_traces = init_traces or traces
                 self._rows += rows
-            yield t, hats, feeds
+            yield t, hats
 
     def rows(self) -> list[dict]:
         if self._failure is not None:
@@ -268,7 +268,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | None =
                     nodes = _oracle_nodes(grid, hat0, spec, config.T, config.dt, config.store_every)
                 check = _InvariantCheck(grid, spec)
                 per_level, per_state = [], []
-                for t, hats, _ in check.watch(nodes):
+                for t, hats in check.watch(nodes):
                     level_rows, state_row = _norm_tables(t, hats, grid, config.alpha, config.xi)
                     per_level += level_rows
                     per_state.append(state_row)

@@ -121,7 +121,7 @@ def compare_hierarchy_vs_nls(
 
 
 def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alpha: float, xi: float) -> list[dict]:
-    """compare_hierarchy_vs_nls over streamed nodes (t, {level: packed or product level}, feeds).
+    """compare_hierarchy_vs_nls over streamed nodes (t, {level: packed or product level}).
 
     Measured in mode space: each node's NLS field enters as one product
     level, and a level's error is the H^alpha norm of its _hat_difference.
@@ -130,7 +130,7 @@ def _compare_nodes(nodes, grid: TorusGrid, wave_trajectory: WaveTrajectory, alph
         raise ValueError("hierarchy and NLS trajectories live on different grids")
     mismatch = "hierarchy and NLS trajectories have different time samples"
     rows = []
-    for i, (t, hats, _) in enumerate(nodes):
+    for i, (t, hats) in enumerate(nodes):
         if i >= len(wave_trajectory.times) or not np.isclose(t, wave_trajectory.times[i], rtol=1e-9, atol=1e-12):
             raise ValueError(mismatch)
         row = {"t": float(t)}

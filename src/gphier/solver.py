@@ -15,16 +15,16 @@ streamed, advanced in place or held between nodes.
 _Volterra.stream pushes g at each node and yields every node x(t_i)
 once, in order.  Simpson's rule finalizes node 1 only with node 2;
 _Cumulative and _Volterra are the only places that know it, so every
-consumer reads one node of each level per step.  _theta_defects reads each
-node's Theta = B Gamma from the feeds the march hands on with the node
-(only a node without feeds, as a stored Trajectory holds, is collapsed
-again), pushes it into the Volterra levels of its fixed-point defect and
-holds the node in one deque until they finalize it; the defect terms of
-the finalized nodes are then collapsed a block of nodes per call.  With
-the run's own initial data as reference, a free level's defect term is
+consumer reads one node of each level per step.  _theta_defects takes the
+nodes of any node stream, marched or stored, B at a time, collapses each
+level of Theta = B Gamma for the block in one call, pushes each node's
+Theta into the Volterra levels of its fixed-point defect and holds the
+node in one deque until they finalize it; the defect terms of the
+finalized nodes are then collapsed a block of nodes per call.  With the
+run's own initial data as reference, a free level's defect term is
 exactly 0, since its Theta is the collapse of that free evolution itself,
 and no free stream is built.  So Theta and its fixed-point defect take one
-pass over the stored nodes, and no marched node is collapsed twice.
+pass over the stored nodes, and Theta is computed only where it is read.
 
 The truncated system is upper triangular: the top p/2 levels evolve
 freely, and each level below satisfies a Volterra integral equation whose
@@ -39,11 +39,9 @@ nodes it collapses a block of B at a time (_node_block);
 solve_oracle integrates the same linear system with a classical 4-stage
 integrating-factor Runge-Kutta step and serves as the cross-check route.
 Both collect the stored nodes of a generator (_volterra_nodes,
-_oracle_nodes) that yields each node as (t, levels, feeds): levels maps
-each level to its packed or product level, and feeds each fed level n to
-the collapse Theta^(n) = B Gamma^(n+p/2) the march fed it (the oracle's
-nodes carry none); a Trajectory keeps the levels and builds real space one
-node at a time.
+_oracle_nodes) that yields each node as (t, levels): levels maps each
+level to its packed or product level; a Trajectory keeps the levels and
+builds real space one node at a time.
 
 For factorized data every level enters as a product level
 (marginal.ProductLevel): U(t) of prod psi(x_j) conj(psi(x'_j)) is the
@@ -287,7 +285,7 @@ def _march(
     dt: float,
     rule: QuadratureRule,
 ):
-    """Lockstep Fourier-space march of the levels of hat0; yields (node, levels, feeds) in order.
+    """Lockstep Fourier-space march of the levels of hat0; yields (node, levels) in order.
 
     hat0 maps each marched level to its data at t=0: a packed level, a
     product level, or None for zero on a level fed from the one p/2 above.
@@ -301,17 +299,15 @@ def _march(
     time, never past node S, with B = _node_block of the march's packed
     levels: it queues them in that level's FIFO, collapses them in one
     fourier_collapse call (_collapse_block) and pushes the B results one by
-    one, each queued as the feed of its node.  The levels without level
-    n - p/2 in hat0 feed nothing and are pulled here, and the output pops
-    one node of every level per step.  Yielded dicts are never mutated
-    afterwards: levels maps level -> packed or product level, and feeds maps
-    each fed level n to the packed Theta^(n) = B Gamma^(n + p/2) of the node,
-    the collapse that level n was fed.
+    one; the march keeps no collapse past its push.  The levels without
+    level n - p/2 in hat0 feed nothing and are pulled here, and the output
+    pops one node of every level per step.  A yielded dict maps level ->
+    packed or product level and is never mutated afterwards.
     """
     half = spec.half
     rule = rule.on(S)
     fifo = {n: deque() for n in hat0}
-    fed = {n: deque() for n in sorted(hat0) if n + half in hat0}
+    fed = {n for n in hat0 if n + half in hat0}
     B = _node_block(grid, [n for n, hat in hat0.items() if n in fed or not isinstance(hat, ProductLevel)])
 
     def feed(m: int, stream):
@@ -319,10 +315,9 @@ def _march(
             block = list(itertools.islice(stream, min(B, S + 1 - start)))
             collapses = deque(_collapse_block(block, grid, m, half))
             fifo[m].extend(block)
-            fed[m - half].extend(collapses)
             del block  # the FIFO alone holds the queued nodes
             while collapses:
-                # popped, so a pushed collapse is held by its feed queue alone
+                # popped, so the march holds no collapse once it is pushed
                 yield collapses.popleft()
 
     streams = {}
@@ -339,7 +334,7 @@ def _march(
             # consumers of the last nodes run while this generator is
             # suspended; no later step needs the streams or accumulators
             streams.clear()
-        yield i, {n: fifo[n].popleft() for n in sorted(hat0)}, {n: fed[n].popleft() for n in fed}
+        yield i, {n: fifo[n].popleft() for n in sorted(hat0)}
 
 
 def l2_in_time(w: np.ndarray, values) -> float:
@@ -382,8 +377,8 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def nodes(self):
-        """The stored nodes (t, levels, {}): a stored node keeps no feeds."""
-        return zip(self.times, self.hats, itertools.repeat({}))
+        """The stored nodes (t, levels), in order."""
+        return zip(self.times, self.hats)
 
     def state(self, i: int) -> HierarchyState:
         """Real-space hierarchy state at node i (built on each call)."""
@@ -433,12 +428,12 @@ def _volterra_nodes(
     rule: QuadratureRule,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, levels, feeds) of the Volterra march from the
-    initial levels hat0, in order (levels and feeds as _march yields them)."""
+    """Stored nodes (t, levels) of the Volterra march from the initial
+    levels hat0, in order (levels as _march yields them)."""
     S, store_every = _sampling(T, dt, store_every)
-    for i, hats, feeds in _march(grid, hat0, spec, S, dt, rule):
+    for i, hats in _march(grid, hat0, spec, S, dt, rule):
         if i % store_every == 0:
-            yield i * dt, hats, feeds
+            yield i * dt, hats
 
 
 def _oracle_nodes(
@@ -449,9 +444,8 @@ def _oracle_nodes(
     dt: float,
     store_every: int | None = 1,
 ):
-    """Stored nodes (t, {level: packed or product level}, {}) of the
-    integrating-factor RK4 oracle from the initial levels hat0, in order;
-    its collapses are not those of the nodes, so no node carries feeds.
+    """Stored nodes (t, {level: packed or product level}) of the
+    integrating-factor RK4 oracle from the initial levels hat0, in order.
 
     Works in the free-evolution frame w(t) = U(-t) Gamma(t), where
     w' = -i*mu * U(-t) B U(t) w, and applies the classical 4-stage
@@ -486,7 +480,7 @@ def _oracle_nodes(
         return {n: base[n] + coeff * delta[n] if n in delta else base[n] for n in base}
 
     # levels of w are rebound, never written in place, so a yielded dict stays valid
-    yield 0.0, dict(w), {}
+    yield 0.0, dict(w)
     for i in range(1, S + 1):
         k1 = F((i - 1) * dt, w)
         k2 = F((i - 0.5) * dt, axpy(w, dt / 2, k1))
@@ -495,7 +489,7 @@ def _oracle_nodes(
         for n in coupled:
             w[n] = w[n] + (dt / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n])
         if i % store_every == 0:
-            yield i * dt, {n: U(i * dt, n, w[n]) for n in w}, {}
+            yield i * dt, {n: U(i * dt, n, w[n]) for n in w}
 
 
 def solve_truncated(
@@ -532,8 +526,8 @@ def solve_oracle(
 
 
 def _stored(nodes, grid: TorusGrid, spec: InteractionSpec) -> Trajectory:
-    """The Trajectory of the nodes (t, levels, feeds); each node's feeds are dropped as it passes."""
-    times, hats = zip(*((t, hats) for t, hats, _ in nodes))
+    """The Trajectory of the nodes (t, levels)."""
+    times, hats = zip(*nodes)
     return Trajectory(np.array(times), list(hats), grid, spec)
 
 
@@ -641,9 +635,12 @@ def theta_residual(
         Theta(t) - B U(t) Gamma_ref - (-i*mu) int_0^t B U(t-s) Theta(s) ds,
     all time integrals by the composite rule on the stored grid, in one
     pass over the stored nodes (_theta_defects).  By default Gamma_ref is
-    the trajectory's own initial state (the residual is then pure
-    quadrature error); passing deeper reference data measures the
-    truncation tail instead (on the trajectory's grid).
+    the trajectory's own initial state: on a solve_truncated trajectory
+    stored at every node and read with its rule, the defect's Volterra
+    levels are then the march's own, bit for bit, and the residual is
+    exactly 0.0 (a coarser stored grid, another rule or the oracle leaves
+    quadrature error).  Deeper reference data measures the truncation tail
+    instead (on the trajectory's grid).
     """
     rule = QuadratureRule.of(quadrature)
     if reference_data is not None and reference_data.grid != trajectory.grid:
@@ -659,15 +656,16 @@ def _theta_defects(
 ):
     """Theta = B Gamma and its fixed-point defect at each of the S + 1 nodes, in one pass.
 
-    nodes yields the stored nodes (t, levels, feeds) of a dt grid: levels
-    maps each level to its packed or product level, and feeds maps each
-    level n that the march fed to its Theta^(n) (empty for a stored node).
-    This yields (t, levels, theta, defect) once per node, in order: theta
-    maps level n = 1..N - p/2 to the packed level of Theta^(n), read from
-    the feeds or else collapsed here, and defect is the H^alpha_xi norm of
-    the node's defect (see theta_residual).  ref_hat maps level m to the
-    packed level (or product level) of Gamma_ref^(m); None stands for the
-    first node's levels.  The defect of level n collapses level m = n + p/2
+    nodes yields the nodes (t, levels) of a dt grid, marched or stored:
+    levels maps each level to its packed or product level.  This yields
+    (t, levels, theta, defect) once per node, in order: theta maps level
+    n = 1..N - p/2 to the packed level of Theta^(n), and defect is the
+    H^alpha_xi norm of the node's defect (see theta_residual).  The nodes
+    are taken B at a time, B = _node_block of the first node's packed
+    levels and the defect levels, and each level of Theta is collapsed for
+    the block in one fourier_collapse call (_collapse_block).  ref_hat maps
+    level m to the packed level (or product level) of Gamma_ref^(m); None
+    stands for the first node's levels.  The defect of level n collapses level m = n + p/2
     of U(t)[Gamma_ref - i*mu int_0^t U(-s) Theta(s) ds]: a Volterra
     integral pushed each node's Theta^(m) where Theta has level m, the free
     evolution of the reference otherwise.  With the first node as
@@ -677,9 +675,7 @@ def _theta_defects(
     Volterra integral, the zero product level for a free one.  Every
     Volterra level finalizes the same nodes, so a node waits with its Theta
     in one deque until they do (only Simpson's node 1 waits).  The defect
-    terms of the finalized nodes are collapsed in blocks, B nodes
-    (_node_block of the collapsed levels) per fourier_collapse call and
-    level.
+    terms of the finalized nodes are collapsed B nodes per call and level.
     """
     half = spec.half
     rule = rule.on(S)
@@ -698,7 +694,8 @@ def _theta_defects(
             integrals[lv] = _Volterra(grid, m, spec, dt, rule, b)
         elif not own:
             free[lv] = _free_nodes(grid, m, ProductLevel(grid, m, zero) if b is None else b, dt)
-    B = _node_block(grid, [lv + half for lv in (*integrals, *free)]) if integrals or free else 1
+    packed = [n for n, hat in first[1].items() if not isinstance(hat, ProductLevel)]
+    B = _node_block(grid, packed + [lv + half for lv in (*integrals, *free)])
 
     def settle(block):
         # the defect levels, in increasing order, collapsed once for the block
@@ -713,20 +710,22 @@ def _theta_defects(
             yield t, hats, theta, defect
 
     waiting, final = deque(), []
-    for t, hats, feeds in itertools.chain([first], nodes):
-        theta = {
-            n: feeds[n] if n in feeds else fourier_collapse(hats[n + half], grid, n + half, half)
-            for n in range(1, N - half + 1)
+    nodes = itertools.chain([first], nodes)
+    while block := list(itertools.islice(nodes, B)):
+        collapses = {
+            m - half: _collapse_block([hats[m] for _, hats in block], grid, m, half) for m in range(1 + half, N + 1)
         }
-        waiting.append((t, hats, theta))
-        pushed = [v.push(theta[lv + half]) for lv, v in integrals.items()]
-        # with no Volterra level, every node is final at once
-        for xs in zip(*pushed) if pushed else [()]:
-            x = dict(zip(integrals, xs))
-            x.update((lv, next(stream)) for lv, stream in free.items())
-            final.append((*waiting.popleft(), x))
-        while len(final) >= B:
-            yield from settle(final[:B])
-            del final[:B]
+        for j, (t, hats) in enumerate(block):
+            theta = {n: c[j] for n, c in collapses.items()}
+            waiting.append((t, hats, theta))
+            pushed = [v.push(theta[lv + half]) for lv, v in integrals.items()]
+            # with no Volterra level, every node is final at once
+            for xs in zip(*pushed) if pushed else [()]:
+                x = dict(zip(integrals, xs))
+                x.update((lv, next(stream)) for lv, stream in free.items())
+                final.append((*waiting.popleft(), x))
+            while len(final) >= B:
+                yield from settle(final[:B])
+                del final[:B]
     if final:
         yield from settle(final)

@@ -271,12 +271,14 @@ def strichartz_study(
 
 
 def _check_truncations(N_list: list[int], spec: InteractionSpec) -> list[int]:
-    """The truncation levels of a Cauchy study, sorted: at least two, each >= 1 + p/2."""
+    """The truncation levels of a Cauchy study, sorted: at least two, distinct, each >= 1 + p/2."""
     if len(N_list) < 2:
         raise ValueError("N_list needs at least two truncation levels")
     N_list = sorted(N_list)
     if N_list[0] < 1 + spec.half:
         raise ValueError(f"every truncation in N_list must be >= {1 + spec.half}")
+    if len(set(N_list)) < len(N_list):
+        raise ValueError(f"N_list repeats a truncation level, got {N_list}; every pair needs N1 < N2")
     return N_list
 
 
@@ -349,9 +351,8 @@ def cauchy_study(
     sup_diff = dict.fromkeys(pairs, 0.0)
     for nodes in zip(*marches.values()):
         i = nodes[0][0]
-        assert all(s == i for s, *_ in nodes)
-        h = {N: hats for N, (_, hats, _) in zip(marches, nodes)}
-        del nodes  # no feed of a node is read here, so none is held through the step
+        assert all(s == i for s, _ in nodes)
+        h = {N: hats for N, (_, hats) in zip(marches, nodes)}
         for N1, N2 in pairs:
             h1, h2, rows = h[N1], h[N2], bnorms[N1, N2]
             diff_norm = 0.0
@@ -512,12 +513,12 @@ def km_report(
 def _km_report(
     nodes, grid: TorusGrid, spec: InteractionSpec, params: NormParams, S: int, dt: float, quadrature="trapezoid"
 ) -> StudyReport:
-    """km_report over the S + 1 streamed nodes (t, levels, feeds) of a dt grid.
+    """km_report over the S + 1 streamed nodes (t, levels) of a dt grid.
 
-    One pass: each node's state norm, Theta = B Gamma (read from the
-    feeds of a marched node) and its fixed-point defect are computed as the
-    node streams by (_theta_defects), and no node or Theta sample is kept
-    past its block.
+    One pass: each node's state norm, Theta = B Gamma and its fixed-point
+    defect are computed a block of nodes at a time (_theta_defects), and no
+    node or Theta sample is kept past its block.  On a march stored at
+    every step, read with its rule, theta_residual is exactly 0.0.
     """
     rule = QuadratureRule.of(quadrature)
     alpha, xi = params.alpha, params.xi

@@ -91,7 +91,8 @@ def test_dt_divides_T_checked():
 
 
 @pytest.mark.parametrize(
-    "key,value", [("T", "inf"), ("dt", "1e-320"), ("L", "inf"), ("N_list", "3"), ("N_list", "1,2")]
+    "key,value",
+    [("T", "inf"), ("dt", "1e-320"), ("L", "inf"), ("N_list", "3"), ("N_list", "1,2"), ("N_list", "3,3,4")],
 )
 def test_unusable_inputs_named(tmp_path, capsys, key, value):
     # each used to pass the config or to escape it with a bare exception
@@ -633,7 +634,7 @@ RUN_INPUTS = st.fixed_dictionaries(
         "p": st.sampled_from([2, 4]),
         "mu": st.sampled_from([-1, 1]),
         "N": st.integers(1, 3),
-        "N_list": st.sampled_from(["2,3", "3,2", "1,3", "3,3", "2,2,3"]),
+        "N_list": st.sampled_from(["2,3", "3,2", "1,3", "3,3", "2,2,3", "3,4"]),
         "steps": st.integers(1, 4),
         "dt": st.sampled_from([1e-3, 2e-3]),
         "store_every": st.integers(1, 3),

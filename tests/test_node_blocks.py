@@ -1,11 +1,11 @@
-"""Collapses in node blocks, and Theta read from the march.
+"""Collapses in node blocks, in the march and in Theta.
 
 fourier_collapse takes a stack of B nodes of one level (packed levels on a
-leading axis, or a product level whose factor carries one), and the march
-collapses the nodes of each fed level B at a time.  A stack must collapse
-bit for bit like its nodes one by one, so the march, its feeds and every
-report read from them are the same whatever B is; km-report reads Theta
-from the feeds instead of collapsing each node again.
+leading axis, or a product level whose factor carries one).  The march
+collapses the nodes of each fed level B at a time, and Theta = B Gamma is
+collapsed B nodes at a time from any node stream, marched or stored.  A
+stack must collapse bit for bit like its nodes one by one, so the march
+and every report read from it are the same whatever B is.
 """
 
 import math
@@ -87,33 +87,28 @@ def test_march_in_node_blocks_matches_the_march_node_by_node(monkeypatch, p, N, 
     for B in (1, 3):
         monkeypatch.setattr(solver, "_GATHER_CAP", B * n_max**2)
         marches[B] = list(_march(grid, hat0, spec, 7, 1e-3, rule))
-    for (i, hats, feeds), (j, hats1, feeds1) in zip(marches[3], marches[1]):
-        assert i == j and sorted(hats) == sorted(hats1) and sorted(feeds) == sorted(feeds1)
-        assert sorted(feeds) == [n for n in hats if n + p // 2 <= N]
+    for (i, hats), (j, hats1) in zip(marches[3], marches[1]):
+        assert i == j and sorted(hats) == sorted(hats1)
         for n in hats:
             assert type(hats[n]) is type(hats1[n])
             if isinstance(hats[n], ProductLevel):
                 assert np.array_equal(hats[n].psi_hat, hats1[n].psi_hat), (i, n)
             else:
                 assert np.array_equal(hats[n], hats1[n]), (i, n)
-        for n, theta in feeds.items():
-            # each feed is the collapse of the node's own level n + p/2
-            assert np.array_equal(theta, feeds1[n]), (i, n)
-            assert np.array_equal(theta, fourier_collapse(hats[n + p // 2], grid, n + p // 2, p // 2)), (i, n)
     assert len(marches[3]) == 8
 
 
 @pytest.mark.parametrize("kind", ["trapezoid", "simpson"])
 @pytest.mark.parametrize("B", [1, 3])
-def test_march_holds_no_node_or_feed_its_consumer_dropped(monkeypatch, kind, B):
+def test_march_holds_no_node_its_consumer_dropped(monkeypatch, kind, B):
     # a block is queued ahead, but once a node is yielded, nothing in the
-    # march holds its levels or its feeds (node 0 is the Volterra bases)
+    # march holds its levels (node 0 is the Volterra bases)
     grid = make_grid(1, 4, 2 * np.pi)
     hat0 = _initial_hats(HierarchyState.factorized(cosine_field(grid).values, 4, grid))
     monkeypatch.setattr(solver, "_GATHER_CAP", B * packed_shape(grid, 3)[0] ** 2)
-    for i, hats, feeds in _march(grid, hat0, InteractionSpec(2, 1), 7, 1e-3, QuadratureRule(kind)):
-        refs = [weakref.ref(value) for value in (*hats.values(), *feeds.values())]
-        del hats, feeds
+    for i, hats in _march(grid, hat0, InteractionSpec(2, 1), 7, 1e-3, QuadratureRule(kind)):
+        refs = [weakref.ref(value) for value in hats.values()]
+        del hats
         if i > 0:
             assert not any(ref() is not None for ref in refs), i
 
@@ -137,21 +132,25 @@ def test_theta_read_from_the_march_equals_theta_of_the_stored_trajectory(p, N, k
 @pytest.mark.parametrize(
     "p, N, gather_cap, fed",
     [
-        # p=4: the march feeds level 1 from level 3, and the residual's levels are free
+        # p=4: Theta has level 1, from level 3, and the residual's levels are free
         (4, 3, None, 1),
         (4, 3, 3 * 4**2, 1),
-        # p=2: the march feeds levels 1, 2 and 3; the residual integrates levels 2 and 3
+        # p=2: Theta has levels 1, 2 and 3; the residual integrates levels 2 and 3
         (2, 4, None, 3 + 2),
         (2, 4, 3 * 20**2, 3 + 2),
     ],
 )
 def test_km_report_collapses_each_node_block_once(tmp_path, monkeypatch, p, N, gather_cap, fed):
-    # one fourier_collapse call per block of B nodes and fed level, at S + 1 = 8 nodes
+    # one fourier_collapse call per block of B nodes and level of Theta or
+    # of the residual, at S + 1 = 8 nodes, marched or stored; a march
+    # collapses as many levels as Theta has
     if gather_cap is not None:
         monkeypatch.setattr(solver, "_GATHER_CAP", gather_cap)
     grid = make_grid(1, 4, 2 * np.pi)
     B = _node_block(grid, [n for n in range(1, N + 1) if n + p // 2 <= N])
     assert B == (3 if gather_cap else 2**15 // packed_shape(grid, N - p // 2)[0] ** 2)
+    g0 = HierarchyState.factorized(cosine_field(grid).values, N, grid)
+    stored = solver.solve_truncated(g0, InteractionSpec(p, 1), 0.007, 1e-3)
     calls = []
     real = solver.fourier_collapse
 
@@ -162,4 +161,7 @@ def test_km_report_collapses_each_node_block_once(tmp_path, monkeypatch, p, N, g
     monkeypatch.setattr(solver, "fourier_collapse", counting)
     text = f"p = {p}\nM = 4\nN = {N}\nT = 0.007\ndt = 0.001\n"
     assert run_experiment(parse_config(text), "km-report", str(tmp_path)) == 0
+    assert len(calls) == math.ceil(8 / B) * (N - p // 2 + fed), calls
+    calls.clear()
+    solver.theta_residual(stored, PARAMS.xi, PARAMS.alpha)
     assert len(calls) == math.ceil(8 / B) * fed, calls

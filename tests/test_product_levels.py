@@ -124,7 +124,7 @@ def test_march_from_products_matches_dense_march(d, p, N):
     packed0 = {n: h.packed() for n, h in hat0.items()}
     rule = QuadratureRule("trapezoid")
     marches = zip(*(_march(grid, h0, spec, 10, 1e-3, rule) for h0 in (hat0, coupled0, packed0)))
-    for (i, prod, _), (_, coupled, _), (_, packed, _) in marches:
+    for (i, prod), (_, coupled), (_, packed) in marches:
         for n in range(1, N + 1):
             assert isinstance(prod[n], ProductLevel) == (n + p // 2 > N), (i, n)
             assert np.array_equal(_packed_hat(prod[n]), _packed_hat(coupled[n])), (i, n)
@@ -151,7 +151,7 @@ def test_product_invariant_rows_and_nan_gate():
     spec = InteractionSpec(2, 1)
     hat0 = _initial_hats(HierarchyState.factorized(cosine_field(grid).values, 3, grid))
     # node 0 of the march: the coupled level 1 is packed, the free levels are products
-    _, hats, _ = next(_march(grid, hat0, spec, 1, 1e-3, QuadratureRule("trapezoid")))
+    _, hats = next(_march(grid, hat0, spec, 1, 1e-3, QuadratureRule("trapezoid")))
     hats = dict(hats)
     rows, traces, failure = _structural_invariants(0.0, hats, grid, spec, None)
     assert failure is None

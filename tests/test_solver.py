@@ -326,7 +326,7 @@ def test_trajectory_state_matches_materialized_march():
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_truncated(g0, CUBIC, T=0.02, dt=1e-3, store_every=5)
     march = _march(GRID, _initial_hats(g0), CUBIC, 20, 1e-3, QuadratureRule("trapezoid"))
-    built = [_materialize(GRID, hats) for i, hats, _ in march if i % 5 == 0]
+    built = [_materialize(GRID, hats) for i, hats in march if i % 5 == 0]
     assert len(built) == len(traj.times) == 5
     for i, ref in enumerate(built):
         for k in (1, 2, 3):
@@ -360,7 +360,7 @@ def test_streams_keep_no_past_nodes():
         "duhamel": lambda S: _duhamel_nodes(3, 1, grid, deep_hat, CUBIC, S, dt, rule),
         # the same node at every time keeps the live input small
         "theta": lambda S: _theta_defects(
-            ((i * dt, hat0, {}) for i in range(S + 1)), None, grid, CUBIC, S, dt, rule, 0.02, 1.0
+            ((i * dt, hat0) for i in range(S + 1)), None, grid, CUBIC, S, dt, rule, 0.02, 1.0
         ),
         # a whole km-report: the march, the per-node rows and the residual in one pass
         "km-report": lambda S: [
@@ -401,10 +401,8 @@ def test_oracle_nodes_collect_into_solve_oracle():
     g0 = HierarchyState.factorized(phi, 3, GRID)
     traj = solve_oracle(g0, CUBIC, T=0.02, dt=1e-3, store_every=10)
     nodes = list(_oracle_nodes(GRID, _initial_hats(g0), CUBIC, 0.02, 1e-3, 10))
-    assert [t for t, *_ in nodes] == list(traj.times)
-    # the oracle's stages collapse other states than its nodes: no node carries feeds
-    assert all(feeds == {} for *_, feeds in nodes)
-    for (_, hats, _), ref in zip(nodes, traj.hats):
+    assert [t for t, _ in nodes] == list(traj.times)
+    for (_, hats), ref in zip(nodes, traj.hats):
         for k in (1, 2, 3):
             assert np.array_equal(_packed_hat(hats[k]), _packed_hat(ref[k]))
 
@@ -549,9 +547,14 @@ def test_oracle_builds_each_phase_set_once_per_stage_time(monkeypatch):
 
 
 def test_theta_residual_self_consistency_cancellation():
-    # matching rule: the residual reproduces the march's own quadrature and
-    # cancels to rounding
-    phi = cosine_field(GRID).values
-    g0 = HierarchyState.factorized(phi, 3, GRID)
-    traj = solve_truncated(g0, CUBIC, T=0.05, dt=1e-3, store_every=1)
-    assert theta_residual(traj, 0.02, 1.0, "trapezoid") <= 1e-12
+    # own reference, matching rule and every node stored: the defect's
+    # Volterra levels are the march's own levels, bit for bit, so the
+    # residual is exactly 0, in the focusing and the defocusing case
+    cases = [((1, 8, 2, 4), "trapezoid"), ((1, 8, 2, 4), "simpson"), ((1, 6, 2, 5), "simpson")]
+    cases += [((1, 6, 4, 5), "trapezoid"), ((2, 4, 2, 3), "trapezoid")]
+    for (d, M, p, N), kind in cases:
+        grid = make_grid(d, M, 2 * np.pi)
+        g0 = HierarchyState.factorized(cosine_field(grid).values, N, grid)
+        for mu in (-1, 1):
+            traj = solve_truncated(g0, InteractionSpec(p, mu), T=0.05, dt=1e-3, quadrature=kind, store_every=1)
+            assert theta_residual(traj, 0.02, 1.0, kind) == 0.0, (d, M, p, N, kind, mu)

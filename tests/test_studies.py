@@ -358,14 +358,6 @@ def _cosine_hierarchy(grid, N):
     return HierarchyState.factorized(cosine_field(grid).values, N, grid)
 
 
-def test_cauchy_identical_truncations_zero():
-    grid = make_grid(1, 4, 2 * np.pi)
-    g0 = _cosine_hierarchy(grid, 4)
-    rep = cauchy_study(g0, [3, 3, 4], PARAMS, CUBIC, T=0.05, dt=1e-3)
-    same = [r for r in rep.tables["pairs"] if r["N1"] == r["N2"] == 3]
-    assert same and same[0]["bdiff_l2"] <= 1e-14 and same[0]["traj_diff_sup"] <= 1e-14
-
-
 def test_cauchy_plane_wave_differences():
     # every truncation is stationary; collapses vanish, so the B-difference
     # is zero, while the trajectory difference is exactly the static
@@ -447,6 +439,9 @@ def test_cauchy_chain_warning():
     assert any("chain" in w for w in rep.warnings)
     with pytest.raises(ValueError):
         cauchy_study(g0, [4], PARAMS, CUBIC, T=0.02, dt=2e-3)
+    # a repeated level made a pair N1 = N2 (ratio 0) and every pair with it twice
+    with pytest.raises(ValueError, match=r"N_list repeats a truncation level, got \[3, 3, 4\]"):
+        cauchy_study(g0, [3, 4, 3], PARAMS, CUBIC, T=0.02, dt=2e-3)
 
 
 def test_boardgame_j1_ratio_one_and_decay():
